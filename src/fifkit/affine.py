@@ -80,11 +80,6 @@ class FixedPoint:
         return self.kind == "point"
 
 
-def apply(g, point):
-    """Apply a map to a point (scalar for Affine1, pair for Affine2)."""
-    return g(point)
-
-
 def compose(g1, g2):
     """Map composition g1 after g2; both arguments of the same arity."""
     if isinstance(g1, Affine1) and isinstance(g2, Affine1):

@@ -7,14 +7,15 @@ on [a, b].  Everything here works through two mechanisms:
   through projected strips until the vertical contraction has shrunk
   any initial guess below tolerance, then unroll the y recurrence
   forward (exact when the pullback hits a projected fixed point);
-* forward word images of a small anchor set for global samples.
+* forward images of a small anchor set for global samples, built one
+  generator application per level and cached for the last system.
 """
 
 import math
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .affine import Affine2, compose
 from .errors import (
     DepthTooLargeError,
     NotAFunctionGraphError,
@@ -177,52 +178,121 @@ def anchor_points(system: IfsSystem, tol: float = 1e-12):
     return pts, worst
 
 
+class _SampleCache:
+    """Samples of the most recently sampled system, by depth.
+
+    Keyed on exactness as well as on the system, because an exact
+    system and its float twin compare (and hash) equal.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.key = None
+        self.anchors = ()
+        self.anchor_err = 0.0
+        self.samples = {}
+
+
+_SAMPLES = _SampleCache()
+
+
+def _exact_levels(maps, points, levels):
+    """P_levels from the exact points P_0 = `points`: (sorted points, resolution).
+
+    Runs on integers.  Every point of level k shares the denominator L_k,
+    so a point is one (X, Y) pair of numerators and the set of pairs is
+    the level, deduplicated exactly.  One generator step multiplies L by
+    D, the lcm of the coefficient denominators:
+    X' = pD X + hD L,  Y' = qD Y + rD X + sD L.
+    """
+    d = math.lcm(*(c.denominator for g in maps for c in (g.p, g.q, g.r, g.h, g.s)))
+    coeffs = [tuple((c * d).numerator for c in (g.p, g.q, g.r, g.h, g.s))
+              for g in maps]
+    den = math.lcm(*(c.denominator for pt in points for c in pt))
+    level = {(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+             for x, y in points}
+    for _ in range(levels):
+        nxt = set()
+        add = nxt.add
+        for p, q, r, h, s in coeffs:
+            hl, sl = h * den, s * den
+            for x, y in level:
+                add((p * x + hl, q * y + r * x + sl))
+        level = nxt
+        den *= d
+    ordered = sorted(level)
+    gap = max((b[0] - a[0] for a, b in zip(ordered, ordered[1:])), default=0)
+    pts = [(Fraction(x, den), Fraction(y, den)) for x, y in ordered]
+    return pts, Fraction(gap, den) if gap > 0 else 0
+
+
+def _float_levels(maps, points, levels):
+    """P_levels from the float points P_0 = `points`: (sorted points, resolution).
+
+    Points are keyed on the 1e-12 grid and each key keeps its smallest
+    point, so a level depends only on the set of points it came from.
+    """
+    for _ in range(levels):
+        seen = {}
+        for g in maps:
+            p, q, r, h, s = g.p, g.q, g.r, g.h, g.s
+            for x, y in points:
+                pt = (p * x + h, q * y + r * x + s)
+                key = (round(pt[0] / _DEDUP_QUANTUM), round(pt[1] / _DEDUP_QUANTUM))
+                old = seen.get(key)
+                if old is None or pt < old:
+                    seen[key] = pt
+        points = seen.values()
+    pts = sorted(points)
+    return pts, max((b[0] - a[0] for a, b in zip(pts, pts[1:])), default=0.0)
+
+
 def sample_attractor(system: IfsSystem, depth: int,
                      max_points: int = 2_000_000) -> GraphSample:
     """Images of the anchor set under every length-`depth` word.
 
-    Point count is m^depth * (m + 2); exceeding max_points raises
-    DepthTooLargeError.  Points come back deduplicated and sorted by x,
-    with the realized horizontal resolution (largest consecutive gap).
+    Built level by level: P_0 is the anchor set and P_k is the union of
+    S(P_{k-1}) over the generators S, deduplicated at every level.  The
+    word count m^depth * (m + 2) is checked against max_points first;
+    exceeding it raises DepthTooLargeError.  Points come back sorted by
+    x, with the realized horizontal resolution (largest consecutive gap).
+
+    The samples of the most recently sampled system stay cached by
+    depth: a repeat request returns the same object, a deeper one
+    continues from the deepest cached sample below it, and sampling any
+    other system drops them all.  The cache therefore holds at most the
+    samples one system has been asked for, never the intermediate levels.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    m = len(system)
-    anchors, anchor_err = anchor_points(system)
-    total = (m ** depth) * len(anchors)
+    key = (system.exact, system)
+    cache = _SAMPLES
+    fresh = cache.key != key
+    if fresh:
+        anchors, anchor_err = anchor_points(system)
+    else:
+        anchors, anchor_err = cache.anchors, cache.anchor_err
+    total = (len(system) ** depth) * len(anchors)
     if total > max_points:
         raise DepthTooLargeError(
             f"{total} points at depth {depth} exceeds budget {max_points}"
         )
+    if fresh:
+        cache.clear()
+        cache.key, cache.anchors, cache.anchor_err = key, tuple(anchors), anchor_err
+    hit = cache.samples.get(depth)
+    if hit is not None:
+        return hit
 
-    exact = system.exact
-    seen = {}
-
-    def emit(g: Affine2):
-        for pt in anchors:
-            x, y = g(pt)
-            key = (x, y) if exact else (
-                round(to_float(x) / _DEDUP_QUANTUM),
-                round(to_float(y) / _DEDUP_QUANTUM),
-            )
-            if key not in seen:
-                seen[key] = (x, y)
-
-    def rec(g: Affine2, k: int):
-        if k == 0:
-            emit(g)
-            return
-        for s in system.maps:
-            rec(compose(g, s), k - 1)
-
-    rec(Affine2.identity(), depth)
-    pts = sorted(seen.values(), key=lambda p: (to_float(p[0]), to_float(p[1])))
-    res = 0 if exact else 0.0
-    for k in range(len(pts) - 1):
-        gap = pts[k + 1][0] - pts[k][0]
-        if gap > res:
-            res = gap
-    return GraphSample(tuple(pts), depth, res, anchor_err)
+    start = max((d for d in cache.samples if d < depth), default=0)
+    points = cache.samples[start].points if start else anchors
+    levels = _exact_levels if system.exact else _float_levels
+    pts, res = levels(system.maps, points, depth - start)
+    sample = GraphSample(tuple(pts), depth, res, anchor_err)
+    cache.samples[depth] = sample
+    return sample
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .affine import Affine2, apply, fixed_point_1d, projection
+from .affine import Affine2, fixed_point_1d, projection
 from .attractor import GraphSample, evaluate_f, modulus_of_continuity, sample_attractor
 from .errors import (
     DegenerateDenominatorError,
@@ -78,7 +78,7 @@ def iterate_orbit(g: Affine2, origin, interval, max_points: int = 2_000_000) -> 
     right = gp(x0) > x0
     pts = [(coerce(origin[0]), coerce(origin[1]))]
     while True:
-        nxt = apply(g, pts[-1])
+        nxt = g(pts[-1])
         if right and nxt[0] > b:
             break
         if not right and nxt[0] < a:
@@ -137,7 +137,7 @@ def epsilon_net(system, g: Affine2, eps: float,
 
     max_step = 0.0
     for (x, y) in sample.points:
-        gx, gy = apply(g, (x, y))
+        gx, gy = g((x, y))
         step = math.hypot(to_float(gx - x), to_float(gy - y))
         if step > max_step:
             max_step = step
@@ -190,7 +190,7 @@ def suggest_eps(system, g: Affine2, max_points: int = 2_000_000) -> float:
     sample = _dense_sample(system, to_float(system.width) / 64, max_points)
     max_step = 0.0
     for (x, y) in sample.points:
-        gx, gy = apply(g, (x, y))
+        gx, gy = g((x, y))
         max_step = max(max_step, math.hypot(to_float(gx - x), to_float(gy - y)))
     if max_step == 0.0:
         raise FixedPointInsideError("map is the identity on the sampled graph")

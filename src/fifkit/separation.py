@@ -120,7 +120,7 @@ def deviation_2d(g: Affine2, interval, ybox) -> Scalar:
 
 
 @lru_cache(maxsize=64)
-def _vertical_extent(system: IfsSystem):
+def _vertical_extent(exact: bool, system: IfsSystem):
     m = len(system)
     depth = 3
     while (m ** (depth + 1)) * (m + 2) <= 4096 and depth < 8:
@@ -133,9 +133,11 @@ def _vertical_extent(system: IfsSystem):
 def attractor_ybox(system: IfsSystem):
     """Vertical range of a moderate-depth attractor sample.
 
-    Used to normalize planar deviations; exact in rational mode.
+    Used to normalize planar deviations; exact in rational mode.  The
+    cache is keyed on exactness too: an exact system and its float twin
+    compare equal.
     """
-    return _vertical_extent(system)
+    return _vertical_extent(system.exact, system)
 
 
 def _is_collinear(system: IfsSystem) -> bool:

@@ -9,6 +9,7 @@ argument; tests feed the same box to both routes so the normalization
 matches by construction.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -118,6 +119,55 @@ def oracle_delta_2d(system, depth, ybox):
             if best is None or d < best:
                 best = d
     return best
+
+
+def oracle_anchors(system):
+    """Generator fixed points and the graph points over both interval ends.
+
+    Each end value is read off the generator whose fixed point is that
+    end, so only systems whose ends are generator fixed points are
+    supported (every bundled system is one).
+    """
+    fixed = []
+    for g in system.maps:
+        x = g.h / (1 - g.p)
+        fixed.append((x, (g.r * x + g.s) / (1 - g.q)))
+    ends = []
+    for e in system.interval:
+        x, y = min(fixed, key=lambda pt: abs(pt[0] - e))
+        assert abs(x - e) <= 1e-12, "interval end is not a generator fixed point"
+        ends.append((e, y))
+    return fixed + ends
+
+
+def oracle_sample(system, depth):
+    """Images of the anchors under every length-depth word, brute force.
+
+    Composes each word's map, applies it to every anchor, deduplicates
+    (exactly, or on a 1e-12 grid keeping the first point for floats) and
+    sorts.  Returns (points, resolution) with resolution the largest gap
+    between consecutive abscissae.
+    """
+    anchors = oracle_anchors(system)
+    seen = {}
+    for word in itertools.product(range(1, len(system) + 1), repeat=depth):
+        P, Q, R, H, S = oracle_coeffs_2d(system, word)
+        for x, y in anchors:
+            pt = (P * x + H, Q * y + R * x + S)
+            key = pt if system.exact else (round(pt[0] * 1e12), round(pt[1] * 1e12))
+            seen.setdefault(key, pt)
+    pts = sorted(seen.values())
+    gaps = [b[0] - a[0] for a, b in zip(pts, pts[1:])]
+    return pts, max(gaps, default=0)
+
+
+def float_twin(system):
+    """The same system with every coefficient converted to float."""
+    return IfsSystem(
+        tuple(Affine2(*(float(c) for c in (g.p, g.q, g.r, g.h, g.s)))
+              for g in system.maps),
+        tuple(float(v) for v in system.interval),
+    )
 
 
 # ---------- random exact generators ----------

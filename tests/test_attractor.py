@@ -22,6 +22,9 @@ from fifkit import (
     validate,
     vertical_bound,
 )
+from fifkit import attractor, separation
+
+from conftest import float_twin, oracle_sample
 
 FOUR_PIECE_ANCHORS = {
     Fraction(0): Fraction(0),
@@ -124,6 +127,97 @@ def test_sample_attractor_resolution_shrinks():
 def test_sample_attractor_budget():
     with pytest.raises(DepthTooLargeError):
         sample_attractor(dyadic_parabola_system(), 25, max_points=1000)
+
+
+@pytest.fixture
+def cold_caches():
+    attractor._SAMPLES.clear()
+    separation._vertical_extent.cache_clear()
+    yield
+    attractor._SAMPLES.clear()
+    separation._vertical_extent.cache_clear()
+
+
+SAMPLER_CASES = [
+    (four_piece_overlap_system, range(1, 6)),
+    (mixed_ratio_parabola_system, range(1, 10)),
+    (dyadic_parabola_system, range(1, 9)),
+]
+
+
+@pytest.mark.parametrize("make,depths", SAMPLER_CASES)
+def test_sample_attractor_matches_oracle_exact(cold_caches, make, depths):
+    system = make()
+    for depth in depths:
+        sample = sample_attractor(system, depth)
+        want, res = oracle_sample(system, depth)
+        assert list(sample.points) == want
+        assert all(isinstance(c, Fraction) for pt in sample.points for c in pt)
+        assert sample.resolution == res
+        assert sample.depth == depth
+
+
+@pytest.mark.parametrize("make,depths", SAMPLER_CASES)
+def test_sample_attractor_matches_oracle_float(cold_caches, make, depths):
+    system = float_twin(make())
+    for depth in depths:
+        sample = sample_attractor(system, depth)
+        want, res = oracle_sample(system, depth)
+        assert len(sample.points) == len(want)
+        for (x, y), (u, v) in zip(sample.points, want):
+            assert type(x) is float and type(y) is float
+            assert abs(x - u) <= 1e-12 and abs(y - v) <= 1e-12
+        assert abs(sample.resolution - res) <= 1e-12
+
+
+def test_sample_cache_repeat_is_identical(cold_caches):
+    system = four_piece_overlap_system()
+    assert sample_attractor(system, 4) is sample_attractor(system, 4)
+
+
+@pytest.mark.parametrize("make", [four_piece_overlap_system,
+                                  lambda: float_twin(mixed_ratio_parabola_system())])
+def test_sample_cache_warm_equals_cold(cold_caches, make):
+    system = make()
+    sample_attractor(system, 3)
+    warm = sample_attractor(system, 5)
+    attractor._SAMPLES.clear()
+    cold = sample_attractor(system, 5)
+    assert warm is not cold
+    assert warm == cold
+
+
+def test_sample_cache_holds_one_system(cold_caches):
+    first, second = four_piece_overlap_system(), dyadic_parabola_system()
+    a = sample_attractor(first, 3)
+    sample_attractor(second, 3)
+    assert set(attractor._SAMPLES.samples) == {3}
+    b = sample_attractor(first, 3)
+    assert b is not a and b == a
+
+
+def test_sample_cache_keeps_the_budget(cold_caches):
+    system = dyadic_parabola_system()
+    sample_attractor(system, 3)
+    with pytest.raises(DepthTooLargeError):
+        sample_attractor(system, 10, max_points=1000)
+    with pytest.raises(DepthTooLargeError):
+        sample_attractor(system, 3, max_points=10)
+    assert sample_attractor(system, 3).depth == 3
+
+
+@pytest.mark.parametrize("exact_first", [True, False])
+def test_exact_and_float_twins_do_not_share_caches(cold_caches, exact_first):
+    exact = dyadic_parabola_system()
+    floating = float_twin(exact)
+    assert exact == floating  # Fraction(1, 2) == 0.5: the twins collide on value
+    order = (exact, floating) if exact_first else (floating, exact)
+    for system in order:
+        want = Fraction if system.exact else float
+        box = separation.attractor_ybox(system)
+        assert all(type(v) is want for v in box)
+        sample = sample_attractor(system, 3)
+        assert all(type(c) is want for pt in sample.points for c in pt)
 
 
 def test_graph_sample_to_arrays():
