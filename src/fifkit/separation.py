@@ -7,17 +7,32 @@ depth d, the smallest deviation-from-identity over all non-identity
 elements with |i|, |j| <= d (empty word included), exactly in rational
 mode.
 
+Every word of length <= N, the scan depth, is composed once and stored
+as a row of its planar coefficients (P, Q, R, H, S).  In exact mode the
+row holds Python ints scaled by D^N, where D is the lcm of the
+generators' coefficient denominators: a length-L composite has
+denominators dividing D^L, so the scaling is exact, and every quantity
+the scans need is a ratio of integer polynomials in two rows.  Float
+systems run the same code on float rows at scale 1, with buckets keyed
+on a 1e-12 quantum.
+
 The scan never materializes the quadratic set of word pairs.  Words are
-bucketed by their exact linear coefficient P; inside a bucket every
-pair has p = 1 and the minimum reduces to a sorted-adjacency sweep over
-the H values; across buckets the pair's p = P_i/P_j is a constant, so
-|p - 1| prunes whole bucket pairs and a translation window bounds the
-H candidates worth composing.
+bucketed by P; inside a bucket every pair has p = 1 and the minimum
+reduces to a sorted-adjacency sweep over the H values; across buckets
+the pair's p = P_i/P_j is a constant, so |p - 1| prunes whole bucket
+pairs and a translation window bounds the H candidates worth measuring.
+Whether a pair beats the current best is decided by cross-multiplying
+integers against a cap derived from the best, in the filter-then-certify
+manner of adaptive predicates; a Fraction is built only for a pair that
+does beat it.  The planar scan reads G_j^-1 G_i off the two rows in
+closed form instead of composing words.
 """
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .affine import Affine1, Affine2, Word, compose, compose_word, invert, projection
 from .attractor import sample_attractor
@@ -27,10 +42,11 @@ from .systems import IfsSystem
 
 DEFAULT_WORD_BUDGET = 2_000_000
 
-# cap on reported coincidence pairs and on pair evaluations within one
-# exactly-equal coefficient group (guards pathological inputs)
+# cap on reported coincidence pairs (the count itself is complete)
 _COINCIDENCE_SAMPLE = 16
-_GROUP_PAIR_CAP = 256
+# tracemalloc bytes per stored word row (tuple, word tuple and five ints),
+# measured on the exact four-piece system at depth 7
+_ROW_BYTES = 360
 
 
 class CollinearAttractorWarning(UserWarning):
@@ -154,179 +170,227 @@ def _is_collinear(system: IfsSystem) -> bool:
 
 
 def _word_rows(system: IfsSystem, depth: int, budget: int):
-    """All words of length <= depth with their planar compositions.
+    """All words of length <= depth with their planar coefficients.
 
-    Returns a list indexed by length; each entry is a list of
-    (word, Affine2).  Total word count (m^(depth+1) - 1)/(m - 1) must
-    stay within budget.
+    Returns (rows, scale).  rows is indexed by length; each entry is a
+    list of (H, word, P, Q, R, S) tuples holding the composite's
+    coefficients times scale = D^depth, as ints in exact mode.  Floats
+    keep scale 1.  Total word count (m^(depth+1) - 1)/(m - 1) must stay
+    within budget.
     """
     m = len(system)
     total = sum(m ** k for k in range(depth + 1))
     if total > budget:
         raise DepthTooLargeError(
-            f"{total} words at depth {depth} exceeds budget {budget}"
+            f"{total} words at depth {depth} exceeds budget {budget} "
+            f"(about {total * _ROW_BYTES / 1e6:,.1f} MB of word rows)"
         )
-    rows = [[((), Affine2.identity())]]
+    coeffs = [(g.p, g.q, g.r, g.h, g.s) for g in system.maps]
+    if system.exact:
+        D = lcm(*(c.denominator for row in coeffs for c in row))
+        gens = [tuple(c.numerator * (D // c.denominator) for c in row)
+                for row in coeffs]
+        one, zero = 1, 0
+    else:
+        D, gens, one, zero = 1, coeffs, 1.0, 0.0
+    # level L holds its composites times D^L; composing with a generator
+    # (scaled by D) raises the scale to D^(L+1)
+    rows = [[(zero, (), one, one, zero, zero)]]
     for _ in range(depth):
-        prev = rows[-1]
         nxt = []
-        for word, g in prev:
-            for k, gen in enumerate(system.maps, start=1):
-                nxt.append((word + (k,), compose(g, gen)))
+        for H, word, P, Q, R, S in rows[-1]:
+            for k, (p, q, r, h, s) in enumerate(gens, start=1):
+                nxt.append((P * h + H * D, word + (k,), P * p, Q * q,
+                            Q * r + R * p, Q * s + R * h + S * D))
         rows.append(nxt)
-    return rows
+    for length in range(depth):
+        f = D ** (depth - length)
+        if f != 1:
+            rows[length] = [(H * f, word, P * f, Q * f, R * f, S * f)
+                            for H, word, P, Q, R, S in rows[length]]
+    return rows, D ** depth
 
 
 def _quantize(x, exact):
     return x if exact else round(to_float(x) / 1e-12)
 
 
-def _buckets_1d(rows, upto, exact):
-    """Group words of length <= upto by linear coefficient P.
+def _nd(x):
+    """x as (numerator, denominator); a float is (x, 1)."""
+    return (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
 
-    Returns {P_key: (P, sorted list of (H, word))}.
+
+def _ratio(num, den, exact):
+    return Fraction(num, den) if exact else num / den
+
+
+def _buckets(rows, upto, scale, exact):
+    """Group the rows of length <= upto by linear coefficient P.
+
+    Returns {P_key: (P, label, rows sorted by exact (H, word))}, in order
+    of first appearance; label is the decimal string of the unscaled P
+    (of the quantized key for floats) and breaks ties between bucket
+    pairs.
     """
     buckets = {}
     for length in range(upto + 1):
-        for word, g in rows[length]:
-            key = _quantize(g.p, exact)
-            if key not in buckets:
-                buckets[key] = (g.p, [])
-            buckets[key][1].append((g.h, word))
-    for _, pairs in buckets.values():
-        pairs.sort(key=lambda t: (to_float(t[0]), t[1]))
+        for row in rows[length]:
+            P = row[2]
+            key = _quantize(P, exact)
+            bucket = buckets.get(key)
+            if bucket is None:
+                label = str(Fraction(P, scale)) if exact else str(key)
+                buckets[key] = (P, label, [row])
+            else:
+                bucket[2].append(row)
+    for _, _, entries in buckets.values():
+        entries.sort()
     return buckets
 
 
-def _drop_bound(interval, p):
-    """Constants of the translation window at fixed p.
+def _bucket_pairs(buckets):
+    """Ordered cross-bucket pairs, cheapest |p - 1| first.
 
-    For g(x) = p x + h the normalized displacement equals
-    (|h - h0| + gamma)/(b - a) with h0 = -(p - 1)(a + b)/2 and
-    gamma = |p - 1|(b - a)/2.
+    Yields (num, den, (P_i, rows_i), (P_j, rows_j)) with
+    |p - 1| = num/den for p = P_i/P_j, in the order of
+    (float |p - 1|, label_i, label_j).  Labels are unique, so the sort
+    never compares further fields.
     """
-    a, b = interval
-    h0 = -(p - 1) * (a + b) / 2
-    gamma = abs(p - 1) * (b - a) / 2
-    return h0, gamma
+    pairs = []
+    for p_i, label_i, ents_i in buckets.values():
+        for p_j, label_j, ents_j in buckets.values():
+            if ents_i is ents_j:
+                continue
+            num, den = abs(p_i - p_j), abs(p_j)
+            pairs.append((num / den, label_i, label_j, num, den,
+                          (p_i, ents_i), (p_j, ents_j)))
+    pairs.sort()
+    for _, _, _, num, den, bi, bj in pairs:
+        yield num, den, bi, bj
 
 
-def _scan_1d(buckets, interval, seed=None):
+class _Window:
+    """Translation window of one cross-bucket pair.
+
+    For p = P_i/P_j and h = (H_i - H_j)/P_j the normalized displacement
+    of x -> p x + h over [a, b] is (|h - h0| + gamma)/w with
+    h0 = -(p - 1)(a + b)/2 and gamma = |p - 1| w/2.  In row units the
+    offset E = (H_i - H_j) cd + shift, shift = (P_i - P_j) cn, with
+    (a + b)/2 = cn/cd, equals cd |P_j| (h - h0); the displacement is
+    (2 wd |E| + gamma') / den with gamma' = cd wn |P_i - P_j|,
+    den = 2 cd wn |P_j| and w = wn/wd.  E orders H_i against the
+    shifted H_j list, whose order is that of H_j.
+    """
+
+    def __init__(self, mid, width, p_i, p_j):
+        cn, self.cd = mid
+        wn, self.wd = width
+        d_p = p_i - p_j
+        self.shift = d_p * cn
+        self.gamma = self.cd * wn * abs(d_p)
+        self.den = 2 * self.cd * wn * abs(p_j)
+
+    def cap(self, best):
+        """(mul, lim): the displacement is below best iff |E| mul < lim."""
+        bn, bd = _nd(best)
+        return 2 * self.wd * bd, bn * self.den - self.gamma * bd
+
+    def displacement(self, e, exact):
+        return _ratio(2 * self.wd * abs(e) + self.gamma, self.den, exact)
+
+
+def _scan_1d(buckets, interval, exact):
     """delta*(at this word set) with its minimizing pair and coincidences.
 
-    Returns (best_dev, (j_word, i_word), coincidence_pairs, count).
+    Returns (best, coincidence_pairs, count) with
+    best = (dev, j_word, i_word) or None.
     """
     a, b = interval
-    w = b - a
-    best = seed  # (dev, j_word, i_word) or None
+    mid, width = _nd((a + b) / 2), _nd(b - a)
+    wn, wd = width
+    best = None
+    bn = bd = None
     coinc = []
     coinc_count = 0
 
     # same-bucket pairs have p = 1 exactly: dev = |dH| / (|P| (b-a));
     # equal H means an exact identity, a coincidence
-    for _, (p_val, entries) in buckets.items():
-        absp = abs(p_val)
-        for k in range(len(entries) - 1):
-            h1, w1 = entries[k]
-            h2, w2 = entries[k + 1]
-            if h1 == h2:
-                coinc_count += 1
-                if len(coinc) < _COINCIDENCE_SAMPLE and w1 != w2:
-                    coinc.append((w1, w2))
-                continue
-            dev = abs(h2 - h1) / (absp * w)
-            if best is None or dev < best[0]:
-                best = (dev, w1, w2)
-        # count remaining pairs inside each equal-H run
-        run = 1
-        for k in range(1, len(entries)):
-            if entries[k][0] == entries[k - 1][0]:
+    for p_val, _, entries in buckets.values():
+        den = abs(p_val) * wn
+        run = 0
+        for e1, e2 in zip(entries, entries[1:]):
+            if e1[0] == e2[0]:
                 run += 1
-            else:
-                coinc_count += (run * (run - 1)) // 2 - (run - 1)
-                run = 1
-        coinc_count += (run * (run - 1)) // 2 - (run - 1)
-
-    # cross-bucket ordered pairs, cheapest |p - 1| first
-    keys = list(buckets)
-    pairs = []
-    for ki in keys:
-        p_i = buckets[ki][0]
-        for kj in keys:
-            if ki == kj:
+                coinc_count += run
+                if len(coinc) < _COINCIDENCE_SAMPLE:
+                    coinc.append((e1[1], e2[1]))
                 continue
-            p_j = buckets[kj][0]
-            p = p_i / p_j
-            pairs.append((abs(p - 1), p, ki, kj))
-    pairs.sort(key=lambda t: (to_float(t[0]), str(t[2]), str(t[3])))
+            run = 0
+            num = abs(e2[0] - e1[0]) * wd
+            if best is None or num * bd < bn * den:
+                best = (_ratio(num, den, exact), e1[1], e2[1])
+                bn, bd = _nd(best[0])
 
-    for bound, p, ki, kj in pairs:
-        if best is not None and bound >= best[0]:
+    for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets):
+        if best is not None and num * bd >= bn * den:
             break
-        h0, gamma = _drop_bound(interval, p)
-        p_j = buckets[kj][0]
-        ents_i = buckets[ki][1]
-        ents_j = buckets[kj][1]
-        # dev = max(|p-1|, (|h - h0| + gamma)/w) with h = (H_i - H_j)/P_j:
-        # minimize |H_i - (H_j + P_j h0)|; constant shift keeps H_j order,
-        # so the classic two-pointer min-difference walk applies
-        shifted = [(hj + p_j * h0, wj) for (hj, wj) in ents_j]
-        abspj = abs(p_j)
+        win = _Window(mid, width, p_i, p_j)
+        cd, shift = win.cd, win.shift
+        if best is not None:
+            mul, lim = win.cap(best[0])
+        # dev = max(|p-1|, displacement): minimize |E| by the classic
+        # two-pointer min-difference walk over both sorted H lists
         ii = jj = 0
-        while ii < len(ents_i) and jj < len(shifted):
-            hi, wi = ents_i[ii]
-            ht, wj = shifted[jj]
-            diff = hi - ht
-            dev = max(bound, (abs(diff) / abspj + gamma) / w)
-            if best is None or dev < best[0]:
-                best = (dev, wj, wi)
-            if diff < 0:
+        while ii < len(ents_i) and jj < len(ents_j):
+            ei, ej = ents_i[ii], ents_j[jj]
+            e = (ei[0] - ej[0]) * cd + shift
+            if best is None or abs(e) * mul < lim:
+                disp = win.displacement(e, exact)
+                bound = _ratio(num, den, exact)
+                best = (max(bound, disp), ej[1], ei[1])
+                bn, bd = _nd(best[0])
+                if num * bd >= bn * den:
+                    break  # nothing in this pair can beat |p - 1| itself
+                mul, lim = win.cap(best[0])
+            if e < 0:
                 ii += 1
             else:
                 jj += 1
     return best, coinc, coinc_count
 
 
-def enumerate_family_1d(system: IfsSystem, depth: int,
-                        budget: int = DEFAULT_WORD_BUDGET) -> set[Affine1]:
-    """The set {G_j^(-1) G_i projected : |i|, |j| <= depth}.
+def _verdict(system, depth, tol, mode, scan):
+    """The WspVerdict of scan(d) -> (best, coincidence_pairs, count).
 
-    Deduplicated by exact (p, h) in rational mode, by a 1e-12 quantum
-    otherwise.  Materializes all pairs of the <= depth word list, so
-    keep depth small; the pair count is budget-checked.
+    Runs d = 2..depth; the witnesses are the per-depth minimizers where
+    delta* strictly drops, and the coincidences are those at full depth.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    rows = _word_rows(system, depth, budget)
-    words = [g for row in rows for (_, g) in row]
-    if len(words) ** 2 > budget:
-        raise DepthTooLargeError(
-            f"{len(words)}^2 family pairs exceed budget {budget}"
-        )
-    exact = system.exact
-    out = {}
-    for gj in words:
-        inv = invert(projection(gj))
-        for gi in words:
-            g = compose(inv, projection(gi))
-            key = (_quantize(g.p, exact), _quantize(g.h, exact))
-            out.setdefault(key, g)
-    return set(out.values())
-
-
-def _minimizer_sequence(system, per_depth):
-    """Witnesses: per-depth minimizers where delta* strictly drops."""
-    wits = []
-    devs = []
-    last = None
-    for _, dev, jw, iw in per_depth:
-        if dev is None:
+    gap, wits, devs = [], [], []
+    coinc, coinc_count = (), 0
+    for d in range(2, depth + 1):
+        best, c_pairs, c_count = scan(d)
+        if best is None:
             continue
-        if last is None or dev < last:
+        dev, jw, iw = best
+        gap.append((d, dev))
+        if not devs or dev < devs[-1]:
             wits.append(FamilyElement.from_words(system, jw, iw))
             devs.append(dev)
-            last = dev
-    return tuple(wits), tuple(devs)
+        if d == depth:
+            coinc, coinc_count = tuple(c_pairs), c_count
+    found = bool(gap) and to_float(gap[-1][1]) < tol
+    return WspVerdict(
+        status="WitnessFound" if found else "NoWitnessUpToDepth",
+        mode=mode,
+        depth=depth,
+        tol=tol,
+        gap_by_depth=tuple(gap),
+        witnesses=tuple(wits),
+        witness_deviations=tuple(devs),
+        coincidences=coinc,
+        coincidence_count=coinc_count,
+        exact=system.exact,
+    )
 
 
 def wsp_check_1d(system: IfsSystem, depth: int, tol: float,
@@ -340,166 +404,154 @@ def wsp_check_1d(system: IfsSystem, depth: int, tol: float,
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    rows = _word_rows(system, depth, budget)
-    exact = system.exact
-    interval = system.interval
-
-    per_depth = []
-    gap = []
-    coinc, coinc_count = (), 0
-    for d in range(2, depth + 1):
-        buckets = _buckets_1d(rows, d, exact)
-        best, c_pairs, c_count = _scan_1d(buckets, interval)
-        if best is None:
-            continue
-        dev, jw, iw = best
-        per_depth.append((d, dev, jw, iw))
-        gap.append((d, dev))
-        if d == depth:
-            coinc, coinc_count = tuple(c_pairs), c_count
-
-    wits, devs = _minimizer_sequence(system, per_depth)
-    delta = gap[-1][1] if gap else None
-    found = delta is not None and to_float(delta) < tol
-    return WspVerdict(
-        status="WitnessFound" if found else "NoWitnessUpToDepth",
-        mode="1d",
-        depth=depth,
-        tol=tol,
-        gap_by_depth=tuple(gap),
-        witnesses=wits,
-        witness_deviations=devs,
-        coincidences=coinc,
-        coincidence_count=coinc_count,
-        exact=exact,
-    )
+    rows, scale = _word_rows(system, depth, budget)
+    exact, interval = system.exact, system.interval
+    return _verdict(system, depth, tol, "1d", lambda d: _scan_1d(
+        _buckets(rows, d, scale, exact), interval, exact))
 
 
-def _family_2d(system, rows, jw, iw):
-    gj = compose_word(system.maps, jw)
-    gi = compose_word(system.maps, iw)
-    return compose(invert(gj), gi)
+def _planar_deviation(interval, ybox, exact):
+    """dev(row_j, row_i, best): deviation_2d of G_j^-1 G_i from two rows.
+
+    Returns the deviation when it is nonzero and below best (any nonzero
+    value when best is None), else None.  With rows scaled by a common
+    factor, G_j^-1 G_i has p = Pi/Pj, q = Qi/Qj,
+    r = (Ri Pj - Rj Pi)/(Pj Qj), h = (Hi - Hj)/Pj and
+    s = ((Si - Sj) Pj - Rj (Hi - Hj))/(Pj Qj).  Every term is compared
+    to best by cross-multiplication, on the box corners brought to a
+    common denominator M.
+    """
+    M = lcm(*(_nd(v)[1] for v in (*interval, *ybox)))
+    xs = [n * (M // d) for n, d in map(_nd, interval)]
+    ys = [n * (M // d) for n, d in map(_nd, ybox)]
+    w = xs[1] - xs[0]
+    hh = (ys[1] - ys[0]) or w
+
+    def dev(rj, ri, best):
+        Hj, _, Pj, Qj, Rj, Sj = rj
+        Hi, _, Pi, Qi, Ri, Si = ri
+        d_p, d_q, d_h = Pi - Pj, Qi - Qj, Hi - Hj
+        alpha, beta = d_q * Pj, Ri * Pj - Rj * Pi
+        gamma = ((Si - Sj) * Pj - Rj * d_h) * M
+        terms = (
+            (abs(d_p), abs(Pj)),
+            (abs(d_q), abs(Qj)),
+            (max(abs(d_p * x + d_h * M) for x in xs), abs(Pj) * w),
+            (max(abs(alpha * y + beta * x + gamma) for x in xs for y in ys),
+             abs(Pj * Qj) * hh),
+        )
+        if best is not None:
+            bn, bd = _nd(best)
+            if any(num * bd >= bn * den for num, den in terms):
+                return None
+        if not any(num for num, _ in terms):
+            return None
+        return max(_ratio(num, den, exact) for num, den in terms)
+
+    return dev
 
 
-def _scan_2d(system, rows, upto, interval, ybox, exact):
+def _scan_2d(rows, upto, scale, interval, exact, dev2):
     """delta_2*(at depth upto) by pruning through the projected windows.
 
     Every candidate pair must satisfy projected deviation < current
     planar best (the planar metric dominates the projected one), so the
-    same bucket geometry applies; surviving pairs are composed exactly
-    and measured with deviation_2d.  Returns (best, coincidences, count)
-    with best = (dev2, j_word, i_word).
+    same bucket geometry applies; surviving pairs are measured with
+    dev2 from their rows.  Returns (best, coincidences, count) with
+    best = (dev2, j_word, i_word).
     """
     a, b = interval
-    w = b - a
-    buckets = _buckets_1d(rows, upto, exact)
-
-    def dev2_of(jw, iw):
-        return deviation_2d(_family_2d(system, rows, jw, iw), interval, ybox)
+    mid, width = _nd((a + b) / 2), _nd(b - a)
+    wn, wd = width
+    buckets = _buckets(rows, upto, scale, exact)
 
     # seed: generators against the empty word, both directions
     best = None
-    for k in range(1, len(system) + 1):
-        for jw, iw in (((), (k,)), ((k,), ())):
-            dev = dev2_of(jw, iw)
-            if dev != 0 and (best is None or dev < best[0]):
-                best = (dev, jw, iw)
+    empty = rows[0][0]
+    for gen in rows[1]:
+        for rj, ri in ((empty, gen), (gen, empty)):
+            dev = dev2(rj, ri, None if best is None else best[0])
+            if dev is not None:
+                best = (dev, rj[1], ri[1])
 
     coinc = []
     coinc_count = 0
 
-    # same (P, H) groups: projected identity; planar part may still differ
-    for _, (p_val, entries) in buckets.items():
-        absp = abs(p_val)
+    # same (P, H) groups: projected identity; subgroups of equal planar
+    # key are planar identities, and pairs across subgroups are measured
+    # once, on the subgroups' first rows
+    for _, _, entries in buckets.values():
         k = 0
         while k < len(entries):
-            k2 = k
-            while k2 + 1 < len(entries) and entries[k2 + 1][0] == entries[k][0]:
+            k2 = k + 1
+            while k2 < len(entries) and entries[k2][0] == entries[k][0]:
                 k2 += 1
-            group = entries[k:k2 + 1]
-            if len(group) > 1:
-                evals = 0
-                for u in range(len(group)):
-                    for v in range(len(group)):
-                        if u == v or evals >= _GROUP_PAIR_CAP:
-                            continue
-                        evals += 1
-                        jw, iw = group[u][1], group[v][1]
-                        g = _family_2d(system, rows, jw, iw)
-                        if g == Affine2.identity():
-                            if u < v:
-                                coinc_count += 1
-                                if len(coinc) < _COINCIDENCE_SAMPLE:
-                                    coinc.append((jw, iw))
-                            continue
-                        dev = deviation_2d(g, interval, ybox)
-                        if best is None or dev < best[0]:
-                            best = (dev, jw, iw)
-            k = k2 + 1
+            group = entries[k:k2]
+            k = k2
+            if len(group) < 2:
+                continue
+            keys = [tuple(_quantize(c, exact) for c in row[2:]) for row in group]
+            members = {}
+            for row, key in zip(group, keys):
+                members.setdefault(key, []).append(row)
+            coinc_count += sum(n * (n - 1) // 2 for n in map(len, members.values()))
+            # report the pairs u < v of equal key in (u, v) order
+            rank = {}
+            for row, key in zip(group, keys):
+                room = _COINCIDENCE_SAMPLE - len(coinc)
+                if room == 0:
+                    break
+                r = rank[key] = rank.get(key, 0) + 1
+                for other in members[key][r:r + room]:
+                    coinc.append((row[1], other[1]))
+            firsts = [rows_[0] for rows_ in members.values()]
+            for rj in firsts:
+                for ri in firsts:
+                    if rj is not ri:
+                        dev = dev2(rj, ri, best[0])
+                        if dev is not None:
+                            best = (dev, rj[1], ri[1])
 
     # same-bucket, distinct H: p = 1, projected dev = |dH|/(|P| w) < best
-    for _, (p_val, entries) in buckets.items():
-        absp = abs(p_val)
-        for u in range(len(entries)):
-            hu, wu = entries[u]
+    for p_val, _, entries in buckets.values():
+        den = abs(p_val) * wn
+        for u, ru in enumerate(entries):
             for v in range(u + 1, len(entries)):
-                hv, wv = entries[v]
-                if hv == hu:
+                rv = entries[v]
+                if rv[0] == ru[0]:
                     continue
-                if best is not None and abs(hv - hu) / (absp * w) >= best[0]:
+                bn, bd = _nd(best[0])
+                if abs(rv[0] - ru[0]) * wd * bd >= bn * den:
                     break
-                for jw, iw in ((wu, wv), (wv, wu)):
-                    dev = dev2_of(jw, iw)
-                    if dev != 0 and (best is None or dev < best[0]):
-                        best = (dev, jw, iw)
+                for rj, ri in ((ru, rv), (rv, ru)):
+                    dev = dev2(rj, ri, best[0])
+                    if dev is not None:
+                        best = (dev, rj[1], ri[1])
 
-    # cross-bucket pairs, pruned by |p - 1| then by the projected window
-    keys = list(buckets)
-    pairs = []
-    for ki in keys:
-        p_i = buckets[ki][0]
-        for kj in keys:
-            if ki == kj:
-                continue
-            p_j = buckets[kj][0]
-            p = p_i / p_j
-            pairs.append((abs(p - 1), p, ki, kj))
-    pairs.sort(key=lambda t: (to_float(t[0]), str(t[2]), str(t[3])))
-    for bound, p, ki, kj in pairs:
-        if best is not None and bound >= best[0]:
+    # cross-bucket pairs, pruned by |p - 1| then by the projected window:
+    # every pair with displacement below best must be measured, so walk
+    # the whole band of shifted H_j values around each H_i
+    for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets):
+        bn, bd = _nd(best[0])
+        if num * bd >= bn * den:
             break
-        h0, gamma = _drop_bound(interval, p)
-        p_j = buckets[kj][0]
-        abspj = abs(p_j)
-        ents_i = buckets[ki][1]
-        shifted = sorted(
-            ((hj + p_j * h0, wj) for (hj, wj) in buckets[kj][1]),
-            key=lambda t: (to_float(t[0]), t[1]),
-        )
-        # window on the projected deviation: every pair with
-        # (|h-h0|+gamma)/w < best must be measured, so walk the whole
-        # band of shifted values around each H_i
-        cap = (best[0] * w - gamma) * abspj
+        win = _Window(mid, width, p_i, p_j)
+        cd, shift = win.cd, win.shift
+        mul, lim = win.cap(best[0])
         jj = 0
-        for hi, wi in ents_i:
-            while jj < len(shifted) and shifted[jj][0] < hi:
+        for ri in ents_i:
+            hi = ri[0]
+            while jj < len(ents_j) and (hi - ents_j[jj][0]) * cd + shift > 0:
                 jj += 1
-            idx = jj - 1
-            while 0 <= idx and hi - shifted[idx][0] < cap:
-                ht, wj = shifted[idx]
-                dev = dev2_of(wj, wi)
-                if dev != 0 and dev < best[0]:
-                    best = (dev, wj, wi)
-                    cap = (best[0] * w - gamma) * abspj
-                idx -= 1
-            idx = jj
-            while idx < len(shifted) and shifted[idx][0] - hi < cap:
-                ht, wj = shifted[idx]
-                dev = dev2_of(wj, wi)
-                if dev != 0 and dev < best[0]:
-                    best = (dev, wj, wi)
-                    cap = (best[0] * w - gamma) * abspj
-                idx += 1
+            for band in (range(jj - 1, -1, -1), range(jj, len(ents_j))):
+                for idx in band:
+                    rj = ents_j[idx]
+                    if abs((hi - rj[0]) * cd + shift) * mul >= lim:
+                        break
+                    dev = dev2(rj, ri, best[0])
+                    if dev is not None:
+                        best = (dev, rj[1], ri[1])
+                        mul, lim = win.cap(best[0])
     return best, coinc, coinc_count
 
 
@@ -520,39 +572,11 @@ def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
             "attractor sample is collinear; planar verdict adds nothing",
             CollinearAttractorWarning,
         )
-    rows = _word_rows(system, depth, budget)
-    exact = system.exact
-    interval = system.interval
-    ybox = attractor_ybox(system)
-
-    per_depth = []
-    gap = []
-    coinc, coinc_count = (), 0
-    for d in range(2, depth + 1):
-        best, c_pairs, c_count = _scan_2d(system, rows, d, interval, ybox, exact)
-        if best is None:
-            continue
-        dev, jw, iw = best
-        per_depth.append((d, dev, jw, iw))
-        gap.append((d, dev))
-        if d == depth:
-            coinc, coinc_count = tuple(c_pairs), c_count
-
-    wits, devs = _minimizer_sequence(system, per_depth)
-    delta = gap[-1][1] if gap else None
-    found = delta is not None and to_float(delta) < tol
-    return WspVerdict(
-        status="WitnessFound" if found else "NoWitnessUpToDepth",
-        mode="2d",
-        depth=depth,
-        tol=tol,
-        gap_by_depth=tuple(gap),
-        witnesses=wits,
-        witness_deviations=devs,
-        coincidences=coinc,
-        coincidence_count=coinc_count,
-        exact=exact,
-    )
+    rows, scale = _word_rows(system, depth, budget)
+    exact, interval = system.exact, system.interval
+    dev2 = _planar_deviation(interval, attractor_ybox(system), exact)
+    return _verdict(system, depth, tol, "2d", lambda d: _scan_2d(
+        rows, d, scale, interval, exact, dev2))
 
 
 def graph_transport_check(system: IfsSystem, element, x: Scalar,

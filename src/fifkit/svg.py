@@ -52,10 +52,14 @@ class _Frame:
         return _H - _MARGIN - t * (_H - 2 * _MARGIN)
 
 
-def _polyline(frame, points, css):
+def _columns(points):
+    """The x and the y values of a point sequence as floats."""
+    return [to_float(x) for (x, _) in points], [to_float(y) for (_, y) in points]
+
+
+def _polyline(frame, xs, ys, css):
     coords = " ".join(
-        f"{_fmt(frame.px(to_float(x)))},{_fmt(frame.py(to_float(y)))}"
-        for (x, y) in points
+        f"{_fmt(frame.px(x))},{_fmt(frame.py(y))}" for x, y in zip(xs, ys)
     )
     return f'  <polyline class="{css}" points="{coords}"/>\n'
 
@@ -105,12 +109,11 @@ def _document(body: str) -> str:
 
 def graph_svg(points, interval, marked=()) -> str:
     """Polyline of a graph sample with axes and optional marked points."""
-    xs = [to_float(x) for (x, _) in points]
-    ys = [to_float(y) for (_, y) in points]
+    xs, ys = _columns(points)
     frame = _Frame(min(xs), max(xs), min(ys), max(ys))
     body = _axes(frame, to_float(interval[0]), to_float(interval[1]),
                  min(ys), max(ys))
-    body += _polyline(frame, points, "curve")
+    body += _polyline(frame, xs, ys, "curve")
     body += _markers(frame, marked)
     return _document(body)
 
@@ -121,8 +124,7 @@ def overlap_svg(points, interval, sub_a, sub_b, strip_x, marked=()) -> str:
     sub_a and sub_b are point sequences (the images of the sample under
     two chosen maps); strip_x = (lo, hi) is shaded over the full height.
     """
-    xs = [to_float(x) for (x, _) in points]
-    ys = [to_float(y) for (_, y) in points]
+    xs, ys = _columns(points)
     frame = _Frame(min(xs), max(xs), min(ys), max(ys))
     lo, hi = (to_float(strip_x[0]), to_float(strip_x[1]))
     x0, x1 = frame.px(lo), frame.px(hi)
@@ -133,8 +135,8 @@ def overlap_svg(points, interval, sub_a, sub_b, strip_x, marked=()) -> str:
     )
     body += _axes(frame, to_float(interval[0]), to_float(interval[1]),
                   min(ys), max(ys))
-    body += _polyline(frame, points, "curve")
-    body += _polyline(frame, sub_a, "piece-a")
-    body += _polyline(frame, sub_b, "piece-b")
+    body += _polyline(frame, xs, ys, "curve")
+    body += _polyline(frame, *_columns(sub_a), "piece-a")
+    body += _polyline(frame, *_columns(sub_b), "piece-b")
     body += _markers(frame, marked)
     return _document(body)

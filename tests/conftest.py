@@ -9,13 +9,14 @@ argument; tests feed the same box to both routes so the normalization
 matches by construction.
 """
 
+import collections
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from fifkit import Affine2, IfsSystem
+from fifkit import Affine1, Affine2, IfsSystem
 
 
 # ---------- independent reference arithmetic ----------
@@ -106,7 +107,9 @@ def oracle_delta_1d(system, depth):
 
 def oracle_delta_2d(system, depth, ybox):
     words = oracle_words(len(system), depth)
-    coeffs = [oracle_coeffs_2d(system, w) for w in words]
+    # words with equal composites give the same family elements, so one
+    # word per distinct composite reaches every element
+    coeffs = list(dict.fromkeys(oracle_coeffs_2d(system, w) for w in words))
     best = None
     for j, cj in enumerate(coeffs):
         for i, ci in enumerate(coeffs):
@@ -119,6 +122,30 @@ def oracle_delta_2d(system, depth, ybox):
             if best is None or d < best:
                 best = d
     return best
+
+
+def oracle_coincidences_2d(system, depth):
+    """Unordered pairs of distinct words with equal planar composites."""
+    counts = collections.Counter(
+        oracle_coeffs_2d(system, w) for w in oracle_words(len(system), depth))
+    return sum(n * (n - 1) // 2 for n in counts.values())
+
+
+def oracle_family_1d(system, depth):
+    """The set {G_j^-1 G_i projected : |i|, |j| <= depth}, as Affine1 maps.
+
+    Walks every ordered word pair, so keep depth small.  Deduplicated by
+    exact (p, h), or on a 1e-12 grid for float systems.
+    """
+    words = oracle_words(len(system), depth)
+    coeffs = [oracle_coeffs_1d(system, w) for w in words]
+    out = {}
+    for Pj, Hj in coeffs:
+        for Pi, Hi in coeffs:
+            p, h = Pi / Pj, (Hi - Hj) / Pj
+            key = (p, h) if system.exact else (round(p * 1e12), round(h * 1e12))
+            out.setdefault(key, Affine1(p, h))
+    return set(out.values())
 
 
 def oracle_anchors(system):

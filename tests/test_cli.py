@@ -1,7 +1,11 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fifkit
 from fifkit import emit_ifs_text, four_piece_overlap_system
 from fifkit.cli import main
 
@@ -208,3 +212,20 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "fifkit 0.1.0" in capsys.readouterr().out
+
+
+def test_wsp_does_not_import_numpy(sys_dir):
+    # numpy costs about 10 MB of resident memory and import time, and the
+    # separation scans need none of it
+    script = (
+        "import sys\n"
+        "from fifkit.cli import main\n"
+        f"main(['wsp', {str(sys_dir / 'four.ifs')!r}, '--depth', '3', '--tol', '1e-3'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(fifkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

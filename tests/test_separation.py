@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from fifkit import (
     deviation_1d,
     deviation_2d,
     dyadic_parabola_system,
-    enumerate_family_1d,
     four_piece_overlap_system,
     graph_transport_check,
     mixed_ratio_parabola_system,
@@ -25,10 +25,13 @@ from fifkit import (
     wsp_check_1d,
     wsp_check_2d,
 )
+from fifkit import separation
 
 from conftest import (
+    oracle_coincidences_2d,
     oracle_delta_1d,
     oracle_delta_2d,
+    oracle_family_1d,
     random_two_map_system,
 )
 
@@ -38,6 +41,17 @@ MIXED_PROFILE = {
     8: Fraction(1, 9), 9: Fraction(13, 256), 10: Fraction(13, 256),
     11: Fraction(1, 32), 12: Fraction(1, 64),
 }
+
+# four-piece at depth 5: the coincidence count and first five pairs that
+# `fifkit wsp` prints, identical in 1d and 2d
+FOUR_PIECE_D5_COINCIDENCES = 339
+FOUR_PIECE_D5_FIRST_PAIRS = [
+    ((2, 4), (3, 1)),
+    ((1, 2, 4), (1, 3, 1)),
+    ((2, 4, 1), (3, 1, 1)),
+    ((2, 4, 4), (3, 1, 4)),
+    ((4, 2, 4), (4, 3, 1)),
+]
 
 MIXED_WITNESS_WORDS = [
     ((1,), (1, 2)),
@@ -85,7 +99,7 @@ def test_deviation_conjugation_invariance(rng):
 
 def test_enumerate_family_contains_known_element():
     system = mixed_ratio_parabola_system()
-    family = enumerate_family_1d(system, 2)
+    family = oracle_family_1d(system, 2)
     assert Affine1(Fraction(2, 3), Fraction(1, 3)) in family
     # j = i pairs contribute the identity, which belongs to the family
     assert Affine1.identity() in family
@@ -247,3 +261,70 @@ def test_conjugated_system_same_delta_star():
     for depth in (2, 3, 4):
         assert wsp_check_1d(conj, depth, 1e-9).delta_star == \
             wsp_check_1d(system, depth, 1e-9).delta_star
+
+
+def test_wsp_budget_error_states_memory():
+    with pytest.raises(DepthTooLargeError) as info:
+        wsp_check_2d(four_piece_overlap_system(), 11, 1e-3)
+    words = (4 ** 12 - 1) // 3
+    message = str(info.value)
+    assert f"{words} words" in message
+    mb = float(re.search(r"about ([\d,]+\.\d) MB", message).group(1).replace(",", ""))
+    assert mb == round(words * separation._ROW_BYTES / 1e6, 1)
+
+
+# (lam, mu) of x -> lam*x + mu: integer, negative and fractional scalings,
+# all with an offset, so intervals, windows and box corners leave [0, 1]
+CONJUGATIONS = [
+    (Fraction(3), Fraction(-1)),
+    (Fraction(-2), Fraction(1, 3)),
+    (Fraction(1, 7), Fraction(2, 5)),
+]
+
+
+@pytest.mark.parametrize("lam, mu", CONJUGATIONS)
+def test_scanner_matches_oracle_conjugated(lam, mu):
+    cases = ((dyadic_parabola_system(), (2, 3, 4)),
+             (mixed_ratio_parabola_system(), (2, 3, 4)),
+             (four_piece_overlap_system(), (2, 3)))
+    for base, depths in cases:
+        system = conjugate_system(base, lam, mu)
+        ybox = attractor_ybox(system)
+        for depth in depths:
+            want, coincidences = oracle_delta_1d(system, depth)
+            verdict = wsp_check_1d(system, depth, 1e-9)
+            assert verdict.delta_star == want
+            assert verdict.coincidence_count == coincidences
+            assert wsp_check_2d(system, depth, 1e-9).delta_star == \
+                oracle_delta_2d(system, depth, ybox)
+
+
+def test_planar_coincidences_in_large_groups_all_counted():
+    # twenty-word groups of equal (P, H) at depth 4: every pair inside
+    # them is either an identity or measured.  The attractor is the
+    # diagonal, hence the warning
+    system = IfsSystem(
+        tuple(Affine2(Fraction(1, 2), Fraction(1, 2), Fraction(0),
+                      Fraction(k, 8), Fraction(k, 8)) for k in range(5)),
+        (Fraction(0), Fraction(1)),
+    )
+    with pytest.warns(CollinearAttractorWarning):
+        verdict = wsp_check_2d(system, 4, 1e-9)
+    assert verdict.coincidence_count == oracle_coincidences_2d(system, 4) == 4182
+    assert verdict.delta_star == oracle_delta_2d(system, 4, attractor_ybox(system))
+    assert wsp_check_1d(system, 4, 1e-9).coincidence_count == 4182
+    # alternating s: the same projected groups hold far fewer planar identities
+    system = IfsSystem(
+        tuple(Affine2(Fraction(1, 2), Fraction(1, 2), Fraction(0),
+                      Fraction(k, 8), Fraction(k % 2, 8)) for k in range(5)),
+        (Fraction(0), Fraction(1)),
+    )
+    assert wsp_check_2d(system, 4, 1e-9).coincidence_count == \
+        oracle_coincidences_2d(system, 4) == 402
+
+
+@pytest.mark.parametrize("check", [wsp_check_1d, wsp_check_2d])
+def test_four_piece_printed_coincidences_pinned(check):
+    verdict = check(four_piece_overlap_system(), 5, 1e-3)
+    assert verdict.coincidence_count == FOUR_PIECE_D5_COINCIDENCES
+    assert list(verdict.coincidences[:5]) == FOUR_PIECE_D5_FIRST_PAIRS
