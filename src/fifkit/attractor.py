@@ -11,6 +11,7 @@ on [a, b].  Everything here works through two mechanisms:
   generator application per level and cached for the last system.
 """
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -106,9 +107,6 @@ def _evaluate(system, x, tol, first_branch=None):
             prev = min(max(prev, a), b)
         chain.append((i, prev))
         cur = prev
-    else:
-        if nsteps == 0:
-            err = mfloat
     y = tail
     for i, t in reversed(chain):
         g = system.maps[i - 1]
@@ -295,6 +293,20 @@ def sample_attractor(system: IfsSystem, depth: int,
     return sample
 
 
+def _deepening_samples(system: IfsSystem, max_points: int):
+    """sample_attractor at depths 3, 5, 7, ... while the sample fits max_points.
+
+    Callers take samples until one meets their own acceptance rule and
+    raise ResolutionInsufficientError when the budget runs out first.
+    """
+    for depth in itertools.count(3, 2):
+        try:
+            sample = sample_attractor(system, depth, max_points)
+        except DepthTooLargeError:
+            return
+        yield sample
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     contractive: bool
@@ -339,9 +351,7 @@ def validate(system: IfsSystem, tol: float = 1e-9,
             contractive = False
             problems.append(f"map {i}: |q| = {abs(g.q)} not < 1")
 
-    strips = tuple(_strips(system)) if contractive else tuple(
-        strip(system, i) for i in range(1, len(system) + 1)
-    )
+    strips = tuple(_strips(system))
     contained = True
     for i, (lo, hi) in enumerate(strips, start=1):
         if lo < a or hi > b:
@@ -435,18 +445,8 @@ def modulus_of_continuity(system: IfsSystem, eps: float,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    width = to_float(system.width)
-    pmax = max(to_float(abs(g.p)) for g in system.maps)
-    m = len(system)
-    hi_cap = min(eps, width)
-
-    depth = 3
-    while True:
-        if (m ** depth) * (m + 2) > max_points:
-            raise ResolutionInsufficientError(
-                f"cannot certify a window for eps = {eps} within the point budget"
-            )
-        sample = sample_attractor(system, depth, max_points)
+    hi_cap = min(eps, to_float(system.width))
+    for sample in _deepening_samples(system, max_points):
         xs = [to_float(x) for x in sample.xs]
         ys = [to_float(y) for y in sample.ys]
         res = to_float(sample.resolution)
@@ -488,4 +488,6 @@ def modulus_of_continuity(system: IfsSystem, eps: float,
                 else:
                     hi = mid
             return lo
-        depth += 2
+    raise ResolutionInsufficientError(
+        f"cannot certify a window for eps = {eps} within the point budget"
+    )

@@ -13,10 +13,10 @@ whether p and q equal 1 and each other.
 import bisect
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .affine import Affine2, fixed_point_1d, projection
-from .attractor import GraphSample, evaluate_f, modulus_of_continuity, sample_attractor
+from .attractor import GraphSample, _deepening_samples, evaluate_f, modulus_of_continuity
 from .errors import (
     DegenerateDenominatorError,
     DepthTooLargeError,
@@ -59,6 +59,31 @@ class OrbitTrace:
     covering_radius: float | None = None
 
 
+def _moving_projection(g: Affine2, interval, identity_message: str):
+    """The projection of g, checked to have its fixed point outside [a, b].
+
+    identity_message is the FixedPointInsideError text for a projection
+    that is the identity.
+    """
+    a, b = interval
+    gp = projection(g)
+    fp = fixed_point_1d(gp)
+    if fp.kind == "everywhere":
+        raise FixedPointInsideError(identity_message)
+    if fp.is_point and a <= fp.x <= b:
+        raise FixedPointInsideError(f"projected fixed point {fp.x} lies in [{a}, {b}]")
+    return gp
+
+
+def _max_graph_step(g: Affine2, points) -> float:
+    """Largest displacement |g(x, y) - (x, y)| over the points."""
+    max_step = 0.0
+    for (x, y) in points:
+        gx, gy = g((x, y))
+        max_step = max(max_step, math.hypot(to_float(gx - x), to_float(gy - y)))
+    return max_step
+
+
 def iterate_orbit(g: Affine2, origin, interval, max_points: int = 2_000_000) -> OrbitTrace:
     """Iterate g from origin until the abscissa leaves [a, b].
 
@@ -66,12 +91,8 @@ def iterate_orbit(g: Affine2, origin, interval, max_points: int = 2_000_000) -> 
     abscissae move strictly one way.
     """
     a, b = interval
-    gp = projection(g)
-    fp = fixed_point_1d(gp)
-    if fp.kind == "everywhere":
-        raise FixedPointInsideError("projection is the identity; the orbit cannot move")
-    if fp.is_point and a <= fp.x <= b:
-        raise FixedPointInsideError(f"projected fixed point {fp.x} lies in [{a}, {b}]")
+    gp = _moving_projection(g, interval,
+                            "projection is the identity; the orbit cannot move")
     x0 = origin[0]
     if not (a <= x0 <= b):
         raise OutOfDomainError(f"origin abscissa {x0} outside [{a}, {b}]")
@@ -97,17 +118,12 @@ def iterate_orbit(g: Affine2, origin, interval, max_points: int = 2_000_000) -> 
 
 def _dense_sample(system, target_resolution: float,
                   max_points: int) -> GraphSample:
-    m = len(system)
-    depth = 3
-    while True:
-        if (m ** depth) * (m + 2) > max_points:
-            raise ResolutionInsufficientError(
-                f"cannot reach resolution {target_resolution} within budget"
-            )
-        sample = sample_attractor(system, depth, max_points)
+    for sample in _deepening_samples(system, max_points):
         if to_float(sample.resolution) <= target_resolution:
             return sample
-        depth += 2
+    raise ResolutionInsufficientError(
+        f"cannot reach resolution {target_resolution} within budget"
+    )
 
 
 def epsilon_net(system, g: Affine2, eps: float,
@@ -125,22 +141,13 @@ def epsilon_net(system, g: Affine2, eps: float,
     if eps <= 0:
         raise ValueError("eps must be positive")
     a, b = system.interval
-    gp = projection(g)
-    fp = fixed_point_1d(gp)
-    if fp.kind == "everywhere":
-        raise FixedPointInsideError("projection is the identity; no net arises")
-    if fp.is_point and a <= fp.x <= b:
-        raise FixedPointInsideError(f"projected fixed point {fp.x} lies in [{a}, {b}]")
+    gp = _moving_projection(g, system.interval,
+                            "projection is the identity; no net arises")
 
     delta = modulus_of_continuity(system, eps, max_points)
     sample = _dense_sample(system, delta / 8, max_points)
 
-    max_step = 0.0
-    for (x, y) in sample.points:
-        gx, gy = g((x, y))
-        step = math.hypot(to_float(gx - x), to_float(gy - y))
-        if step > max_step:
-            max_step = step
+    max_step = _max_graph_step(g, sample.points)
     if max_step > delta:
         raise StepTooLargeError(
             f"max graph displacement {max_step:.3e} exceeds delta {delta:.3e}"
@@ -172,26 +179,14 @@ def epsilon_net(system, g: Affine2, eps: float,
         raise StepTooLargeError(
             f"orbit covering radius {covering:.3e} exceeds eps {eps}"
         )
-    return OrbitTrace(
-        g=trace.g,
-        origin=trace.origin,
-        points=trace.points,
-        M=trace.M,
-        direction=trace.direction,
-        eps=eps,
-        delta=delta,
-        covering_radius=covering,
-    )
+    return replace(trace, eps=eps, delta=delta, covering_radius=covering)
 
 
 def suggest_eps(system, g: Affine2, max_points: int = 2_000_000) -> float:
     """Smallest eps of the form 4 * max-step * 2^k accepted by the
     net's step condition (modulus(eps) >= max graph step)."""
     sample = _dense_sample(system, to_float(system.width) / 64, max_points)
-    max_step = 0.0
-    for (x, y) in sample.points:
-        gx, gy = g((x, y))
-        max_step = max(max_step, math.hypot(to_float(gx - x), to_float(gy - y)))
+    max_step = _max_graph_step(g, sample.points)
     if max_step == 0.0:
         raise FixedPointInsideError("map is the identity on the sampled graph")
     eps = 4 * max_step
@@ -266,11 +261,7 @@ def classify_orbit_curve(g: Affine2, origin, interval) -> CurveModel:
     p, q, r = g.p, g.q, g.r
     if p <= 0 or q <= 0:
         raise NonpositiveRatioError(f"need p > 0 and q > 0, got p={p}, q={q}")
-    fp = fixed_point_1d(projection(g))
-    if fp.kind == "everywhere":
-        raise FixedPointInsideError("projection is the identity")
-    if fp.is_point and a <= fp.x <= b:
-        raise FixedPointInsideError(f"projected fixed point {fp.x} lies in [{a}, {b}]")
+    _moving_projection(g, interval, "projection is the identity")
 
     h_ = g.h + (p - 1) * x0
     s_ = g.s + (q - 1) * y0 + r * x0
@@ -343,12 +334,9 @@ def classify_orbit_curve(g: Affine2, origin, interval) -> CurveModel:
                       interval=(a, b), singularity=sing)
 
 
-def verify_orbit_on_curve(trace: OrbitTrace, model: CurveModel,
-                          tol: float | None = None) -> Scalar:
+def verify_orbit_on_curve(trace: OrbitTrace, model: CurveModel) -> Scalar:
     """Max |y_n - model(x_n)| over the trace, the brute-force check of a
-    classification.  Exact (a Fraction) for rational Parabola models;
-    tol is accepted for signature symmetry and not used in the
-    computation.
+    classification.  Exact (a Fraction) for rational Parabola models.
     """
     res = 0 if (model.kind == "Parabola"
                 and all(is_exact(v) for v in model.coefficients.values())) else 0.0

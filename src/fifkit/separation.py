@@ -31,7 +31,6 @@ closed form instead of composing words.
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .affine import Affine1, Affine2, Word, compose, compose_word, invert, projection
@@ -135,25 +134,19 @@ def deviation_2d(g: Affine2, interval, ybox) -> Scalar:
     return max(abs(g.p - 1), abs(g.q - 1), dx / w, dy / hh)
 
 
-@lru_cache(maxsize=64)
-def _vertical_extent(exact: bool, system: IfsSystem):
-    m = len(system)
-    depth = 3
-    while (m ** (depth + 1)) * (m + 2) <= 4096 and depth < 8:
-        depth += 1
-    sample = sample_attractor(system, depth)
-    ys = sample.ys
-    return (min(ys), max(ys))
-
-
 def attractor_ybox(system: IfsSystem):
     """Vertical range of a moderate-depth attractor sample.
 
     Used to normalize planar deviations; exact in rational mode.  The
-    cache is keyed on exactness too: an exact system and its float twin
-    compare equal.
+    depth is the deepest in 3..8 whose sample fits 4096 points (3 when
+    none does), and the sample comes from the sampler's cache.
     """
-    return _vertical_extent(system.exact, system)
+    m = len(system)
+    depth = 3
+    while (m ** (depth + 1)) * (m + 2) <= 4096 and depth < 8:
+        depth += 1
+    ys = sample_attractor(system, depth).ys
+    return (min(ys), max(ys))
 
 
 def _is_collinear(system: IfsSystem) -> bool:

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .affine import Affine1, Affine2, compose, invert, projection
+from .affine import Affine1, Affine2, projection
 from .errors import IndexOutOfRangeError
 from .scalars import Scalar, coerce, is_exact, to_float
 
@@ -159,21 +159,3 @@ def strip(system: IfsSystem, i: int) -> tuple[Scalar, Scalar]:
     g = system.projections[i - 1]
     u, v = g(system.a), g(system.b)
     return (u, v) if u <= v else (v, u)
-
-
-def family_map_1d(system: IfsSystem, j_word, i_word) -> Affine1:
-    """The projected family element (word j)^-1 after (word i)."""
-    from .affine import compose_word
-
-    gi = compose_word(system.projections, i_word)
-    gj = compose_word(system.projections, j_word)
-    return compose(invert(gj), gi)
-
-
-def family_map_2d(system: IfsSystem, j_word, i_word) -> Affine2:
-    """The planar family element (word j)^-1 after (word i)."""
-    from .affine import compose_word
-
-    gi = compose_word(system.maps, i_word)
-    gj = compose_word(system.maps, j_word)
-    return compose(invert(gj), gi)

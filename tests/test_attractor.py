@@ -132,10 +132,8 @@ def test_sample_attractor_budget():
 @pytest.fixture
 def cold_caches():
     attractor._SAMPLES.clear()
-    separation._vertical_extent.cache_clear()
     yield
     attractor._SAMPLES.clear()
-    separation._vertical_extent.cache_clear()
 
 
 SAMPLER_CASES = [

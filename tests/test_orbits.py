@@ -14,6 +14,7 @@ from fifkit import (
     IfsSystem,
     NonpositiveRatioError,
     OutOfDomainError,
+    ResolutionInsufficientError,
     StepTooLargeError,
     classify_orbit_curve,
     detect_parabola,
@@ -21,6 +22,7 @@ from fifkit import (
     epsilon_net,
     iterate_orbit,
     mixed_ratio_parabola_system,
+    modulus_of_continuity,
     sample_attractor,
     suggest_eps,
     verify_orbit_on_curve,
@@ -240,6 +242,32 @@ def test_suggest_eps_feasible_on_flat_line():
     eps = suggest_eps(system, g)
     trace = epsilon_net(system, g, eps)
     assert trace.covering_radius <= eps
+
+
+# ---------- point budget ----------
+
+# dyadic samples hold m^depth (m + 2) = 2^depth * 4 images, at resolution 2^-depth
+BELOW_DEPTH_3 = 2 ** 3 * 4 - 1
+# depths 3, 5, 7 fit, depth 9 does not; resolution 1/128 cannot certify eps = 1e-6
+THROUGH_DEPTH_7 = 2 ** 7 * 4
+# depths 3, 5 fit; suggest_eps wants resolution 1/64, reached only at depth 7
+THROUGH_DEPTH_5 = 2 ** 5 * 4
+NET_STEP = Affine2(F(1), F(1), F(0), F(1, 64), F(0))
+
+
+@pytest.mark.parametrize("run,max_points", [
+    (lambda s, n: modulus_of_continuity(s, 1e-6, n), BELOW_DEPTH_3),
+    (lambda s, n: modulus_of_continuity(s, 1e-6, n), THROUGH_DEPTH_7),
+    (lambda s, n: epsilon_net(s, NET_STEP, 1e-6, n), BELOW_DEPTH_3),
+    (lambda s, n: epsilon_net(s, NET_STEP, 1e-6, n), THROUGH_DEPTH_7),
+    (lambda s, n: suggest_eps(s, NET_STEP, n), BELOW_DEPTH_3),
+    (lambda s, n: suggest_eps(s, NET_STEP, n), THROUGH_DEPTH_5),
+], ids=["modulus-below", "modulus-midway", "net-below", "net-midway",
+        "suggest-below", "suggest-midway"])
+def test_exhausted_budget_is_resolution_insufficient(run, max_points):
+    with pytest.raises(ResolutionInsufficientError) as info:
+        run(dyadic_parabola_system(), max_points)
+    assert not isinstance(info.value, DepthTooLargeError)
 
 
 # ---------- parabola detection ----------

@@ -4,14 +4,13 @@ import pytest
 
 from fifkit import (
     Affine2,
+    FamilyElement,
     IfsSystem,
     IndexOutOfRangeError,
     MixedScalarWarning,
     conjugate_map,
     conjugate_system,
     dyadic_parabola_system,
-    family_map_1d,
-    family_map_2d,
     four_piece_overlap_system,
     invert,
     mixed_ratio_parabola_system,
@@ -95,5 +94,6 @@ def test_family_maps_match_compose_invert():
     jw, iw = (1, 2), (2, 1, 1)
     g2 = compose(invert(compose_word(system.maps, jw)),
                  compose_word(system.maps, iw))
-    assert family_map_2d(system, jw, iw) == g2
-    assert family_map_1d(system, jw, iw) == projection(g2)
+    element = FamilyElement.from_words(system, jw, iw)
+    assert element.map2 == g2
+    assert element.map1 == projection(g2)
