@@ -26,32 +26,9 @@ from .errors import (
     ResolutionInsufficientError,
 )
 from .scalars import Scalar, to_float
-from .systems import IfsSystem, strip
+from .systems import IfsSystem
 
 _DEDUP_QUANTUM = 1e-12
-
-
-def vertical_bound(system: IfsSystem) -> Scalar:
-    """A bound M with the attractor contained in [a, b] x [-M, M].
-
-    [-M, M] is forward invariant for every y recurrence over x in
-    [a, b], which is exactly what the backward-iteration error estimate
-    needs.
-    """
-    a, b = system.interval
-    best = None
-    for g in system.maps:
-        if not abs(g.q) < 1:
-            raise NotContractiveError(f"|q| = {g.q} is not < 1")
-        drive = max(abs(g.r * a + g.s), abs(g.r * b + g.s))
-        m = drive / (1 - abs(g.q))
-        if best is None or m > best:
-            best = m
-    return best
-
-
-def _strips(system: IfsSystem):
-    return [strip(system, i) for i in range(1, len(system) + 1)]
 
 
 def _select_branch(system, x, strips, slack, forced=None):
@@ -72,10 +49,8 @@ def _evaluate(system, x, tol, first_branch=None):
     slack = 0 if system.exact else to_float(system.width) * 1e-12
     if not (a - slack <= x <= b + slack):
         raise OutOfDomainError(f"x = {x} outside [{a}, {b}]")
-    strips = _strips(system)
-    bound = vertical_bound(system)
-    qmax = max(to_float(abs(g.q)) for g in system.maps)
-    mfloat = max(to_float(bound), 1e-300)
+    strips = system.strips
+    mfloat, qmax = system._pullback_bounds
     if mfloat <= tol:
         nsteps = 0
     elif qmax == 0.0:
@@ -177,7 +152,8 @@ def anchor_points(system: IfsSystem, tol: float = 1e-12):
 
 
 class _SampleCache:
-    """Samples of the most recently sampled system, by depth.
+    """Samples of the most recently sampled system, by depth, and the
+    continuity moduli computed from them, by (eps, max_points).
 
     Keyed on exactness as well as on the system, because an exact
     system and its float twin compare (and hash) equal.
@@ -191,6 +167,7 @@ class _SampleCache:
         self.anchors = ()
         self.anchor_err = 0.0
         self.samples = {}
+        self.moduli = {}
 
 
 _SAMPLES = _SampleCache()
@@ -351,7 +328,7 @@ def validate(system: IfsSystem, tol: float = 1e-9,
             contractive = False
             problems.append(f"map {i}: |q| = {abs(g.q)} not < 1")
 
-    strips = tuple(_strips(system))
+    strips = system.strips
     contained = True
     for i, (lo, hi) in enumerate(strips, start=1):
         if lo < a or hi > b:
@@ -432,6 +409,44 @@ def validate(system: IfsSystem, tol: float = 1e-9,
     return report
 
 
+def _window_spread(xs, ys, delta):
+    """Worst y-spread over the windows [x, x + delta] of the sorted sample.
+
+    Returns (spread, w_in, w_out).  A two-pointer walk gives each right
+    end r the leftmost point left(r) with xs[r] - xs[left(r)] <= delta;
+    the spread is the largest max y - min y over those windows.  Every
+    left(r), and so the spread, is the same for each delta' with
+    w_in <= delta' < w_out: w_in is the largest xs[r] - xs[left(r)], and
+    w_out the smallest xs[r] - xs[left(r) - 1] over left(r) > 0.
+    """
+    worst = 0.0
+    w_in, w_out = 0.0, math.inf
+    mx, mn = deque(), deque()
+    left = 0
+    for right, (x, y) in enumerate(zip(xs, ys)):
+        while mx and ys[mx[-1]] <= y:
+            mx.pop()
+        mx.append(right)
+        while mn and ys[mn[-1]] >= y:
+            mn.pop()
+        mn.append(right)
+        while x - xs[left] > delta:
+            if mx[0] == left:
+                mx.popleft()
+            if mn[0] == left:
+                mn.popleft()
+            left += 1
+        spread = ys[mx[0]] - ys[mn[0]]
+        if spread > worst:
+            worst = spread
+        width = x - xs[left]
+        if width > w_in:
+            w_in = width
+        if left and x - xs[left - 1] < w_out:
+            w_out = x - xs[left - 1]
+    return worst, w_in, w_out
+
+
 def modulus_of_continuity(system: IfsSystem, eps: float,
                           max_points: int = 2_000_000) -> float:
     """Largest certified delta with points of Gamma(f) at horizontal
@@ -442,44 +457,41 @@ def modulus_of_continuity(system: IfsSystem, eps: float,
     sample resolution is at most delta/8 (the documented density safety
     factor).  Raises ResolutionInsufficientError when no affordable
     sample is dense enough.
+
+    The bisection scans the sample only for a trial delta outside every
+    range of deltas already known to give the same windows.  A finished
+    modulus stays in the sample cache, keyed on (eps, max_points), for
+    as long as the cache holds this system's samples.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    cache = _SAMPLES
+    memo_key = (eps, max_points)
+    if cache.key == (system.exact, system) and memo_key in cache.moduli:
+        return cache.moduli[memo_key]
     hi_cap = min(eps, to_float(system.width))
     for sample in _deepening_samples(system, max_points):
         xs = [to_float(x) for x in sample.xs]
         ys = [to_float(y) for y in sample.ys]
         res = to_float(sample.resolution)
+        known = []  # (w_in, w_out, spread) of every scan at this depth
 
         def spread(delta):
-            # max over windows [x, x+delta] of (max y - min y), two-pointer
-            worst = 0.0
-            mx, mn = deque(), deque()
-            left = 0
-            for right in range(len(xs)):
-                while mx and ys[mx[-1]] <= ys[right]:
-                    mx.pop()
-                mx.append(right)
-                while mn and ys[mn[-1]] >= ys[right]:
-                    mn.pop()
-                mn.append(right)
-                while xs[right] - xs[left] > delta:
-                    if mx[0] == left:
-                        mx.popleft()
-                    if mn[0] == left:
-                        mn.popleft()
-                    left += 1
-                worst = max(worst, ys[mx[0]] - ys[mn[0]])
+            for w_in, w_out, worst in known:
+                if w_in <= delta < w_out:
+                    return worst
+            worst, w_in, w_out = _window_spread(xs, ys, delta)
+            known.append((w_in, w_out, worst))
             return worst
 
         def ok(delta):
             return (delta >= 8 * res
                     and math.hypot(delta, spread(delta)) <= eps)
 
-        if ok(hi_cap):
-            return hi_cap
         lo_candidate = 8 * res
-        if lo_candidate < hi_cap and ok(lo_candidate):
+        if ok(hi_cap):
+            delta = hi_cap
+        elif lo_candidate < hi_cap and ok(lo_candidate):
             lo, hi = lo_candidate, hi_cap
             for _ in range(50):
                 mid = (lo + hi) / 2
@@ -487,7 +499,12 @@ def modulus_of_continuity(system: IfsSystem, eps: float,
                     lo = mid
                 else:
                     hi = mid
-            return lo
+            delta = lo
+        else:
+            continue
+        # sampling this system keyed the cache on it
+        cache.moduli[memo_key] = delta
+        return delta
     raise ResolutionInsufficientError(
         f"cannot certify a window for eps = {eps} within the point budget"
     )

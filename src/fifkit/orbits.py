@@ -45,8 +45,11 @@ class CaseBoundaryWarning(UserWarning):
 class OrbitTrace:
     """Points g^n(origin) for n = 0..M, all inside the strip over [a,b].
 
-    M is the crossing index: g^(M+1) would leave the interval.  eps,
-    delta, and covering_radius are populated by epsilon_net.
+    M is the crossing index: g^(M+1) would leave the interval.  The
+    fields from eps on are populated by epsilon_net: the certified eps,
+    the continuity modulus delta, the covering radius, and the depth and
+    point count of the attractor sample on which the largest graph step
+    max_step (<= delta) and the covering radius were measured.
     """
 
     g: Affine2
@@ -57,6 +60,9 @@ class OrbitTrace:
     eps: float | None = None
     delta: float | None = None
     covering_radius: float | None = None
+    sample_depth: int | None = None
+    sample_size: int | None = None
+    max_step: float | None = None
 
 
 def _moving_projection(g: Affine2, interval, identity_message: str):
@@ -76,11 +82,16 @@ def _moving_projection(g: Affine2, interval, identity_message: str):
 
 
 def _max_graph_step(g: Affine2, points) -> float:
-    """Largest displacement |g(x, y) - (x, y)| over the points."""
+    """Largest displacement |g(x, y) - (x, y)| over the points.
+
+    The displacement is ((p-1)x + h, (q-1)y + rx + s), the exact value
+    of g(x, y) - (x, y) in two fewer operations per point.
+    """
+    p1, q1, r, h, s = g.p - 1, g.q - 1, g.r, g.h, g.s
     max_step = 0.0
     for (x, y) in points:
-        gx, gy = g((x, y))
-        max_step = max(max_step, math.hypot(to_float(gx - x), to_float(gy - y)))
+        max_step = max(max_step, math.hypot(to_float(p1 * x + h),
+                                            to_float(q1 * y + r * x + s)))
     return max_step
 
 
@@ -179,7 +190,9 @@ def epsilon_net(system, g: Affine2, eps: float,
         raise StepTooLargeError(
             f"orbit covering radius {covering:.3e} exceeds eps {eps}"
         )
-    return replace(trace, eps=eps, delta=delta, covering_radius=covering)
+    return replace(trace, eps=eps, delta=delta, covering_radius=covering,
+                   sample_depth=sample.depth, sample_size=len(sample.points),
+                   max_step=max_step)
 
 
 def suggest_eps(system, g: Affine2, max_points: int = 2_000_000) -> float:

@@ -12,9 +12,10 @@ whole.
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .affine import Affine1, Affine2, projection
-from .errors import IndexOutOfRangeError
+from .errors import IndexOutOfRangeError, NotContractiveError
 from .scalars import Scalar, coerce, is_exact, to_float
 
 
@@ -74,6 +75,29 @@ class IfsSystem:
     @property
     def projections(self) -> tuple[Affine1, ...]:
         return tuple(projection(g) for g in self.maps)
+
+    # The cached properties below are computed once per instance, never
+    # shared by value: an exact system and its float twin compare equal.
+
+    @cached_property
+    def strips(self) -> tuple[tuple[Scalar, Scalar], ...]:
+        """Images of [a, b] under the projected maps, as (lo, hi) pairs."""
+        out = []
+        for g in self.projections:
+            u, v = g(self.a), g(self.b)
+            out.append((u, v) if u <= v else (v, u))
+        return tuple(out)
+
+    @cached_property
+    def _pullback_bounds(self) -> tuple[float, float]:
+        """(vertical_bound floored at 1e-300, max |q|), as floats.
+
+        The constants of backward iteration in attractor.evaluate_f.
+        Raises NotContractiveError, which is never cached, when some
+        |q| >= 1.
+        """
+        return (max(to_float(vertical_bound(self)), 1e-300),
+                max(to_float(abs(g.q)) for g in self.maps))
 
 
 def four_piece_overlap_system(a: Scalar = Fraction(1, 5)) -> IfsSystem:
@@ -156,6 +180,23 @@ def strip(system: IfsSystem, i: int) -> tuple[Scalar, Scalar]:
     """Image of [a, b] under the i-th projected map (1-based), as (lo, hi)."""
     if not 1 <= i <= len(system.maps):
         raise IndexOutOfRangeError(f"map index {i} outside 1..{len(system.maps)}")
-    g = system.projections[i - 1]
-    u, v = g(system.a), g(system.b)
-    return (u, v) if u <= v else (v, u)
+    return system.strips[i - 1]
+
+
+def vertical_bound(system: IfsSystem) -> Scalar:
+    """A bound M with the attractor contained in [a, b] x [-M, M].
+
+    [-M, M] is forward invariant for every y recurrence over x in
+    [a, b], which is exactly what the backward-iteration error estimate
+    needs.
+    """
+    a, b = system.interval
+    best = None
+    for g in system.maps:
+        if not abs(g.q) < 1:
+            raise NotContractiveError(f"|q| = {g.q} is not < 1")
+        drive = max(abs(g.r * a + g.s), abs(g.r * b + g.s))
+        m = drive / (1 - abs(g.q))
+        if best is None or m > best:
+            best = m
+    return best

@@ -11,12 +11,23 @@ matches by construction.
 
 import collections
 import itertools
+import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
-from fifkit import Affine1, Affine2, IfsSystem
+from fifkit import (
+    Affine1,
+    Affine2,
+    DepthTooLargeError,
+    IfsSystem,
+    ResolutionInsufficientError,
+    attractor,
+    sample_attractor,
+    to_float,
+)
 
 
 # ---------- independent reference arithmetic ----------
@@ -188,6 +199,79 @@ def oracle_sample(system, depth):
     return pts, max(gaps, default=0)
 
 
+def oracle_modulus(system, eps, max_points=2_000_000, outcomes=None):
+    """The continuity modulus by plain bisection, one full scan per trial delta.
+
+    The package's modulus before it remembered window ranges and
+    finished moduli, kept as written then (with its depth loop spelled
+    out), so the two must agree bit for bit.  It samples through the
+    package's sampler, which oracle_sample checks, so agreement checks
+    the modulus alone.  When `outcomes` is a list, each sampled depth
+    appends (depth, outcome): "hi_cap" (accepted at min(eps, width)),
+    "bisect" (bisected up from 8 * resolution), "low_reject"
+    (8 * resolution fails, so the next depth is tried) or "coarse"
+    (8 * resolution is not below the cap).
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    hi_cap = min(eps, to_float(system.width))
+    for depth in itertools.count(3, 2):
+        try:
+            sample = sample_attractor(system, depth, max_points)
+        except DepthTooLargeError:
+            break
+        xs = [to_float(x) for x in sample.xs]
+        ys = [to_float(y) for y in sample.ys]
+        res = to_float(sample.resolution)
+
+        def spread(delta):
+            # max over windows [x, x+delta] of (max y - min y), two-pointer
+            worst = 0.0
+            mx, mn = deque(), deque()
+            left = 0
+            for right in range(len(xs)):
+                while mx and ys[mx[-1]] <= ys[right]:
+                    mx.pop()
+                mx.append(right)
+                while mn and ys[mn[-1]] >= ys[right]:
+                    mn.pop()
+                mn.append(right)
+                while xs[right] - xs[left] > delta:
+                    if mx[0] == left:
+                        mx.popleft()
+                    if mn[0] == left:
+                        mn.popleft()
+                    left += 1
+                worst = max(worst, ys[mx[0]] - ys[mn[0]])
+            return worst
+
+        def ok(delta):
+            return (delta >= 8 * res
+                    and math.hypot(delta, spread(delta)) <= eps)
+
+        if ok(hi_cap):
+            if outcomes is not None:
+                outcomes.append((depth, "hi_cap"))
+            return hi_cap
+        lo_candidate = 8 * res
+        if lo_candidate < hi_cap and ok(lo_candidate):
+            lo, hi = lo_candidate, hi_cap
+            for _ in range(50):
+                mid = (lo + hi) / 2
+                if ok(mid):
+                    lo = mid
+                else:
+                    hi = mid
+            if outcomes is not None:
+                outcomes.append((depth, "bisect"))
+            return lo
+        if outcomes is not None:
+            outcomes.append((depth, "low_reject" if lo_candidate < hi_cap else "coarse"))
+    raise ResolutionInsufficientError(
+        f"cannot certify a window for eps = {eps} within the point budget"
+    )
+
+
 def float_twin(system):
     """The same system with every coefficient converted to float."""
     return IfsSystem(
@@ -268,3 +352,11 @@ def confined_near_identity(rng, case):
 @pytest.fixture
 def rng():
     return random.Random(987654321)
+
+
+@pytest.fixture
+def cold_caches():
+    """An empty sample cache (samples and moduli) before and after the test."""
+    attractor._SAMPLES.clear()
+    yield
+    attractor._SAMPLES.clear()

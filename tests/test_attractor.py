@@ -24,7 +24,7 @@ from fifkit import (
 )
 from fifkit import attractor, separation
 
-from conftest import float_twin, oracle_sample
+from conftest import float_twin, oracle_modulus, oracle_sample
 
 FOUR_PIECE_ANCHORS = {
     Fraction(0): Fraction(0),
@@ -127,13 +127,6 @@ def test_sample_attractor_resolution_shrinks():
 def test_sample_attractor_budget():
     with pytest.raises(DepthTooLargeError):
         sample_attractor(dyadic_parabola_system(), 25, max_points=1000)
-
-
-@pytest.fixture
-def cold_caches():
-    attractor._SAMPLES.clear()
-    yield
-    attractor._SAMPLES.clear()
 
 
 SAMPLER_CASES = [
@@ -298,3 +291,61 @@ def test_modulus_dyadic():
 def test_modulus_rejects_bad_eps():
     with pytest.raises(ValueError):
         modulus_of_continuity(flat_system(), 0.0)
+
+
+# 0.14062839080113376 is the eps suggest_eps picks for the mixed depth-12
+# witness; 2.0 is accepted at the cap min(eps, width)
+MODULUS_EPS = (0.1, 0.14062839080113376, 0.2, 0.3, 0.6, 2.0)
+
+
+def test_modulus_matches_oracle(cold_caches):
+    outcomes = []
+    for make in (dyadic_parabola_system, mixed_ratio_parabola_system,
+                 four_piece_overlap_system):
+        for system in (make(), float_twin(make())):
+            for eps in MODULUS_EPS:
+                steps = []
+                want = oracle_modulus(system, eps, outcomes=steps)
+                got = modulus_of_continuity(system, eps)
+                assert got.hex() == want.hex(), (system, eps)
+                outcomes += steps
+                outcomes.append(("depths", len(steps)))
+    kinds = {kind for _, kind in outcomes}
+    assert {"hi_cap", "bisect", "low_reject", "coarse"} <= kinds
+    assert max(n for kind, n in outcomes if kind == "depths") >= 5
+    assert modulus_of_continuity(mixed_ratio_parabola_system(),
+                                 0.14062839080113376) == 0.06488020307051946
+
+
+def test_window_spread_range_gives_the_same_windows():
+    sample = sample_attractor(mixed_ratio_parabola_system(), 7)
+    xs = [float(x) for x in sample.xs]
+    ys = [float(y) for y in sample.ys]
+    spread, w_in, w_out = attractor._window_spread(xs, ys, 0.05)
+    assert w_in <= 0.05 < w_out
+    for delta in (w_in, (w_in + w_out) / 2, math.nextafter(w_out, 0.0)):
+        assert attractor._window_spread(xs, ys, delta) == (spread, w_in, w_out)
+    assert attractor._window_spread(xs, ys, w_out)[1] >= w_out
+    assert attractor._window_spread(xs, ys, math.nextafter(w_in, 0.0))[2] <= w_in
+
+
+def test_evaluate_constants_are_per_instance():
+    # the dyadic system and its float twin compare equal
+    exact = dyadic_parabola_system()
+    twin = float_twin(exact)
+    assert exact == twin
+    assert exact.strips == twin.strips
+    assert all(isinstance(c, Fraction) for st in exact.strips for c in st)
+    assert all(type(c) is float for st in twin.strips for c in st)
+    assert exact.strips is exact.strips
+
+
+def test_evaluate_f_not_contractive_on_every_call():
+    bad = IfsSystem(
+        (Affine2(Fraction(1, 2), Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
+         Affine2(Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0))),
+        (Fraction(0), Fraction(1)),
+    )
+    for _ in range(2):
+        with pytest.raises(NotContractiveError):
+            evaluate_f(bad, Fraction(1, 3))

@@ -27,8 +27,9 @@ from fifkit import (
     suggest_eps,
     verify_orbit_on_curve,
 )
+from fifkit import attractor
 
-from conftest import confined_near_identity
+from conftest import confined_near_identity, float_twin, oracle_modulus
 
 F = Fraction
 UNIT = (F(0), F(1))
@@ -221,6 +222,14 @@ def test_epsilon_net_step_too_large():
         epsilon_net(system, el.map2, 0.25)
 
 
+def test_epsilon_net_reports_its_sample():
+    system = flat_line_system()
+    g = Affine2(F(1), F(1), F(0), F(1, 2), F(0))
+    trace = epsilon_net(system, g, 0.5)
+    assert (trace.sample_depth, trace.sample_size, trace.max_step) == (5, 33, 0.5)
+    assert iterate_orbit(g, (F(0), F(0)), UNIT).max_step is None
+
+
 def test_epsilon_net_witness_covers_unit_interval():
     system = mixed_ratio_parabola_system()
     el = FamilyElement.from_words(
@@ -268,6 +277,81 @@ def test_exhausted_budget_is_resolution_insufficient(run, max_points):
     with pytest.raises(ResolutionInsufficientError) as info:
         run(dyadic_parabola_system(), max_points)
     assert not isinstance(info.value, DepthTooLargeError)
+
+
+# ---------- the modulus memo ----------
+
+@pytest.fixture
+def scans(monkeypatch):
+    """A one-item list counting the window scans of modulus_of_continuity."""
+    count = [0]
+    scan = attractor._window_spread
+
+    def counted(*args):
+        count[0] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(attractor, "_window_spread", counted)
+    return count
+
+
+def test_net_reuses_the_suggested_modulus(cold_caches, scans):
+    system = mixed_ratio_parabola_system()
+    el = FamilyElement.from_words(
+        system,
+        (1, 2, 2, 1, 2, 2, 1, 2, 1, 2, 2, 1),
+        (2, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2),
+    )
+    eps = suggest_eps(system, el.map2)
+    assert eps == 0.14062839080113376
+    assert 0 < scans[0] < 52
+    before = scans[0]
+    trace = epsilon_net(system, el.map2, eps)
+    assert scans[0] == before
+    assert trace.delta == 0.06488020307051946
+    assert (trace.sample_depth, trace.sample_size) == (13, 8687)
+    assert trace.max_step == 0.03515709770028344 == eps / 4
+
+
+def test_modulus_repeat_does_no_scan(cold_caches, scans):
+    system = dyadic_parabola_system()
+    delta = modulus_of_continuity(system, 0.1)
+    assert scans[0] > 0
+    before = scans[0]
+    assert modulus_of_continuity(system, 0.1) == delta
+    assert scans[0] == before
+
+
+def test_modulus_memo_is_not_shared_by_float_twins(cold_caches, scans):
+    exact = dyadic_parabola_system()
+    twin = float_twin(exact)
+    assert exact == twin
+    modulus_of_continuity(exact, 0.3)
+    before = scans[0]
+    got = modulus_of_continuity(twin, 0.3)
+    assert scans[0] > before
+    assert got == oracle_modulus(twin, 0.3)
+    before = scans[0]
+    modulus_of_continuity(exact, 0.3)
+    assert scans[0] > before
+
+
+def test_sampling_another_system_drops_the_moduli(cold_caches, scans):
+    system = dyadic_parabola_system()
+    modulus_of_continuity(system, 0.1)
+    sample_attractor(mixed_ratio_parabola_system(), 3)
+    assert attractor._SAMPLES.moduli == {}
+    before = scans[0]
+    modulus_of_continuity(system, 0.1)
+    assert scans[0] > before
+
+
+def test_modulus_memo_keeps_the_budget(cold_caches):
+    # eps = 0.1 on the dyadic system is certified at depth 9 only
+    system = dyadic_parabola_system()
+    modulus_of_continuity(system, 0.1)
+    with pytest.raises(ResolutionInsufficientError):
+        modulus_of_continuity(system, 0.1, THROUGH_DEPTH_7)
 
 
 # ---------- parabola detection ----------
