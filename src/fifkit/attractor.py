@@ -16,6 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DepthTooLargeError,
@@ -25,7 +26,7 @@ from .errors import (
     OutOfDomainError,
     ResolutionInsufficientError,
 )
-from .scalars import Scalar, to_float
+from .scalars import Scalar, is_exact, to_float
 from .systems import IfsSystem
 
 _DEDUP_QUANTUM = 1e-12
@@ -49,7 +50,6 @@ def _evaluate(system, x, tol, first_branch=None):
     slack = 0 if system.exact else to_float(system.width) * 1e-12
     if not (a - slack <= x <= b + slack):
         raise OutOfDomainError(f"x = {x} outside [{a}, {b}]")
-    strips = system.strips
     mfloat, qmax = system._pullback_bounds
     if mfloat <= tol:
         nsteps = 0
@@ -61,7 +61,10 @@ def _evaluate(system, x, tol, first_branch=None):
             raise ResolutionInsufficientError(
                 f"would need {nsteps} pullback steps; vertical ratios too close to 1"
             )
+    if system.exact and is_exact(x):
+        return _evaluate_exact(system, x, nsteps, mfloat, first_branch)
 
+    strips = system.strips
     chain = []
     cur = x
     tail = 0 if system.exact else 0.0
@@ -90,6 +93,48 @@ def _evaluate(system, x, tol, first_branch=None):
     return y, err
 
 
+def _evaluate_exact(system, x, nsteps, err, forced):
+    """_evaluate on integers for an exact x in an exact system.
+
+    The abscissa num/den pulls back to (A num + B den)/(L den); the
+    forward recurrence runs over one growing denominator.
+    """
+    sden, strips, steps = system._exact_pullback
+    num, den = x.numerator, x.denominator
+    chain = []
+    # the value so far is y_num / (scale * den), den that of the last abscissa
+    y_num, scale = 0, 1
+    for _ in range(nsteps):
+        at = num * sden
+        for i in range(len(strips)) if forced is None else (forced - 1,):
+            lo, hi = strips[i]
+            if lo * den <= at <= hi * den:
+                break
+        else:
+            if forced is None:
+                raise NotCoveringError(f"no projected strip contains x = {Fraction(num, den)}")
+            raise OutOfDomainError(f"x = {Fraction(num, den)} outside strip {forced}")
+        forced = None
+        pa, pb, lden, qn, rn, sn, cden, _ = steps[i]
+        prev = pa * num + pb * den
+        if prev == lden * num:
+            # num/den is the projected fixed point of this branch, so f
+            # there solves y = q*y + r*x + s; the remaining tail is exact.
+            y_num, scale = rn * num + sn * den, cden - qn
+            err = 0.0
+            break
+        chain.append((i, prev))
+        num, den = prev, lden * den
+    y_den = scale * den
+    for i, t in reversed(chain):
+        _, _, lden, qn, rn, sn, cden, qabs = steps[i]
+        y_num = qn * y_num + rn * t * scale + sn * y_den
+        y_den *= cden
+        scale *= cden * lden
+        err *= qabs
+    return Fraction(y_num, y_den), err
+
+
 def evaluate_f(system: IfsSystem, x: Scalar, tol: float = 1e-9,
                first_branch: int | None = None) -> Scalar:
     """Value of the attractor function at x, within tol.
@@ -108,12 +153,33 @@ def evaluate_f(system: IfsSystem, x: Scalar, tol: float = 1e-9,
 
 @dataclass(frozen=True)
 class GraphSample:
-    """Sorted graph points, all within `tolerance` of the attractor."""
+    """Sorted graph points, all within `tolerance` of the attractor.
 
-    points: tuple[tuple[Scalar, Scalar], ...]
+    Each point is a pair (X, Y) of numerators over one denominator den:
+    ints when exact, the float coordinates over den = 1 otherwise.
+    `points` (as scalars) and `columns` (x and y as floats, X / den
+    correctly rounded) are built on first use.
+    """
+
+    numerators: tuple[tuple[int, int], ...] | tuple[tuple[float, float], ...]
+    den: int
     depth: int
     resolution: Scalar
     tolerance: float
+    exact: bool
+
+    @cached_property
+    def points(self) -> tuple[tuple[Scalar, Scalar], ...]:
+        if not self.exact:
+            return self.numerators
+        den = self.den
+        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in self.numerators)
+
+    @cached_property
+    def columns(self) -> tuple[list[float], list[float]]:
+        den = self.den
+        return ([x / den for x, _ in self.numerators],
+                [y / den for _, y in self.numerators])
 
     @property
     def xs(self):
@@ -126,9 +192,8 @@ class GraphSample:
     def to_arrays(self):
         import numpy
 
-        xs = numpy.array([to_float(p[0]) for p in self.points])
-        ys = numpy.array([to_float(p[1]) for p in self.points])
-        return xs, ys
+        xs, ys = self.columns
+        return numpy.array(xs), numpy.array(ys)
 
 
 def anchor_points(system: IfsSystem, tol: float = 1e-12):
@@ -173,21 +238,27 @@ class _SampleCache:
 _SAMPLES = _SampleCache()
 
 
-def _exact_levels(maps, points, levels):
-    """P_levels from the exact points P_0 = `points`: (sorted points, resolution).
+def _numerators(points):
+    """Exact points as ([(X, Y) numerator pairs], their one denominator)."""
+    den = 1
+    for x, y in points:
+        den = math.lcm(den, x.denominator, y.denominator)
+    return [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+            for x, y in points], den
+
+
+def _exact_levels(maps, level, den, levels):
+    """P_levels from the numerator pairs P_0 = `level` over `den`:
+    (sorted pairs, their denominator, resolution).
 
     Runs on integers.  Every point of level k shares the denominator L_k,
-    so a point is one (X, Y) pair of numerators and the set of pairs is
-    the level, deduplicated exactly.  One generator step multiplies L by
-    D, the lcm of the coefficient denominators:
-    X' = pD X + hD L,  Y' = qD Y + rD X + sD L.
+    so the set of (X, Y) pairs is the level, deduplicated exactly.  One
+    generator step multiplies L by D, the lcm of the coefficient
+    denominators: X' = pD X + hD L,  Y' = qD Y + rD X + sD L.
     """
     d = math.lcm(*(c.denominator for g in maps for c in (g.p, g.q, g.r, g.h, g.s)))
     coeffs = [tuple((c * d).numerator for c in (g.p, g.q, g.r, g.h, g.s))
               for g in maps]
-    den = math.lcm(*(c.denominator for pt in points for c in pt))
-    level = {(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-             for x, y in points}
     for _ in range(levels):
         nxt = set()
         add = nxt.add
@@ -199,8 +270,7 @@ def _exact_levels(maps, points, levels):
         den *= d
     ordered = sorted(level)
     gap = max((b[0] - a[0] for a, b in zip(ordered, ordered[1:])), default=0)
-    pts = [(Fraction(x, den), Fraction(y, den)) for x, y in ordered]
-    return pts, Fraction(gap, den) if gap > 0 else 0
+    return ordered, den, Fraction(gap, den) if gap > 0 else 0
 
 
 def _float_levels(maps, points, levels):
@@ -262,10 +332,16 @@ def sample_attractor(system: IfsSystem, depth: int,
         return hit
 
     start = max((d for d in cache.samples if d < depth), default=0)
-    points = cache.samples[start].points if start else anchors
-    levels = _exact_levels if system.exact else _float_levels
-    pts, res = levels(system.maps, points, depth - start)
-    sample = GraphSample(tuple(pts), depth, res, anchor_err)
+    if start:
+        base = cache.samples[start]
+        level, den = base.numerators, base.den
+    else:
+        level, den = _numerators(anchors) if system.exact else (anchors, 1)
+    if system.exact:
+        pts, den, res = _exact_levels(system.maps, level, den, depth - start)
+    else:
+        pts, res = _float_levels(system.maps, level, depth - start)
+    sample = GraphSample(tuple(pts), den, depth, res, anchor_err, system.exact)
     cache.samples[depth] = sample
     return sample
 
@@ -471,8 +547,7 @@ def modulus_of_continuity(system: IfsSystem, eps: float,
         return cache.moduli[memo_key]
     hi_cap = min(eps, to_float(system.width))
     for sample in _deepening_samples(system, max_points):
-        xs = [to_float(x) for x in sample.xs]
-        ys = [to_float(y) for y in sample.ys]
+        xs, ys = sample.columns
         res = to_float(sample.resolution)
         known = []  # (w_in, w_out, spread) of every scan at this depth
 

@@ -106,14 +106,14 @@ def _cmd_render(args):
     sample = sample_attractor(system, args.depth, max_points=args.max_points)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("x,y\n")
-        for (x, y) in sample.points:
-            fh.write(f"{to_float(x)!r},{to_float(y)!r}\n")
+        for x, y in zip(*sample.columns):
+            fh.write(f"{x!r},{y!r}\n")
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(graph_svg(sample.points, system.interval))
+            fh.write(graph_svg(sample, system.interval))
     out = []
     _header(out, "render", args.system_file, depth=args.depth)
-    out.append(f"points: {len(sample.points)}")
+    out.append(f"points: {len(sample.numerators)}")
     out.append(f"resolution: {to_float(sample.resolution)!r}")
     out.append(f"csv: {args.out}")
     if args.svg:
@@ -226,7 +226,7 @@ def _cmd_example_figure1(args):
     sub_b = [system.maps[2](pt) for pt in sample.points]
     lo = max(strip(system, 2)[0], strip(system, 3)[0])
     hi = min(strip(system, 2)[1], strip(system, 3)[1])
-    doc = overlap_svg(sample.points, system.interval, sub_a, sub_b,
+    doc = overlap_svg(sample, system.interval, sub_a, sub_b,
                       (lo, hi), marked=marks)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(doc)

@@ -14,9 +14,16 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .affine import Affine2, fixed_point_1d, projection
-from .attractor import GraphSample, _deepening_samples, evaluate_f, modulus_of_continuity
+from .attractor import (
+    GraphSample,
+    _deepening_samples,
+    _numerators,
+    evaluate_f,
+    modulus_of_continuity,
+)
 from .errors import (
     DegenerateDenominatorError,
     DepthTooLargeError,
@@ -46,7 +53,7 @@ class OrbitTrace:
     """Points g^n(origin) for n = 0..M, all inside the strip over [a,b].
 
     M is the crossing index: g^(M+1) would leave the interval.  The
-    fields from eps on are populated by epsilon_net: the certified eps,
+    fields from eps on are populated by epsilon_net: the checked eps,
     the continuity modulus delta, the covering radius, and the depth and
     point count of the attractor sample on which the largest graph step
     max_step (<= delta) and the covering radius were measured.
@@ -81,17 +88,30 @@ def _moving_projection(g: Affine2, interval, identity_message: str):
     return gp
 
 
-def _max_graph_step(g: Affine2, points) -> float:
-    """Largest displacement |g(x, y) - (x, y)| over the points.
+def _max_graph_step(g: Affine2, sample: GraphSample) -> float:
+    """Largest displacement |g(x, y) - (x, y)| over the sample's points.
 
-    The displacement is ((p-1)x + h, (q-1)y + rx + s), the exact value
-    of g(x, y) - (x, y) in two fewer operations per point.
+    The displacement is ((p-1)x + h, (q-1)y + rx + s).  For an exact map
+    on an exact sample it is integer numerators over D * den, D the lcm
+    of the coefficient denominators, and one division per coordinate;
+    otherwise floats, the sample's float columns over 1.
     """
     p1, q1, r, h, s = g.p - 1, g.q - 1, g.r, g.h, g.s
+    if g.exact and sample.exact:
+        d = math.lcm(p1.denominator, q1.denominator, r.denominator, h.denominator,
+                     s.denominator)
+        p1, q1, r, h, s = int(p1 * d), int(q1 * d), int(r * d), int(h * d), int(s * d)
+        pts, den = sample.numerators, sample.den
+    else:
+        d = den = 1
+        p1, q1, r, h, s = to_float(p1), to_float(q1), to_float(r), to_float(h), to_float(s)
+        pts = zip(*sample.columns)
+    hd, sd, dd = h * den, s * den, d * den
     max_step = 0.0
-    for (x, y) in points:
-        max_step = max(max_step, math.hypot(to_float(p1 * x + h),
-                                            to_float(q1 * y + r * x + s)))
+    for x, y in pts:
+        step = math.hypot((p1 * x + hd) / dd, (q1 * y + r * x + sd) / dd)
+        if step > max_step:
+            max_step = step
     return max_step
 
 
@@ -146,8 +166,10 @@ def epsilon_net(system, g: Affine2, eps: float,
     |g(x,y) - (x,y)| stays within delta = modulus_of_continuity(eps).
     The orbit starts at (a, f(a)) when g moves right, at (b, f(b)) when
     it moves left, and keeps every point whose abscissa is still inside.
-    The returned covering radius (max distance from sample points to
-    the orbit) is certified <= eps.
+    The returned covering radius is the largest distance from a point
+    of that sample to the orbit, and it is checked to be <= eps.  It is
+    measured at the sample's points only, so it is no proven bound on
+    the distance from every point of the attractor.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -158,7 +180,7 @@ def epsilon_net(system, g: Affine2, eps: float,
     delta = modulus_of_continuity(system, eps, max_points)
     sample = _dense_sample(system, delta / 8, max_points)
 
-    max_step = _max_graph_step(g, sample.points)
+    max_step = _max_graph_step(g, sample)
     if max_step > delta:
         raise StepTooLargeError(
             f"max graph displacement {max_step:.3e} exceeds delta {delta:.3e}"
@@ -175,8 +197,7 @@ def epsilon_net(system, g: Affine2, eps: float,
     orbit_xy.sort()
     xs_only = [p[0] for p in orbit_xy]
     covering = 0.0
-    for (x, y) in sample.points:
-        xf, yf = to_float(x), to_float(y)
+    for xf, yf in zip(*sample.columns):
         k = bisect.bisect_left(xs_only, xf)
         dbest = math.inf
         for idx in range(max(0, k - 2), min(len(orbit_xy), k + 3)):
@@ -191,7 +212,7 @@ def epsilon_net(system, g: Affine2, eps: float,
             f"orbit covering radius {covering:.3e} exceeds eps {eps}"
         )
     return replace(trace, eps=eps, delta=delta, covering_radius=covering,
-                   sample_depth=sample.depth, sample_size=len(sample.points),
+                   sample_depth=sample.depth, sample_size=len(sample.numerators),
                    max_step=max_step)
 
 
@@ -199,7 +220,7 @@ def suggest_eps(system, g: Affine2, max_points: int = 2_000_000) -> float:
     """Smallest eps of the form 4 * max-step * 2^k accepted by the
     net's step condition (modulus(eps) >= max graph step)."""
     sample = _dense_sample(system, to_float(system.width) / 64, max_points)
-    max_step = _max_graph_step(g, sample.points)
+    max_step = _max_graph_step(g, sample)
     if max_step == 0.0:
         raise FixedPointInsideError("map is the identity on the sampled graph")
     eps = 4 * max_step
@@ -392,18 +413,42 @@ def _solve3(mat, rhs):
     return d1 / det, d2 / det, d3 / det
 
 
-def _fit_line_exact(pts):
-    n = len(pts)
-    sx = sum(x for x, _ in pts)
-    sxx = sum(x * x for x, _ in pts)
-    sy = sum(y for _, y in pts)
-    sxy = sum(x * y for x, y in pts)
-    det = sxx * n - sx * sx
-    if det == 0:
+def _fit_exact(pairs, den, tol):
+    """detect_parabola on exact points, numerator pairs over den.
+
+    The normal equations come from integer power sums, and the worst
+    residual is an integer maximum over one common denominator.
+    """
+    s0, s1, s2, s3, s4, t0, t1, t2 = len(pairs), 0, 0, 0, 0, 0, 0, 0
+    for x, y in pairs:
+        x2 = x * x
+        s1 += x
+        s2 += x2
+        s3 += x2 * x
+        s4 += x2 * x2
+        t0 += y
+        t1 += x * y
+        t2 += x2 * y
+    d2 = den * den
+    s1, s2 = Fraction(s1, den), Fraction(s2, d2)
+    s3, s4 = Fraction(s3, d2 * den), Fraction(s4, d2 * d2)
+    t0, t1, t2 = Fraction(t0, den), Fraction(t1, d2), Fraction(t2, d2 * den)
+    # singular normal equations: fit a line, the quadratic coefficient pinned at 0
+    sol = (_solve3(((s4, s3, s2), (s3, s2, s1), (s2, s1, s0)), (t2, t1, t0))
+           or _solve3(((1, 0, 0), (0, s2, s1), (0, s1, s0)), (0, t1, t0)))
+    if sol is None:
         return None
-    bb = (sxy * n - sx * sy) / det
-    cc = (sxx * sy - sx * sxy) / det
-    return bb, cc
+    aa, bb, cc = sol
+    is_line = aa == 0
+    lcd = math.lcm(aa.denominator, bb.denominator, cc.denominator)
+    an, bn, cn = int(aa * lcd), int(bb * lcd) * den, int(cc * lcd) * den
+    worst = 0
+    for x, y in pairs:
+        worst = max(worst, abs((an * x + bn) * x + (cn - lcd * y) * den))
+    res = Fraction(worst, lcd * d2)
+    if to_float(res) <= tol:
+        return ParabolaFit(aa, bb, cc, res, is_line)
+    return None
 
 
 def detect_parabola(points, tol: float):
@@ -412,40 +457,22 @@ def detect_parabola(points, tol: float):
     points: a GraphSample or an iterable of (x, y).  Returns a
     ParabolaFit when the worst residual is <= tol, else None.  Exact
     rational points go through exact normal equations, so noiseless
-    quadratic data yields residual exactly 0.  A fitted parabola whose
-    leading coefficient vanishes is refit as a line and flagged.
+    quadratic data yields residual exactly 0; they are summed as integer
+    numerators over one denominator (an exact sample's own).  A fitted
+    parabola whose leading coefficient vanishes is refit as a line and
+    flagged.
     """
     if isinstance(points, GraphSample):
-        pts = list(points.points)
+        pts, den, exact = points.numerators, points.den, points.exact
     else:
         pts = [(coerce(x), coerce(y)) for (x, y) in points]
+        exact = all(is_exact(x) and is_exact(y) for (x, y) in pts)
+        if exact:
+            pts, den = _numerators(pts)
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
-    exact = all(is_exact(x) and is_exact(y) for (x, y) in pts)
-
     if exact:
-        s = [sum(x ** k for x, _ in pts) for k in range(5)]
-        t0 = sum(y for _, y in pts)
-        t1 = sum(x * y for x, y in pts)
-        t2 = sum(x * x * y for x, y in pts)
-        sol = _solve3(
-            ((s[4], s[3], s[2]), (s[3], s[2], s[1]), (s[2], s[1], s[0])),
-            (t2, t1, t0),
-        )
-        is_line = False
-        if sol is None:
-            line = _fit_line_exact(pts)
-            if line is None:
-                return None
-            aa, (bb, cc), is_line = 0, line, True
-        else:
-            aa, bb, cc = sol
-            if aa == 0:
-                is_line = True
-        res = max(abs(aa * x * x + bb * x + cc - y) for (x, y) in pts)
-        if to_float(res) <= tol:
-            return ParabolaFit(aa, bb, cc, res, is_line)
-        return None
+        return _fit_exact(pts, den, tol)
 
     import numpy
 

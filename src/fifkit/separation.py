@@ -145,13 +145,17 @@ def attractor_ybox(system: IfsSystem):
     depth = 3
     while (m ** (depth + 1)) * (m + 2) <= 4096 and depth < 8:
         depth += 1
-    ys = sample_attractor(system, depth).ys
-    return (min(ys), max(ys))
+    sample = sample_attractor(system, depth)
+    ys = [y for _, y in sample.numerators]
+    lo, hi = min(ys), max(ys)
+    if sample.exact:
+        return Fraction(lo, sample.den), Fraction(hi, sample.den)
+    return lo, hi
 
 
 def _is_collinear(system: IfsSystem) -> bool:
-    sample = sample_attractor(system, 3)
-    pts = sample.points
+    # on an exact sample's numerators, every cross product is scaled by den^2
+    pts = sample_attractor(system, 3).numerators
     (x0, y0) = pts[0]
     (x1, y1) = pts[-1]
     tol = 0 if system.exact else 1e-12

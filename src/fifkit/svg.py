@@ -6,6 +6,7 @@ across environments.  Marker circles carry data-x / data-y attributes
 with the full-precision coordinates so figures stay machine-checkable.
 """
 
+from .attractor import GraphSample
 from .scalars import to_float
 
 _W, _H = 800.0, 500.0
@@ -53,7 +54,9 @@ class _Frame:
 
 
 def _columns(points):
-    """The x and the y values of a point sequence as floats."""
+    """The x and the y values of a GraphSample or a point sequence as floats."""
+    if isinstance(points, GraphSample):
+        return points.columns
     return [to_float(x) for (x, _) in points], [to_float(y) for (_, y) in points]
 
 
@@ -108,7 +111,11 @@ def _document(body: str) -> str:
 
 
 def graph_svg(points, interval, marked=()) -> str:
-    """Polyline of a graph sample with axes and optional marked points."""
+    """Polyline of a graph sample with axes and optional marked points.
+
+    points is a GraphSample, whose float columns are used as they are,
+    or a sequence of (x, y).
+    """
     xs, ys = _columns(points)
     frame = _Frame(min(xs), max(xs), min(ys), max(ys))
     body = _axes(frame, to_float(interval[0]), to_float(interval[1]),
@@ -121,8 +128,9 @@ def graph_svg(points, interval, marked=()) -> str:
 def overlap_svg(points, interval, sub_a, sub_b, strip_x, marked=()) -> str:
     """Attractor with two generator images overlaid and a shaded strip.
 
-    sub_a and sub_b are point sequences (the images of the sample under
-    two chosen maps); strip_x = (lo, hi) is shaded over the full height.
+    points is a GraphSample or a point sequence; sub_a and sub_b are
+    point sequences (the images of the sample under two chosen maps);
+    strip_x = (lo, hi) is shaded over the full height.
     """
     xs, ys = _columns(points)
     frame = _Frame(min(xs), max(xs), min(ys), max(ys))

@@ -9,6 +9,7 @@ floats (with a warning), so a system is either exact or floating as a
 whole.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,6 +99,28 @@ class IfsSystem:
         """
         return (max(to_float(vertical_bound(self)), 1e-300),
                 max(to_float(abs(g.q)) for g in self.maps))
+
+    @cached_property
+    def _exact_pullback(self):
+        """(den, strips, steps) of exact backward iteration, in integers.
+
+        Strips are (lo, hi) numerators over den.  Map steps are
+        (A, B, L, Q, R, S, C, float |q|) with A/L = 1/p, B/L = -h/p,
+        Q/C = q, R/C = r and S/C = s.
+        """
+        den = 1
+        for lo, hi in self.strips:
+            den = math.lcm(den, lo.denominator, hi.denominator)
+        strips, steps = [], []
+        for (lo, hi), g in zip(self.strips, self.maps):
+            strips.append((int(lo * den), int(hi * den)))
+            inv, off = 1 / g.p, -g.h / g.p
+            lden = math.lcm(inv.denominator, off.denominator)
+            cden = math.lcm(g.q.denominator, g.r.denominator, g.s.denominator)
+            steps.append((int(inv * lden), int(off * lden), lden,
+                          int(g.q * cden), int(g.r * cden), int(g.s * cden), cden,
+                          to_float(abs(g.q))))
+        return den, tuple(strips), tuple(steps)
 
 
 def four_piece_overlap_system(a: Scalar = Fraction(1, 5)) -> IfsSystem:

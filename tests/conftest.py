@@ -23,6 +23,8 @@ from fifkit import (
     Affine2,
     DepthTooLargeError,
     IfsSystem,
+    NotCoveringError,
+    OutOfDomainError,
     ResolutionInsufficientError,
     attractor,
     sample_attractor,
@@ -270,6 +272,103 @@ def oracle_modulus(system, eps, max_points=2_000_000, outcomes=None):
     raise ResolutionInsufficientError(
         f"cannot certify a window for eps = {eps} within the point budget"
     )
+
+
+def _oracle_branch(x, strips, slack, forced):
+    if forced is not None:
+        lo, hi = strips[forced - 1]
+        if not (lo - slack <= x <= hi + slack):
+            raise OutOfDomainError(f"x = {x} outside strip {forced}")
+        return forced
+    for i, (lo, hi) in enumerate(strips, start=1):
+        if lo - slack <= x <= hi + slack:
+            return i
+    raise NotCoveringError(f"no projected strip contains x = {x}")
+
+
+def oracle_evaluate(system, x, tol, first_branch=None):
+    """(f(x), error bound) by the scalar pullback recurrence on Fractions.
+
+    The package's evaluator before exact inputs ran on integers, kept as
+    written then (with its branch rule inlined), so the two must return
+    equal values and bit-identical error bounds.  It reads the system's
+    strips and pullback bounds, which other tests check.
+    """
+    a, b = system.interval
+    slack = 0 if system.exact else to_float(system.width) * 1e-12
+    if not (a - slack <= x <= b + slack):
+        raise OutOfDomainError(f"x = {x} outside [{a}, {b}]")
+    strips = system.strips
+    mfloat, qmax = system._pullback_bounds
+    if mfloat <= tol:
+        nsteps = 0
+    elif qmax == 0.0:
+        nsteps = 1
+    else:
+        nsteps = max(1, math.ceil(math.log(tol / mfloat) / math.log(qmax)))
+    chain = []
+    cur = x
+    tail = 0 if system.exact else 0.0
+    err = mfloat
+    forced = first_branch
+    for _ in range(nsteps):
+        i = _oracle_branch(cur, strips, slack, forced)
+        forced = None
+        g = system.maps[i - 1]
+        prev = (cur - g.h) / g.p
+        if prev == cur:
+            tail = (g.r * cur + g.s) / (1 - g.q)
+            err = 0.0
+            break
+        if not system.exact:
+            prev = min(max(prev, a), b)
+        chain.append((i, prev))
+        cur = prev
+    y = tail
+    for i, t in reversed(chain):
+        g = system.maps[i - 1]
+        y = g.q * y + g.r * t + g.s
+        err *= to_float(abs(g.q))
+    return y, err
+
+
+def oracle_parabola(points, tol):
+    """(A, B, C, max residual, is_line) of the exact quadratic fit, or None.
+
+    The package's exact fit before it summed integer numerators: normal
+    equations from Fraction power sums, solved by Cramer's rule, with a
+    line fit when they are singular.
+    """
+    pts = list(points)
+    n = len(pts)
+    s = [sum(x ** k for x, _ in pts) for k in range(5)]
+    t0 = sum(y for _, y in pts)
+    t1 = sum(x * y for x, y in pts)
+    t2 = sum(x * x * y for x, y in pts)
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = (
+        (s[4], s[3], s[2]), (s[3], s[2], s[1]), (s[2], s[1], s[0]))
+    det = (a11 * (a22 * a33 - a23 * a32) - a12 * (a21 * a33 - a23 * a31)
+           + a13 * (a21 * a32 - a22 * a31))
+    is_line = False
+    if det == 0:
+        det2 = s[2] * n - s[1] * s[1]
+        if det2 == 0:
+            return None
+        aa, is_line = 0, True
+        bb = (t1 * n - s[1] * t0) / det2
+        cc = (s[2] * t0 - s[1] * t1) / det2
+    else:
+        aa = (t2 * (a22 * a33 - a23 * a32) - a12 * (t1 * a33 - a23 * t0)
+              + a13 * (t1 * a32 - a22 * t0)) / det
+        bb = (a11 * (t1 * a33 - a23 * t0) - t2 * (a21 * a33 - a23 * a31)
+              + a13 * (a21 * t0 - t1 * a31)) / det
+        cc = (a11 * (a22 * t0 - t1 * a32) - a12 * (a21 * t0 - t1 * a31)
+              + t2 * (a21 * a32 - a22 * a31)) / det
+        is_line = aa == 0
+    res = max(abs(aa * x * x + bb * x + cc - y) for (x, y) in pts)
+    if to_float(res) <= tol:
+        return aa, bb, cc, res, is_line
+    return None
 
 
 def float_twin(system):

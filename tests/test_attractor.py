@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,13 @@ from fifkit import (
 )
 from fifkit import attractor, separation
 
-from conftest import float_twin, oracle_modulus, oracle_sample
+from conftest import (
+    float_twin,
+    oracle_evaluate,
+    oracle_modulus,
+    oracle_sample,
+    random_overlapping_system,
+)
 
 FOUR_PIECE_ANCHORS = {
     Fraction(0): Fraction(0),
@@ -349,3 +356,152 @@ def test_evaluate_f_not_contractive_on_every_call():
     for _ in range(2):
         with pytest.raises(NotContractiveError):
             evaluate_f(bad, Fraction(1, 3))
+
+
+# ---------- exact evaluate_f against the Fraction recurrence ----------
+
+def _agrees_with_oracle(system, x, tol, first_branch=None):
+    """_evaluate and oracle_evaluate give the same value and error bound."""
+    y, err = attractor._evaluate(system, x, tol, first_branch)
+    want, want_err = oracle_evaluate(system, x, tol, first_branch)
+    assert y == want, (system, x, first_branch)
+    assert err.hex() == want_err.hex(), (system, x, first_branch)
+    if system.exact and isinstance(x, Fraction):
+        assert isinstance(y, Fraction)
+    else:
+        assert type(y) is type(want)
+    return err
+
+
+EVAL_GRID = sorted({Fraction(k, 97) for k in range(98)} | {Fraction(k, 60) for k in range(61)})
+
+
+@pytest.mark.parametrize("make", [four_piece_overlap_system, mixed_ratio_parabola_system,
+                                  dyadic_parabola_system])
+def test_evaluate_matches_oracle(make):
+    system = make()
+    errs = [_agrees_with_oracle(system, x, tol) for tol in (1e-12, 1e-9) for x in EVAL_GRID]
+    assert 0.0 < max(errs)
+
+
+def test_evaluate_matches_oracle_on_forced_branches():
+    system = four_piece_overlap_system()
+    lo, hi = Fraction(7, 15), Fraction(8, 15)
+    for k in range(61):
+        x = lo + (hi - lo) * Fraction(k, 60)
+        for branch in (2, 3):
+            _agrees_with_oracle(system, x, 1e-12, branch)
+
+
+def test_evaluate_matches_oracle_on_random_systems():
+    rng = random.Random(20261018)
+    negative = 0
+    for _ in range(200):
+        system = random_overlapping_system(rng)
+        negative += any(g.p < 0 for g in system.maps)
+        (lo1, hi1), (lo2, hi2) = system.strips
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        assert lo < hi
+        for x in [Fraction(0), Fraction(1)] + [Fraction(rng.randrange(1001), 1000)
+                                               for _ in range(4)]:
+            _agrees_with_oracle(system, x, 1e-10)
+        x = lo + (hi - lo) * Fraction(rng.randrange(101), 100)
+        for branch in (1, 2):
+            _agrees_with_oracle(system, x, 1e-10, branch)
+    assert negative >= 50
+
+
+def test_evaluate_is_exact_at_projected_fixed_points():
+    four = four_piece_overlap_system()
+    for x in FOUR_PIECE_ANCHORS:
+        assert _agrees_with_oracle(four, x, 1e-12) == 0.0
+    # 1 is the fixed point of the pullback x -> (3x - 1)/2, over L = 2
+    assert _agrees_with_oracle(mixed_ratio_parabola_system(), Fraction(1), 1e-12) == 0.0
+    # dyadic abscissae pull back onto the fixed point 1 of the second map
+    dyadic = dyadic_parabola_system()
+    for k in range(1, 16):
+        x = Fraction(k, 16)
+        assert _agrees_with_oracle(dyadic, x, 1e-12) == 0.0
+        assert evaluate_f(dyadic, x, 1e-12) == x * x
+
+
+def test_evaluate_float_inputs_keep_the_scalar_path():
+    for system in (four_piece_overlap_system(), float_twin(mixed_ratio_parabola_system())):
+        for x in (0.0, 0.3, 0.5, 0.75):
+            _agrees_with_oracle(system, x, 1e-9)
+    _agrees_with_oracle(float_twin(four_piece_overlap_system()), Fraction(1, 3), 1e-9)
+
+
+def test_evaluate_errors_match_oracle():
+    # strips [0, 1/4] and [3/4, 1]: 1/8 pulls back to the uncovered 1/2
+    gap = IfsSystem(
+        (Affine2(Fraction(1, 4), Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0)),
+         Affine2(Fraction(1, 4), Fraction(1, 2), Fraction(0), Fraction(3, 4), Fraction(1, 4))),
+        (Fraction(0), Fraction(1)),
+    )
+    four = four_piece_overlap_system()
+    cases = [
+        (four, Fraction(1, 10), 3, OutOfDomainError, "x = 1/10 outside strip 3"),
+        (four, Fraction(1), 2, OutOfDomainError, "x = 1 outside strip 2"),
+        (four, Fraction(3, 2), None, OutOfDomainError, "x = 3/2 outside [0, 1]"),
+        (gap, Fraction(1, 2), None, NotCoveringError, "no projected strip contains x = 1/2"),
+        (gap, Fraction(1, 8), None, NotCoveringError, "no projected strip contains x = 1/2"),
+        (gap, Fraction(7, 8), 1, OutOfDomainError, "x = 7/8 outside strip 1"),
+    ]
+    for system, x, branch, error, message in cases:
+        for evaluate in (attractor._evaluate, oracle_evaluate):
+            with pytest.raises(error) as exc:
+                evaluate(system, x, 1e-9, branch)
+            assert str(exc.value) == message
+
+
+# ---------- GraphSample: numerators, columns, points ----------
+
+COLUMN_CASES = [(four_piece_overlap_system, 7), (mixed_ratio_parabola_system, 12),
+                (dyadic_parabola_system, 8)]
+
+
+@pytest.mark.parametrize("make,depth", COLUMN_CASES)
+def test_sample_columns_are_the_floats_of_its_points(cold_caches, make, depth):
+    sample = sample_attractor(make(), depth)
+    xs, ys = sample.columns
+    assert [v.hex() for v in xs] == [float(x).hex() for x, _ in sample.points]
+    assert [v.hex() for v in ys] == [float(y).hex() for _, y in sample.points]
+    assert sample.columns is sample.columns
+
+
+def test_sample_points_are_built_on_demand(cold_caches):
+    system = mixed_ratio_parabola_system()
+    sample = sample_attractor(system, 6)
+    assert sample.exact and "points" not in vars(sample)
+    assert all(type(c) is int for pt in sample.numerators for c in pt)
+    want, res = oracle_sample(system, 6)
+    assert list(sample.points) == want
+    assert sample.points is sample.points
+    assert sample.resolution == res
+
+
+def test_warm_sample_continues_from_numerators(cold_caches):
+    system = four_piece_overlap_system()
+    sample_attractor(system, 3)
+    warm = sample_attractor(system, 5)
+    attractor._SAMPLES.clear()
+    cold = sample_attractor(system, 5)
+    assert warm == cold
+    assert (warm.numerators, warm.den) == (cold.numerators, cold.den)
+    assert warm.points == cold.points
+
+
+def test_float_sample_keeps_its_floats(cold_caches):
+    sample = sample_attractor(float_twin(mixed_ratio_parabola_system()), 5)
+    assert not sample.exact and sample.den == 1
+    assert sample.points is sample.numerators
+    assert sample.columns == ([x for x, _ in sample.points], [y for _, y in sample.points])
+
+
+def test_columns_round_once():
+    # (2^53 + 1) / 3 is a float; float(2^53 + 1) / 3 rounds twice and misses it
+    big = 2 ** 53 + 1
+    sample = attractor.GraphSample(((big, -big),), 3, 1, 0, 0.0, True)
+    assert sample.columns == ([float(Fraction(big, 3))], [float(Fraction(-big, 3))])
+    assert sample.columns[0][0] != float(big) / 3

@@ -229,3 +229,26 @@ def test_wsp_does_not_import_numpy(sys_dir):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("command", [
+    ["render", "four.ifs", "--depth", "4", "--out", "four.csv", "--svg", "four.svg"],
+    ["eval", "mixed.ifs", "--x", "17/31"],
+])
+def test_exact_graph_commands_do_not_import_numpy(sys_dir, command):
+    # render and eval on an exact system read the sample's integer
+    # numerators and float columns, never numpy arrays
+    argv = [str(sys_dir / a) if a.endswith((".ifs", ".csv", ".svg")) else a
+            for a in command]
+    script = (
+        "import sys\n"
+        "from fifkit.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(fifkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -20,6 +20,7 @@ from fifkit import (
     detect_parabola,
     dyadic_parabola_system,
     epsilon_net,
+    four_piece_overlap_system,
     iterate_orbit,
     mixed_ratio_parabola_system,
     modulus_of_continuity,
@@ -27,9 +28,14 @@ from fifkit import (
     suggest_eps,
     verify_orbit_on_curve,
 )
-from fifkit import attractor
+from fifkit import attractor, orbits
 
-from conftest import confined_near_identity, float_twin, oracle_modulus
+from conftest import (
+    confined_near_identity,
+    float_twin,
+    oracle_modulus,
+    oracle_parabola,
+)
 
 F = Fraction
 UNIT = (F(0), F(1))
@@ -409,3 +415,79 @@ def test_evaluate_many_matches_evaluate():
     xs = [0.1, 0.5, 1.0, 2.0, 2.9]
     many = model.evaluate_many(xs)
     assert list(many) == [model.evaluate(x) for x in xs]
+
+
+# ---------- integer consumers of exact samples ----------
+
+MIXED_WITNESS = ((1, 2, 2, 1, 2, 2, 1, 2, 1, 2, 2, 1),
+                 (2, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2))
+
+
+def _fraction_graph_step(g, points):
+    p1, q1 = g.p - 1, g.q - 1
+    return max(math.hypot(float(p1 * x + g.h), float(q1 * y + g.r * x + g.s))
+               for x, y in points)
+
+
+def test_max_graph_step_matches_the_fraction_formula(cold_caches):
+    mixed = mixed_ratio_parabola_system()
+    witness = FamilyElement.from_words(mixed, *MIXED_WITNESS).map2
+    four = four_piece_overlap_system()
+    cases = [(mixed, witness, depth) for depth in (9, 13)]
+    cases += [(four, g, 6) for g in four.maps]
+    for system, g, depth in cases:
+        sample = sample_attractor(system, depth)
+        got = orbits._max_graph_step(g, sample)
+        assert got.hex() == _fraction_graph_step(g, sample.points).hex()
+        # an exact map on a float sample multiplies floats, as Fraction * float does
+        twin = sample_attractor(float_twin(system), depth)
+        float_g = Affine2(*(float(c) for c in (g.p, g.q, g.r, g.h, g.s)))
+        for h in (g, float_g):
+            assert (orbits._max_graph_step(h, twin).hex()
+                    == _fraction_graph_step(h, twin.points).hex())
+    assert orbits._max_graph_step(witness, sample_attractor(mixed, 13)) == 0.03515709770028344
+
+
+def _same_fit(fit, want):
+    if want is None:
+        assert fit is None
+    else:
+        assert (fit.A, fit.B, fit.C, fit.max_residual, fit.is_line) == want
+        assert all(type(v) in (Fraction, int) for v in (fit.A, fit.B, fit.C, fit.max_residual))
+
+
+@pytest.mark.parametrize("make,depth,tol,hit", [
+    (mixed_ratio_parabola_system, 10, 0.0, True),
+    (four_piece_overlap_system, 6, 1e-3, False),
+    (four_piece_overlap_system, 5, 1.0, True),
+])
+def test_detect_parabola_on_samples_matches_the_point_list(cold_caches, make, depth, tol, hit):
+    sample = sample_attractor(make(), depth)
+    fit = detect_parabola(sample, tol)
+    assert (fit is not None) == hit
+    assert fit == detect_parabola(list(sample.points), tol)
+    _same_fit(fit, oracle_parabola(sample.points, tol))
+
+
+def test_detect_parabola_line_fits_match_the_oracle():
+    line = IfsSystem(
+        (Affine2(F(1, 2), F(1, 3), F(1, 6), F(0), F(0)),
+         Affine2(F(1, 2), F(1, 3), F(1, 6), F(1, 2), F(1, 2))),
+        UNIT,
+    )
+    fit = detect_parabola(sample_attractor(line, 5), 0.0)
+    assert fit.is_line and fit.A == 0 and (fit.B, fit.C) == (F(1), F(0))
+    _same_fit(fit, oracle_parabola(sample_attractor(line, 5).points, 0.0))
+    # two distinct abscissae: the normal equations are singular
+    pts = [(F(0), F(1)), (F(0), F(1)), (F(1, 3), F(2)), (F(1, 3), F(3))]
+    fit = detect_parabola(pts, 1.0)
+    assert fit.is_line and fit.A == 0
+    _same_fit(fit, oracle_parabola(pts, 1.0))
+
+
+def test_max_graph_step_round_once():
+    # the displacement of (x, 0) under (2x, y) is x = (2^53 + 1) / 3, a float
+    big = 2 ** 53 + 1
+    sample = attractor.GraphSample(((big, 0),), 3, 1, 0, 0.0, True)
+    double = Affine2(F(2), F(1), F(0), F(0), F(0))
+    assert orbits._max_graph_step(double, sample) == float(F(big, 3)) != float(big) / 3
