@@ -39,13 +39,13 @@ def main():
         print(f"  f({x}) = {y}")
 
     sample = sample_attractor(system, depth=7)
-    print(f"\nsampled {len(sample.points)} points, "
+    print(f"\nsampled {len(sample.numerators)} points, "
           f"resolution {to_float(sample.resolution):.3e}")
 
     os.makedirs(OUT_DIR, exist_ok=True)
     path = os.path.join(OUT_DIR, "four_piece.svg")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph_svg(sample.points, system.interval))
+        fh.write(graph_svg(sample, system.interval))
     print("wrote", path)
 
 

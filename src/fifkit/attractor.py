@@ -26,7 +26,7 @@ from .errors import (
     OutOfDomainError,
     ResolutionInsufficientError,
 )
-from .scalars import Scalar, is_exact, to_float
+from .scalars import Scalar, to_float
 from .systems import IfsSystem
 
 _DEDUP_QUANTUM = 1e-12
@@ -61,13 +61,13 @@ def _evaluate(system, x, tol, first_branch=None):
             raise ResolutionInsufficientError(
                 f"would need {nsteps} pullback steps; vertical ratios too close to 1"
             )
-    if system.exact and is_exact(x):
-        return _evaluate_exact(system, x, nsteps, mfloat, first_branch)
+    if system.exact:
+        return _evaluate_exact(system, Fraction(x), nsteps, mfloat, first_branch)
 
     strips = system.strips
     chain = []
     cur = x
-    tail = 0 if system.exact else 0.0
+    tail = 0.0
     err = mfloat
     forced = first_branch
     for _ in range(nsteps):
@@ -81,20 +81,19 @@ def _evaluate(system, x, tol, first_branch=None):
             tail = (g.r * cur + g.s) / (1 - g.q)
             err = 0.0
             break
-        if not system.exact:
-            prev = min(max(prev, a), b)
+        prev = min(max(prev, a), b)
         chain.append((i, prev))
         cur = prev
     y = tail
     for i, t in reversed(chain):
         g = system.maps[i - 1]
         y = g.q * y + g.r * t + g.s
-        err *= to_float(abs(g.q))
+        err *= abs(g.q)
     return y, err
 
 
 def _evaluate_exact(system, x, nsteps, err, forced):
-    """_evaluate on integers for an exact x in an exact system.
+    """_evaluate on integers for an exact system, x a Fraction.
 
     The abscissa num/den pulls back to (A num + B den)/(L den); the
     forward recurrence runs over one growing denominator.
@@ -139,11 +138,13 @@ def evaluate_f(system: IfsSystem, x: Scalar, tol: float = 1e-9,
                first_branch: int | None = None) -> Scalar:
     """Value of the attractor function at x, within tol.
 
-    Exact (zero-error) whenever the pullback orbit of x lands on a
-    projected fixed point in an exact system; in particular at every
-    generator fixed point reachable by the lowest-index branch rule.
-    first_branch forces the branch used for the first pullback step
-    only, which is how branch independence on overlaps is tested.
+    An exact system evaluates in exact arithmetic, a float x as
+    Fraction(x), and returns a Fraction.  It is exact (zero-error)
+    whenever the pullback orbit of x lands on a projected fixed point;
+    in particular at every generator fixed point reachable by the
+    lowest-index branch rule.  first_branch forces the branch used for
+    the first pullback step only, which is how branch independence on
+    overlaps is tested.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -157,7 +158,7 @@ class GraphSample:
 
     Each point is a pair (X, Y) of numerators over one denominator den:
     ints when exact, the float coordinates over den = 1 otherwise.
-    `points` (as scalars) and `columns` (x and y as floats, X / den
+    `points` (as scalars) and `columns` (x and y as float lists, X / den
     correctly rounded) are built on first use.
     """
 
@@ -180,20 +181,6 @@ class GraphSample:
         den = self.den
         return ([x / den for x, _ in self.numerators],
                 [y / den for _, y in self.numerators])
-
-    @property
-    def xs(self):
-        return [p[0] for p in self.points]
-
-    @property
-    def ys(self):
-        return [p[1] for p in self.points]
-
-    def to_arrays(self):
-        import numpy
-
-        xs, ys = self.columns
-        return numpy.array(xs), numpy.array(ys)
 
 
 def anchor_points(system: IfsSystem, tol: float = 1e-12):
@@ -239,12 +226,14 @@ _SAMPLES = _SampleCache()
 
 
 def _numerators(points):
-    """Exact points as ([(X, Y) numerator pairs], their one denominator)."""
-    den = 1
-    for x, y in points:
-        den = math.lcm(den, x.denominator, y.denominator)
-    return [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-            for x, y in points], den
+    """Points as ([(X, Y) integer pairs], their one denominator).
+
+    Fraction and float coordinates alike convert exactly; a float's
+    denominator is a power of two.
+    """
+    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in points]
+    den = math.lcm(*{d for (_, dx), (_, dy) in ratios for d in (dx, dy)})
+    return [(xn * (den // xd), yn * (den // yd)) for (xn, xd), (yn, yd) in ratios], den
 
 
 def _exact_levels(maps, level, den, levels):

@@ -413,11 +413,13 @@ def _solve3(mat, rhs):
     return d1 / det, d2 / det, d3 / det
 
 
-def _fit_exact(pairs, den, tol):
-    """detect_parabola on exact points, numerator pairs over den.
+def _fit_exact(pairs, den, tol, exact):
+    """detect_parabola on numerator pairs over den.
 
     The normal equations come from integer power sums, and the worst
-    residual is an integer maximum over one common denominator.
+    residual is an integer maximum over one common denominator.  Float
+    data (exact False) counts a quadratic coefficient below 1e-12 of the
+    data's scale as zero, and its fit comes back as floats.
     """
     s0, s1, s2, s3, s4, t0, t1, t2 = len(pairs), 0, 0, 0, 0, 0, 0, 0
     for x, y in pairs:
@@ -433,62 +435,50 @@ def _fit_exact(pairs, den, tol):
     s1, s2 = Fraction(s1, den), Fraction(s2, d2)
     s3, s4 = Fraction(s3, d2 * den), Fraction(s4, d2 * d2)
     t0, t1, t2 = Fraction(t0, den), Fraction(t1, d2), Fraction(t2, d2 * den)
+    sol = _solve3(((s4, s3, s2), (s3, s2, s1), (s2, s1, s0)), (t2, t1, t0))
+    if sol is not None and not exact:
+        xmax = max(abs(x) for x, _ in pairs) / den
+        ymax = max(abs(y) for _, y in pairs) / den
+        if abs(sol[0]) * xmax ** 2 < 1e-12 * max(1.0, ymax):
+            sol = None
     # singular normal equations: fit a line, the quadratic coefficient pinned at 0
-    sol = (_solve3(((s4, s3, s2), (s3, s2, s1), (s2, s1, s0)), (t2, t1, t0))
-           or _solve3(((1, 0, 0), (0, s2, s1), (0, s1, s0)), (0, t1, t0)))
+    sol = sol or _solve3(((1, 0, 0), (0, s2, s1), (0, s1, s0)), (0, t1, t0))
     if sol is None:
         return None
     aa, bb, cc = sol
     is_line = aa == 0
     lcd = math.lcm(aa.denominator, bb.denominator, cc.denominator)
     an, bn, cn = int(aa * lcd), int(bb * lcd) * den, int(cc * lcd) * den
-    worst = 0
-    for x, y in pairs:
-        worst = max(worst, abs((an * x + bn) * x + (cn - lcd * y) * den))
+    worst = max(abs((an * x + bn) * x + (cn - lcd * y) * den) for x, y in pairs)
     res = Fraction(worst, lcd * d2)
-    if to_float(res) <= tol:
+    if to_float(res) > tol:
+        return None
+    if exact:
         return ParabolaFit(aa, bb, cc, res, is_line)
-    return None
+    return ParabolaFit(float(aa), float(bb), float(cc), float(res), is_line)
 
 
 def detect_parabola(points, tol: float):
     """Quadratic least squares with a max-norm acceptance gate.
 
     points: a GraphSample or an iterable of (x, y).  Returns a
-    ParabolaFit when the worst residual is <= tol, else None.  Exact
-    rational points go through exact normal equations, so noiseless
-    quadratic data yields residual exactly 0; they are summed as integer
-    numerators over one denominator (an exact sample's own).  A fitted
-    parabola whose leading coefficient vanishes is refit as a line and
-    flagged.
+    ParabolaFit when the worst residual is <= tol, else None.  Floats
+    and Fractions alike are converted exactly to integer numerators over
+    one denominator (an exact sample's own) and fit through exact normal
+    equations, so noiseless exact quadratic data yields residual exactly
+    0.  A fitted parabola whose leading coefficient vanishes is refit as
+    a line and flagged; for float data, one with
+    |A| max|x|^2 < 1e-12 max(1, max|y|) is refit too, and the fit comes
+    back as floats.
     """
     if isinstance(points, GraphSample):
-        pts, den, exact = points.numerators, points.den, points.exact
+        exact = points.exact
+        pts, den = ((points.numerators, points.den) if exact
+                    else _numerators(points.numerators))
     else:
         pts = [(coerce(x), coerce(y)) for (x, y) in points]
         exact = all(is_exact(x) and is_exact(y) for (x, y) in pts)
-        if exact:
-            pts, den = _numerators(pts)
+        pts, den = _numerators(pts)
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
-    if exact:
-        return _fit_exact(pts, den, tol)
-
-    import numpy
-
-    xs = numpy.array([to_float(x) for (x, _) in pts])
-    ys = numpy.array([to_float(y) for (_, y) in pts])
-    cols = numpy.column_stack([xs * xs, xs, numpy.ones_like(xs)])
-    scale = numpy.maximum(numpy.abs(cols).max(axis=0), 1e-300)
-    sol, *_ = numpy.linalg.lstsq(cols / scale, ys, rcond=None)
-    aa, bb, cc = sol / scale
-    yscale = max(1.0, float(numpy.abs(ys).max()))
-    is_line = False
-    if abs(aa) * float(numpy.abs(xs).max() or 1.0) ** 2 < 1e-12 * yscale:
-        line = numpy.column_stack([xs, numpy.ones_like(xs)])
-        ls, *_ = numpy.linalg.lstsq(line, ys, rcond=None)
-        aa, (bb, cc), is_line = 0.0, (float(ls[0]), float(ls[1])), True
-    res = float(numpy.max(numpy.abs(aa * xs * xs + bb * xs + cc - ys)))
-    if res <= tol:
-        return ParabolaFit(float(aa), float(bb), float(cc), res, is_line)
-    return None
+    return _fit_exact(pts, den, tol, exact)

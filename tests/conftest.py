@@ -222,8 +222,8 @@ def oracle_modulus(system, eps, max_points=2_000_000, outcomes=None):
             sample = sample_attractor(system, depth, max_points)
         except DepthTooLargeError:
             break
-        xs = [to_float(x) for x in sample.xs]
-        ys = [to_float(y) for y in sample.ys]
+        xs = [to_float(x) for x, _ in sample.points]
+        ys = [to_float(y) for _, y in sample.points]
         res = to_float(sample.resolution)
 
         def spread(delta):

@@ -7,11 +7,11 @@ and the algebra laws.  Tolerances and wall-clock limits are asserted,
 not aspirational.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -203,11 +203,9 @@ def test_witness_net_covers_attractor_sample():
         assert trace.covering_radius <= eps
 
         sample = sample_attractor(system, 10)
-        sx, sy = sample.to_arrays()
-        nx = np.array([float(p[0]) for p in trace.points])
-        ny = np.array([float(p[1]) for p in trace.points])
-        d2 = (sx[:, None] - nx[None, :]) ** 2 + (sy[:, None] - ny[None, :]) ** 2
-        worst = float(np.sqrt(d2.min(axis=1).max()))
+        net = [(float(x), float(y)) for x, y in trace.points]
+        worst = max(min(math.hypot(sx - nx, sy - ny) for nx, ny in net)
+                    for sx, sy in zip(*sample.columns))
         assert worst <= eps, f"sample point {worst:.4f} away from the net"
     print(f"PASS witness net coverage ({t.elapsed:.2f}s)")
 

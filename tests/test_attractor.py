@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from fifkit import (
@@ -113,7 +112,7 @@ def test_sample_attractor_dyadic_exact():
     sample = sample_attractor(dyadic_parabola_system(), 8)
     assert len(sample.points) == 257
     assert all(y == x * x for (x, y) in sample.points)
-    xs = sample.xs
+    xs = [x for x, _ in sample.points]
     assert xs == sorted(xs)
     assert sample.resolution == Fraction(1, 256)
 
@@ -218,12 +217,11 @@ def test_exact_and_float_twins_do_not_share_caches(cold_caches, exact_first):
         assert all(type(c) is want for pt in sample.points for c in pt)
 
 
-def test_graph_sample_to_arrays():
+def test_graph_sample_columns_follow_points():
     sample = sample_attractor(dyadic_parabola_system(), 4)
-    xs, ys = sample.to_arrays()
-    assert isinstance(xs, np.ndarray) and isinstance(ys, np.ndarray)
-    assert len(xs) == len(sample.points)
-    assert np.all(np.diff(xs) > 0)
+    xs, ys = sample.columns
+    assert len(xs) == len(ys) == len(sample.points)
+    assert all(u < v for u, v in zip(xs, xs[1:]))
 
 
 def test_validate_four_piece_report():
@@ -326,8 +324,8 @@ def test_modulus_matches_oracle(cold_caches):
 
 def test_window_spread_range_gives_the_same_windows():
     sample = sample_attractor(mixed_ratio_parabola_system(), 7)
-    xs = [float(x) for x in sample.xs]
-    ys = [float(y) for y in sample.ys]
+    xs = [float(x) for x, _ in sample.points]
+    ys = [float(y) for _, y in sample.points]
     spread, w_in, w_out = attractor._window_spread(xs, ys, 0.05)
     assert w_in <= 0.05 < w_out
     for delta in (w_in, (w_in + w_out) / 2, math.nextafter(w_out, 0.0)):
@@ -426,10 +424,20 @@ def test_evaluate_is_exact_at_projected_fixed_points():
 
 
 def test_evaluate_float_inputs_keep_the_scalar_path():
-    for system in (four_piece_overlap_system(), float_twin(mixed_ratio_parabola_system())):
-        for x in (0.0, 0.3, 0.5, 0.75):
+    # a float x on an exact system is evaluated exactly, as Fraction(x);
+    # float systems keep the scalar pullback
+    forced = [(four_piece_overlap_system(), [(0.5, 2), (0.5, 3)]),
+              (mixed_ratio_parabola_system(), [(0.4, 1), (0.4, 2)])]
+    for system, branches in forced:
+        for x, branch in [(x, None) for x in (0.0, 0.3, 0.5, 0.75, 1.0)] + branches:
+            y, err = attractor._evaluate(system, x, 1e-9, branch)
+            want, want_err = oracle_evaluate(system, Fraction(x), 1e-9, branch)
+            assert isinstance(y, Fraction) and y == want, (system, x, branch)
+            assert err.hex() == want_err.hex(), (system, x, branch)
+    for system in (float_twin(four_piece_overlap_system()),
+                   float_twin(mixed_ratio_parabola_system())):
+        for x in (0.0, 0.3, 0.5, 0.75, Fraction(1, 3)):
             _agrees_with_oracle(system, x, 1e-9)
-    _agrees_with_oracle(float_twin(four_piece_overlap_system()), Fraction(1, 3), 1e-9)
 
 
 def test_evaluate_errors_match_oracle():

@@ -76,6 +76,22 @@ def test_eval_rejects_outside_x(sys_dir, capsys):
     assert "error:" in err
 
 
+def test_eval_float_x_on_exact_system(sys_dir, capsys):
+    # the float 0.5 is evaluated as the Fraction 1/2, so the pullback
+    # cannot drift past the end of the interval
+    code, out, _ = run(capsys, ["eval", sys_dir / "mixed.ifs", "--x", "0.5"])
+    assert code == 0
+    assert out.strip() == "0.25"
+
+
+@pytest.mark.parametrize("x", ["inf", "nan"])
+def test_eval_rejects_nonfinite_x(sys_dir, capsys, x):
+    code, out, err = run(capsys, ["eval", sys_dir / "mixed.ifs", "--x", x])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_render_writes_csv_and_svg(sys_dir, capsys):
     csv = sys_dir / "pts.csv"
     svg = sys_dir / "pts.svg"
@@ -214,41 +230,25 @@ def test_version_flag(capsys):
     assert "fifkit 0.1.0" in capsys.readouterr().out
 
 
-def test_wsp_does_not_import_numpy(sys_dir):
-    # numpy costs about 10 MB of resident memory and import time, and the
-    # separation scans need none of it
+@pytest.mark.parametrize("call", [
+    "main(['wsp', D + 'four.ifs', '--depth', '3', '--tol', '1e-3']) == 0",
+    "main(['render', D + 'four.ifs', '--depth', '4', '--out', D + 'four.csv',"
+    " '--svg', D + 'four.svg']) == 0",
+    "main(['eval', D + 'mixed.ifs', '--x', '0.5']) == 0",
+    "detect_parabola([(k / 10, k * k / 100) for k in range(11)], 1e-9) is not None",
+], ids=["wsp", "render", "eval", "detect_parabola"])
+def test_runs_with_numpy_blocked(sys_dir, call):
+    # the package has no runtime dependencies
     script = (
         "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from fifkit import detect_parabola\n"
         "from fifkit.cli import main\n"
-        f"main(['wsp', {str(sys_dir / 'four.ifs')!r}, '--depth', '3', '--tol', '1e-3'])\n"
-        "print('numpy' in sys.modules)\n"
+        f"D = {str(sys_dir) + os.sep!r}\n"
+        f"assert {call}\n"
     )
     src = str(Path(fifkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
-
-
-@pytest.mark.parametrize("command", [
-    ["render", "four.ifs", "--depth", "4", "--out", "four.csv", "--svg", "four.svg"],
-    ["eval", "mixed.ifs", "--x", "17/31"],
-])
-def test_exact_graph_commands_do_not_import_numpy(sys_dir, command):
-    # render and eval on an exact system read the sample's integer
-    # numerators and float columns, never numpy arrays
-    argv = [str(sys_dir / a) if a.endswith((".ifs", ".csv", ".svg")) else a
-            for a in command]
-    script = (
-        "import sys\n"
-        "from fifkit.cli import main\n"
-        f"assert main({argv!r}) == 0\n"
-        "print('numpy' in sys.modules)\n"
-    )
-    src = str(Path(fifkit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"

@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -398,13 +399,37 @@ def test_detect_parabola_needs_three_points():
         detect_parabola([(0.0, 0.0), (1.0, 1.0)], tol=1e-9)
 
 
-def test_detect_parabola_float_path():
+def test_detect_parabola_float_path(cold_caches):
     pts = [(k / 10.0, 0.5 * (k / 10.0) ** 2 + 0.25) for k in range(11)]
     fit = detect_parabola(pts, tol=1e-9)
     assert fit is not None
     assert math.isclose(fit.A, 0.5, rel_tol=1e-10)
     assert abs(fit.B) < 1e-10
     assert math.isclose(fit.C, 0.25, rel_tol=1e-10)
+    # the float fit is the exact fit of the floats, rounded once
+    rng = random.Random(7)
+    xs = sorted(rng.uniform(-3.0, 5.0) for _ in range(40))
+    sample = sample_attractor(float_twin(mixed_ratio_parabola_system()), 6)
+    cases = [
+        pts,
+        [(x, 3.0 * x * x - x / 7 + 1.5) for x in xs],
+        [(x, -2.5 * x * x + rng.gauss(0.0, 1e-3)) for x in xs],
+        [(x, 1e6 * x * x + 1e-9 * x) for x in xs],
+        sample,
+    ]
+    for points in cases:
+        floats = sample.points if points is sample else points
+        want = oracle_parabola([(F(x), F(y)) for x, y in floats], 1.0)
+        fit = detect_parabola(points, 1.0)
+        assert not want[4]
+        assert fit == orbits.ParabolaFit(*(float(v) for v in want[:4]), False)
+        assert all(type(v) is float for v in (fit.A, fit.B, fit.C, fit.max_residual))
+    assert detect_parabola(cases[2], 1e-6) is None
+    # a line with rounding-sized noise has a negligible quadratic term
+    noisy = [(x, 2.0 * x - 1.0 + 1e-15 * rng.choice((-1, 1))) for x in xs]
+    fit = detect_parabola(noisy, 1e-9)
+    assert fit.is_line and fit.A == 0.0
+    assert math.isclose(fit.B, 2.0) and math.isclose(fit.C, -1.0)
 
 
 # ---------- model evaluation ----------
