@@ -236,25 +236,43 @@ def _numerators(points):
     return [(xn * (den // xd), yn * (den // yd)) for (xn, xd), (yn, yd) in ratios], den
 
 
-def _exact_levels(maps, level, den, levels):
+def _scaled_generators(system: IfsSystem):
+    """(D, [(pD, qD, rD, hD, sD) per generator]).
+
+    D is the lcm of all coefficient denominators, so the scaled
+    coefficients are ints; a float system keeps its coefficients and
+    D = 1.
+    """
+    coeffs = [(g.p, g.q, g.r, g.h, g.s) for g in system.maps]
+    if not system.exact:
+        return 1, coeffs
+    d = math.lcm(*(c.denominator for row in coeffs for c in row))
+    return d, [tuple(c.numerator * (d // c.denominator) for c in row)
+               for row in coeffs]
+
+
+def _image(gen, level, den):
+    """The (X, Y) pairs over `den` mapped by one scaled generator, over den * D:
+    X' = pD X + hD den,  Y' = qD Y + rD X + sD den."""
+    p, q, r, h, s = gen
+    hl, sl = h * den, s * den
+    return ((p * x + hl, q * y + r * x + sl) for x, y in level)
+
+
+def _exact_levels(generators, level, den, levels):
     """P_levels from the numerator pairs P_0 = `level` over `den`:
     (sorted pairs, their denominator, resolution).
 
-    Runs on integers.  Every point of level k shares the denominator L_k,
-    so the set of (X, Y) pairs is the level, deduplicated exactly.  One
-    generator step multiplies L by D, the lcm of the coefficient
-    denominators: X' = pD X + hD L,  Y' = qD Y + rD X + sD L.
+    Runs on integers with generators = _scaled_generators(system).
+    Every point of level k shares the denominator L_k, so the set of
+    (X, Y) pairs is the level, deduplicated exactly; one generator step
+    (`_image`) multiplies L by D.
     """
-    d = math.lcm(*(c.denominator for g in maps for c in (g.p, g.q, g.r, g.h, g.s)))
-    coeffs = [tuple((c * d).numerator for c in (g.p, g.q, g.r, g.h, g.s))
-              for g in maps]
+    d, coeffs = generators
     for _ in range(levels):
         nxt = set()
-        add = nxt.add
-        for p, q, r, h, s in coeffs:
-            hl, sl = h * den, s * den
-            for x, y in level:
-                add((p * x + hl, q * y + r * x + sl))
+        for gen in coeffs:
+            nxt.update(_image(gen, level, den))
         level = nxt
         den *= d
     ordered = sorted(level)
@@ -327,7 +345,8 @@ def sample_attractor(system: IfsSystem, depth: int,
     else:
         level, den = _numerators(anchors) if system.exact else (anchors, 1)
     if system.exact:
-        pts, den, res = _exact_levels(system.maps, level, den, depth - start)
+        pts, den, res = _exact_levels(_scaled_generators(system), level, den,
+                                     depth - start)
     else:
         pts, res = _float_levels(system.maps, level, depth - start)
     sample = GraphSample(tuple(pts), den, depth, res, anchor_err, system.exact)

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .attractor import evaluate_f, sample_attractor, validate
+from .attractor import _image, _scaled_generators, evaluate_f, sample_attractor, validate
 from .errors import DepthTooLargeError, FifkitError
 from .orbits import classify_orbit_curve, epsilon_net, iterate_orbit, verify_orbit_on_curve
 from .scalars import format_scalar, is_exact, parse_scalar, to_float
@@ -222,12 +222,16 @@ def _cmd_example_figure1(args):
             continue
         seen.add(x)
         marks.append((x, evaluate_f(system, x, 1e-12)))
-    sub_a = [system.maps[1](pt) for pt in sample.points]
-    sub_b = [system.maps[2](pt) for pt in sample.points]
+    # the images of the two middle pieces, formed on the sample's numerators
+    d, gens = _scaled_generators(system)
+    den = sample.den * d
+    pieces = []
+    for k in (1, 2):
+        image = list(_image(gens[k], sample.numerators, sample.den))
+        pieces.append(([x / den for x, _ in image], [y / den for _, y in image]))
     lo = max(strip(system, 2)[0], strip(system, 3)[0])
     hi = min(strip(system, 2)[1], strip(system, 3)[1])
-    doc = overlap_svg(sample, system.interval, sub_a, sub_b,
-                      (lo, hi), marked=marks)
+    doc = overlap_svg(sample, system.interval, *pieces, (lo, hi), marked=marks)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(doc)
     out = []

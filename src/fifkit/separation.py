@@ -21,6 +21,10 @@ bucketed by P; inside a bucket every pair has p = 1 and the minimum
 reduces to a sorted-adjacency sweep over the H values; across buckets
 the pair's p = P_i/P_j is a constant, so |p - 1| prunes whole bucket
 pairs and a translation window bounds the H candidates worth measuring.
+Bucket pairs come cheapest |p - 1| first from a lazy merge: with the
+buckets sorted by P, |P_i - P_j| grows as i walks away from j, so a heap
+over each bucket's two walks yields the pairs in order while building
+only those the scan pulls before |p - 1| stops it.
 Whether a pair beats the current best is decided by cross-multiplying
 integers against a cap derived from the best, in the filter-then-certify
 manner of adaptive predicates; a Fraction is built only for a pair that
@@ -28,13 +32,14 @@ does beat it.  The planar scan reads G_j^-1 G_i off the two rows in
 closed form instead of composing words.
 """
 
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .affine import Affine1, Affine2, Word, compose, compose_word, invert, projection
-from .attractor import sample_attractor
+from .attractor import _scaled_generators, sample_attractor
 from .errors import DepthTooLargeError, OutOfDomainError
 from .scalars import Scalar, to_float
 from .systems import IfsSystem
@@ -43,9 +48,12 @@ DEFAULT_WORD_BUDGET = 2_000_000
 
 # cap on reported coincidence pairs (the count itself is complete)
 _COINCIDENCE_SAMPLE = 16
-# tracemalloc bytes per stored word row (tuple, word tuple and five ints),
-# measured on the exact four-piece system at depth 7
-_ROW_BYTES = 360
+# tracemalloc bytes per stored word row besides the letters of its word
+# (8 B each) and the digits of its five ints: a list slot, the row and
+# word tuples, five int headers, and freed temporaries the allocator
+# keeps.  Rows measured at 357 B on four-piece depth 7 and 427 B on
+# mixed depth 14 are sized at 366 B and 462 B
+_ROW_BYTES = 290
 
 
 class CollinearAttractorWarning(UserWarning):
@@ -177,19 +185,16 @@ def _word_rows(system: IfsSystem, depth: int, budget: int):
     """
     m = len(system)
     total = sum(m ** k for k in range(depth + 1))
+    D, gens = _scaled_generators(system)
     if total > budget:
+        # every coefficient is about as wide as the scale D^depth
+        digits = -(-(D ** depth).bit_length() // sys.int_info.bits_per_digit)
+        row = _ROW_BYTES + 8 * depth + 5 * sys.int_info.sizeof_digit * digits
         raise DepthTooLargeError(
             f"{total} words at depth {depth} exceeds budget {budget} "
-            f"(about {total * _ROW_BYTES / 1e6:,.1f} MB of word rows)"
+            f"(about {total * row / 1e6:,.1f} MB of word rows)"
         )
-    coeffs = [(g.p, g.q, g.r, g.h, g.s) for g in system.maps]
-    if system.exact:
-        D = lcm(*(c.denominator for row in coeffs for c in row))
-        gens = [tuple(c.numerator * (D // c.denominator) for c in row)
-                for row in coeffs]
-        one, zero = 1, 0
-    else:
-        D, gens, one, zero = 1, coeffs, 1.0, 0.0
+    one, zero = (1, 0) if system.exact else (1.0, 0.0)
     # level L holds its composites times D^L; composing with a generator
     # (scaled by D) raises the scale to D^(L+1)
     rows = [[(zero, (), one, one, zero, zero)]]
@@ -246,24 +251,53 @@ def _buckets(rows, upto, scale, exact):
 
 
 def _bucket_pairs(buckets):
-    """Ordered cross-bucket pairs, cheapest |p - 1| first.
+    """Ordered cross-bucket pairs, cheapest |p - 1| first, built lazily.
 
     Yields (num, den, (P_i, rows_i), (P_j, rows_j)) with
     |p - 1| = num/den for p = P_i/P_j, in the order of
-    (float |p - 1|, label_i, label_j).  Labels are unique, so the sort
-    never compares further fields.
+    (float |p - 1|, label_i, label_j).  Labels are unique, so that order
+    is total.
+
+    With the buckets sorted by P, each j has two streams, the i below
+    and the i above it walking away from j, along which num grows and
+    the float |p - 1| never falls.  A heap merges the streams.  Each
+    stream waits on it as a marker (float of its next pair, "", "", id)
+    that sorts before every pair of that float; popping the marker pushes
+    the pair and the marker of the stream's following pair.  So a pair is
+    yielded only once every stream's next float exceeds its own, and
+    pairs of one float, which exact values can round to while their
+    labels sort against P, come out in label order.  Setup costs one pair
+    per stream; each pair pulled costs O(log B) more.
     """
-    pairs = []
-    for p_i, label_i, ents_i in buckets.values():
-        for p_j, label_j, ents_j in buckets.values():
-            if ents_i is ents_j:
-                continue
-            num, den = abs(p_i - p_j), abs(p_j)
-            pairs.append((num / den, label_i, label_j, num, den,
-                          (p_i, ents_i), (p_j, ents_j)))
-    pairs.sort()
-    for _, _, _, num, den, bi, bj in pairs:
-        yield num, den, bi, bj
+    import heapq  # here, not at the top: it adds 33 KB to every import
+
+    order = sorted(buckets.values(), key=lambda bucket: bucket[0])
+    heap, streams = [], []
+    for j, (p_j, _, _) in enumerate(order):
+        for step in (-1, 1):
+            i = j + step
+            if 0 <= i < len(order):
+                num = abs(order[i][0] - p_j)
+                heap.append((num / abs(p_j), "", "", len(streams)))
+                streams.append((i, num, j, step))
+    heapq.heapify(heap)
+    while heap:
+        item = heapq.heappop(heap)
+        if item[1]:
+            yield item[3:]
+            continue
+        f, _, _, sid = item
+        i, num, j, step = streams[sid]
+        p_i, label_i, ents_i = order[i]
+        p_j, label_j, ents_j = order[j]
+        den = abs(p_j)
+        heapq.heappush(heap, (f, label_i, label_j, num, den,
+                              (p_i, ents_i), (p_j, ents_j)))
+        i += step
+        if 0 <= i < len(order):
+            num = abs(order[i][0] - p_j)
+            heapq.heappush(heap, (num / den, "", "", sid))
+            streams[sid] = (i, num, j, step)
 
 
 class _Window:

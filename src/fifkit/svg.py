@@ -129,8 +129,8 @@ def overlap_svg(points, interval, sub_a, sub_b, strip_x, marked=()) -> str:
     """Attractor with two generator images overlaid and a shaded strip.
 
     points is a GraphSample or a point sequence; sub_a and sub_b are
-    point sequences (the images of the sample under two chosen maps);
-    strip_x = (lo, hi) is shaded over the full height.
+    (xs, ys) float columns (the images of the sample under two chosen
+    maps); strip_x = (lo, hi) is shaded over the full height.
     """
     xs, ys = _columns(points)
     frame = _Frame(min(xs), max(xs), min(ys), max(ys))
@@ -144,7 +144,7 @@ def overlap_svg(points, interval, sub_a, sub_b, strip_x, marked=()) -> str:
     body += _axes(frame, to_float(interval[0]), to_float(interval[1]),
                   min(ys), max(ys))
     body += _polyline(frame, xs, ys, "curve")
-    body += _polyline(frame, *_columns(sub_a), "piece-a")
-    body += _polyline(frame, *_columns(sub_b), "piece-b")
+    body += _polyline(frame, *sub_a, "piece-a")
+    body += _polyline(frame, *sub_b, "piece-b")
     body += _markers(frame, marked)
     return _document(body)

@@ -371,6 +371,25 @@ def oracle_parabola(points, tol):
     return None
 
 
+def oracle_bucket_pairs(buckets):
+    """Every ordered cross-bucket pair, sorted by (float |p - 1|, label_i, label_j).
+
+    The package's pair order before it was built lazily, kept as written
+    then, so the lazy merge must yield the same (num, den, (P_i, rows_i),
+    (P_j, rows_j)) tuples in the same order.
+    """
+    pairs = []
+    for p_i, label_i, ents_i in buckets.values():
+        for p_j, label_j, ents_j in buckets.values():
+            if ents_i is ents_j:
+                continue
+            num, den = abs(p_i - p_j), abs(p_j)
+            pairs.append((num / den, label_i, label_j, num, den,
+                          (p_i, ents_i), (p_j, ents_j)))
+    pairs.sort()
+    return [(num, den, bi, bj) for _, _, _, num, den, bi, bj in pairs]
+
+
 def float_twin(system):
     """The same system with every coefficient converted to float."""
     return IfsSystem(

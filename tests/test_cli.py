@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,6 +15,13 @@ MIXED = "interval 0 1\nmap 1/2 1/4 0 0 0\nmap 2/3 4/9 4/9 1/3 1/9\n"
 BROKEN = "interval 0 1\nmap 2 0 0 0 0\n"
 WITNESS_GJ = "1,2,2,1,2,2,1,2,1,2,2,1"
 WITNESS_GI = "2,1,1,1,1,1,2,2,2,2,2,2"
+
+# sha256 of the SVG `fifkit example-figure1 --param P` wrote when it
+# still mapped every sample point through Affine2 as a Fraction pair
+FIGURE1_SVG_SHA256 = {
+    "1/5": "fc38a57fbe277d7221284fcc151f13bdb113b464bfc3ce81814fd328469eeb3d",
+    "1/3": "b02656e5f3ab4dc2343ffbbc1117a9584b3ed705254a90da6f1820063b0f9709",
+}
 
 
 @pytest.fixture
@@ -221,6 +229,16 @@ def test_example_figure(tmp_path, capsys):
     # deterministic output
     run(capsys, ["example-figure1", "--out", tmp_path / "fig2.svg"])
     assert (tmp_path / "fig2.svg").read_text() == doc
+
+
+@pytest.mark.parametrize("param", sorted(FIGURE1_SVG_SHA256))
+def test_example_figure_bytes_unchanged(tmp_path, capsys, param):
+    out_svg = tmp_path / "fig.svg"
+    code, out, _ = run(capsys, ["example-figure1", "--param", param, "--out", out_svg])
+    assert code == 0
+    assert out == (f"fifkit example-figure1 report\nversion: 0.1.0\nparam: {param}\n"
+                   f"marked-points: 6\noverlap-strip: [7/15, 8/15]\nsvg: {out_svg}\n")
+    assert hashlib.sha256(out_svg.read_bytes()).hexdigest() == FIGURE1_SVG_SHA256[param]
 
 
 def test_version_flag(capsys):

@@ -1,5 +1,7 @@
+import itertools
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,8 @@ from fifkit import (
 from fifkit import separation
 
 from conftest import (
+    float_twin,
+    oracle_bucket_pairs,
     oracle_coincidences_2d,
     oracle_delta_1d,
     oracle_delta_2d,
@@ -59,6 +63,21 @@ MIXED_WITNESS_WORDS = [
     ((2, 1, 1), (1, 2, 2, 2)),
     ((1, 2, 2, 2, 2, 2, 2, 2, 2), (2, 1, 2, 1, 2, 1, 1)),
 ]
+
+# every witness's (j_word, i_word), which the bucket-pair order decides
+# among equal deviations
+PINNED_WITNESS_WORDS = {
+    ("2d", "mixed", 6): [
+        ((), (2,)),
+        ((1, 2, 2), (2, 1, 1)),
+        ((2, 1, 1), (1, 2, 2, 2)),
+    ],
+    ("2d", "four_piece", 5): [((), (1,))],
+    ("1d", "mixed", 14): MIXED_WITNESS_WORDS + [
+        ((2, 1, 1, 1, 2, 2, 2, 2, 2, 1, 2), (1, 2, 2, 2, 1, 2, 2, 2, 1, 2, 1)),
+        ((1, 2, 2, 1, 2, 2, 1, 2, 1, 2, 2, 1), (2, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2)),
+    ],
+}
 
 
 def test_deviation_1d_basics():
@@ -264,13 +283,24 @@ def test_conjugated_system_same_delta_star():
 
 
 def test_wsp_budget_error_states_memory():
-    with pytest.raises(DepthTooLargeError) as info:
-        wsp_check_2d(four_piece_overlap_system(), 11, 1e-3)
-    words = (4 ** 12 - 1) // 3
-    message = str(info.value)
-    assert f"{words} words" in message
-    mb = float(re.search(r"about ([\d,]+\.\d) MB", message).group(1).replace(",", ""))
-    assert mb == round(words * separation._ROW_BYTES / 1e6, 1)
+    # the stated size must cover the rows the budget would have let in,
+    # by tracemalloc, and stay about right
+    for system, depth in ((four_piece_overlap_system(), 7),
+                          (mixed_ratio_parabola_system(), 14)):
+        words = (len(system) ** (depth + 1) - 1) // (len(system) - 1)
+        with pytest.raises(DepthTooLargeError) as info:
+            wsp_check_1d(system, depth, 1e-3, budget=words - 1)
+        message = str(info.value)
+        assert f"{words} words" in message
+        mb = float(re.search(r"about ([\d,]+\.\d) MB", message).group(1).replace(",", ""))
+        tracemalloc.start()
+        try:
+            rows, _ = separation._word_rows(system, depth, words)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, rows)) == words
+        assert retained / 1e6 <= mb <= 1.5 * retained / 1e6
 
 
 # (lam, mu) of x -> lam*x + mu: integer, negative and fractional scalings,
@@ -328,3 +358,100 @@ def test_four_piece_printed_coincidences_pinned(check):
     verdict = check(four_piece_overlap_system(), 5, 1e-3)
     assert verdict.coincidence_count == FOUR_PIECE_D5_COINCIDENCES
     assert list(verdict.coincidences[:5]) == FOUR_PIECE_D5_FIRST_PAIRS
+
+
+def _same_pairs(got, want):
+    """Equal (num, den, P_i, P_j) and the very same row lists, pair by pair."""
+    assert len(got) == len(want)
+    for (num, den, (p_i, ents_i), (p_j, ents_j)), (num2, den2, bi, bj) in zip(got, want):
+        assert (num, den, p_i, p_j) == (num2, den2, bi[0], bj[0])
+        assert ents_i is bi[1] and ents_j is bj[1]
+
+
+def _check_bucket_pairs(system, depth):
+    rows, scale = separation._word_rows(system, depth, 10 ** 6)
+    for upto in range(depth + 1):
+        buckets = separation._buckets(rows, upto, scale, system.exact)
+        _same_pairs(list(separation._bucket_pairs(buckets)),
+                    oracle_bucket_pairs(buckets))
+
+
+@pytest.mark.parametrize("make, depth", [
+    (four_piece_overlap_system, 6),
+    (mixed_ratio_parabola_system, 12),
+    (dyadic_parabola_system, 8),
+])
+def test_bucket_pairs_match_oracle_bundled(make, depth):
+    _check_bucket_pairs(make(), depth)
+    _check_bucket_pairs(float_twin(make()), depth)
+
+
+def test_bucket_pairs_match_oracle_random():
+    rng = random.Random(8)
+    ratios = [Fraction(n, d) for d in (2, 3, 4, 5, 7) for n in range(1, d)]
+    for k in range(50):
+        m = 2 + k % 2
+        # the first ratio negative, the others of either sign
+        maps = tuple(
+            Affine2(rng.choice(ratios) * (-1 if n == 0 else rng.choice((1, -1))),
+                    rng.choice(ratios), Fraction(rng.randrange(-2, 3), 4),
+                    Fraction(rng.randrange(0, 5), 4), Fraction(rng.randrange(-2, 3), 4))
+            for n in range(m))
+        system = IfsSystem(maps, (Fraction(0), Fraction(1)))
+        depth = 6 if m == 2 else 4
+        _check_bucket_pairs(system, depth)
+        _check_bucket_pairs(float_twin(system), depth)
+
+
+def test_bucket_pairs_float_ties_follow_labels():
+    # |p - 1| from P_j = 3 rounds to one float for all four big P_i, on
+    # both sides, while their decimal labels sort against P, so no pair
+    # of that float may leave the heap before every stream has put its
+    # pairs of that float there
+    big = 10 ** 20
+    values = [3, -3, big - 1, big, -(big - 1), -big]
+    assert float(big - 1 - 3) / 3 == float(big - 3) / 3
+    assert str(big - 1) > str(big)
+    buckets = {p: (p, str(p), [p]) for p in values}
+    got = list(separation._bucket_pairs(buckets))
+    _same_pairs(got, oracle_bucket_pairs(buckets))
+    from_three = [bi[0] for _, _, bi, bj in got if bj[0] == 3]
+    assert from_three == [-3, -big, -(big - 1), big, big - 1]
+
+
+class _CountingInt(int):
+    """An int that counts the subtractions it takes part in."""
+
+    subtractions = 0
+
+    def __sub__(self, other):
+        _CountingInt.subtractions += 1
+        return int(self) - int(other)
+
+    def __rsub__(self, other):
+        _CountingInt.subtractions += 1
+        return int(other) - int(self)
+
+
+def test_bucket_pairs_lazy():
+    # 1,000 buckets make 999,000 pairs; the first ten cost one pair per
+    # P-sorted walk and a few more, never a full build
+    rng = random.Random(1)
+    ps = rng.sample(range(1, 10 ** 6), 1000)
+    buckets = {p: (_CountingInt(p), str(p), [p]) for p in ps}
+    _CountingInt.subtractions = 0
+    first = list(itertools.islice(separation._bucket_pairs(buckets), 10))
+    assert len(first) == 10
+    assert _CountingInt.subtractions <= 2100
+    floats = [num / den for num, den, _, _ in first]
+    assert floats == sorted(floats)
+
+
+@pytest.mark.parametrize("mode, name, depth", sorted(PINNED_WITNESS_WORDS))
+def test_witness_words_pinned(mode, name, depth):
+    make = {"mixed": mixed_ratio_parabola_system,
+            "four_piece": four_piece_overlap_system}[name]
+    check = {"1d": wsp_check_1d, "2d": wsp_check_2d}[mode]
+    verdict = check(make(), depth, 1e-3)
+    assert [(el.j_word, el.i_word) for el in verdict.witnesses] == \
+        PINNED_WITNESS_WORDS[mode, name, depth]
