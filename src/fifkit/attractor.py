@@ -26,7 +26,7 @@ from .errors import (
     OutOfDomainError,
     ResolutionInsufficientError,
 )
-from .scalars import Scalar, to_float
+from .scalars import Scalar, common_denominator, to_float
 from .systems import IfsSystem
 
 _DEDUP_QUANTUM = 1e-12
@@ -226,29 +226,9 @@ _SAMPLES = _SampleCache()
 
 
 def _numerators(points):
-    """Points as ([(X, Y) integer pairs], their one denominator).
-
-    Fraction and float coordinates alike convert exactly; a float's
-    denominator is a power of two.
-    """
-    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in points]
-    den = math.lcm(*{d for (_, dx), (_, dy) in ratios for d in (dx, dy)})
-    return [(xn * (den // xd), yn * (den // yd)) for (xn, xd), (yn, yd) in ratios], den
-
-
-def _scaled_generators(system: IfsSystem):
-    """(D, [(pD, qD, rD, hD, sD) per generator]).
-
-    D is the lcm of all coefficient denominators, so the scaled
-    coefficients are ints; a float system keeps its coefficients and
-    D = 1.
-    """
-    coeffs = [(g.p, g.q, g.r, g.h, g.s) for g in system.maps]
-    if not system.exact:
-        return 1, coeffs
-    d = math.lcm(*(c.denominator for row in coeffs for c in row))
-    return d, [tuple(c.numerator * (d // c.denominator) for c in row)
-               for row in coeffs]
+    """Points as ([(X, Y) int pairs], their one denominator), converted exactly."""
+    nums, den = common_denominator([c for pt in points for c in pt])
+    return list(zip(nums[::2], nums[1::2])), den
 
 
 def _image(gen, level, den):
@@ -259,46 +239,36 @@ def _image(gen, level, den):
     return ((p * x + hl, q * y + r * x + sl) for x, y in level)
 
 
-def _exact_levels(generators, level, den, levels):
-    """P_levels from the numerator pairs P_0 = `level` over `den`:
+def _levels(system, level, den, levels):
+    """P_levels from the pairs P_0 = `level` over `den`:
     (sorted pairs, their denominator, resolution).
 
-    Runs on integers with generators = _scaled_generators(system).
-    Every point of level k shares the denominator L_k, so the set of
-    (X, Y) pairs is the level, deduplicated exactly; one generator step
-    (`_image`) multiplies L by D.
+    One generator step (`_image` of each of system._scaled_maps)
+    multiplies the denominator by D.  In an exact system every point of
+    level k is an int pair over the one denominator L_k, so the set of
+    pairs is the level, deduplicated exactly.  A float system runs on
+    its float points over 1; they are keyed on the 1e-12 grid and each
+    key keeps its smallest point, so a level depends only on the set of
+    points it came from.
     """
-    d, coeffs = generators
+    d, gens = system._scaled_maps
     for _ in range(levels):
-        nxt = set()
-        for gen in coeffs:
-            nxt.update(_image(gen, level, den))
-        level = nxt
+        images = itertools.chain.from_iterable(_image(gen, level, den) for gen in gens)
+        if system.exact:
+            level = set(images)
+        else:
+            seen = {}
+            for pt in images:
+                key = (round(pt[0] / _DEDUP_QUANTUM), round(pt[1] / _DEDUP_QUANTUM))
+                if key not in seen or pt < seen[key]:
+                    seen[key] = pt
+            level = seen.values()
         den *= d
     ordered = sorted(level)
     gap = max((b[0] - a[0] for a, b in zip(ordered, ordered[1:])), default=0)
+    if not system.exact:
+        return ordered, den, gap / den
     return ordered, den, Fraction(gap, den) if gap > 0 else 0
-
-
-def _float_levels(maps, points, levels):
-    """P_levels from the float points P_0 = `points`: (sorted points, resolution).
-
-    Points are keyed on the 1e-12 grid and each key keeps its smallest
-    point, so a level depends only on the set of points it came from.
-    """
-    for _ in range(levels):
-        seen = {}
-        for g in maps:
-            p, q, r, h, s = g.p, g.q, g.r, g.h, g.s
-            for x, y in points:
-                pt = (p * x + h, q * y + r * x + s)
-                key = (round(pt[0] / _DEDUP_QUANTUM), round(pt[1] / _DEDUP_QUANTUM))
-                old = seen.get(key)
-                if old is None or pt < old:
-                    seen[key] = pt
-        points = seen.values()
-    pts = sorted(points)
-    return pts, max((b[0] - a[0] for a, b in zip(pts, pts[1:])), default=0.0)
 
 
 def sample_attractor(system: IfsSystem, depth: int,
@@ -307,9 +277,10 @@ def sample_attractor(system: IfsSystem, depth: int,
 
     Built level by level: P_0 is the anchor set and P_k is the union of
     S(P_{k-1}) over the generators S, deduplicated at every level.  The
-    word count m^depth * (m + 2) is checked against max_points first;
-    exceeding it raises DepthTooLargeError.  Points come back sorted by
-    x, with the realized horizontal resolution (largest consecutive gap).
+    word count m^depth * (m + 2) is checked against max_points before
+    anything else; exceeding it raises DepthTooLargeError.  Points come
+    back sorted by x, with the realized horizontal resolution (largest
+    consecutive gap).
 
     The samples of the most recently sampled system stay cached by
     depth: a repeat request returns the same object, a deeper one
@@ -319,19 +290,15 @@ def sample_attractor(system: IfsSystem, depth: int,
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    key = (system.exact, system)
-    cache = _SAMPLES
-    fresh = cache.key != key
-    if fresh:
-        anchors, anchor_err = anchor_points(system)
-    else:
-        anchors, anchor_err = cache.anchors, cache.anchor_err
-    total = (len(system) ** depth) * len(anchors)
+    total = len(system) ** depth * (len(system) + 2)
     if total > max_points:
         raise DepthTooLargeError(
             f"{total} points at depth {depth} exceeds budget {max_points}"
         )
-    if fresh:
+    key = (system.exact, system)
+    cache = _SAMPLES
+    if cache.key != key:
+        anchors, anchor_err = anchor_points(system)
         cache.clear()
         cache.key, cache.anchors, cache.anchor_err = key, tuple(anchors), anchor_err
     hit = cache.samples.get(depth)
@@ -343,13 +310,9 @@ def sample_attractor(system: IfsSystem, depth: int,
         base = cache.samples[start]
         level, den = base.numerators, base.den
     else:
-        level, den = _numerators(anchors) if system.exact else (anchors, 1)
-    if system.exact:
-        pts, den, res = _exact_levels(_scaled_generators(system), level, den,
-                                     depth - start)
-    else:
-        pts, res = _float_levels(system.maps, level, depth - start)
-    sample = GraphSample(tuple(pts), den, depth, res, anchor_err, system.exact)
+        level, den = _numerators(cache.anchors) if system.exact else (cache.anchors, 1)
+    pts, den, res = _levels(system, level, den, depth - start)
+    sample = GraphSample(tuple(pts), den, depth, res, cache.anchor_err, system.exact)
     cache.samples[depth] = sample
     return sample
 

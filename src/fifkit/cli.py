@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .attractor import _image, _scaled_generators, evaluate_f, sample_attractor, validate
+from .attractor import _image, evaluate_f, sample_attractor, validate
 from .errors import DepthTooLargeError, FifkitError
 from .orbits import classify_orbit_curve, epsilon_net, iterate_orbit, verify_orbit_on_curve
 from .scalars import format_scalar, is_exact, parse_scalar, to_float
@@ -223,7 +223,7 @@ def _cmd_example_figure1(args):
         seen.add(x)
         marks.append((x, evaluate_f(system, x, 1e-12)))
     # the images of the two middle pieces, formed on the sample's numerators
-    d, gens = _scaled_generators(system)
+    d, gens = system._scaled_maps
     den = sample.den * d
     pieces = []
     for k in (1, 2):

@@ -20,6 +20,7 @@ from .affine import Affine2, fixed_point_1d, projection
 from .attractor import (
     GraphSample,
     _deepening_samples,
+    _image,
     _numerators,
     evaluate_f,
     modulus_of_continuity,
@@ -33,7 +34,7 @@ from .errors import (
     ResolutionInsufficientError,
     StepTooLargeError,
 )
-from .scalars import Scalar, coerce, is_exact, to_float
+from .scalars import Scalar, coerce, common_denominator, is_exact, to_float
 
 CURVE_KINDS = ("Parabola", "ExpLinear", "LogLinear", "PowerLinear", "XLogX")
 
@@ -91,28 +92,22 @@ def _moving_projection(g: Affine2, interval, identity_message: str):
 def _max_graph_step(g: Affine2, sample: GraphSample) -> float:
     """Largest displacement |g(x, y) - (x, y)| over the sample's points.
 
-    The displacement is ((p-1)x + h, (q-1)y + rx + s).  For an exact map
-    on an exact sample it is integer numerators over D * den, D the lcm
-    of the coefficient denominators, and one division per coordinate;
-    otherwise floats, the sample's float columns over 1.
+    The displacement is the image of (x, y) under the map with
+    coefficients (p-1, q-1, r, h, s).  For an exact map on an exact
+    sample it is integer numerators over D * den, D their common
+    denominator, and one division per coordinate; otherwise floats, the
+    sample's float columns over 1.
     """
-    p1, q1, r, h, s = g.p - 1, g.q - 1, g.r, g.h, g.s
+    coeffs = (g.p - 1, g.q - 1, g.r, g.h, g.s)
     if g.exact and sample.exact:
-        d = math.lcm(p1.denominator, q1.denominator, r.denominator, h.denominator,
-                     s.denominator)
-        p1, q1, r, h, s = int(p1 * d), int(q1 * d), int(r * d), int(h * d), int(s * d)
+        gen, d = common_denominator(coeffs)
         pts, den = sample.numerators, sample.den
     else:
-        d = den = 1
-        p1, q1, r, h, s = to_float(p1), to_float(q1), to_float(r), to_float(h), to_float(s)
+        gen, d, den = [to_float(c) for c in coeffs], 1, 1
         pts = zip(*sample.columns)
-    hd, sd, dd = h * den, s * den, d * den
-    max_step = 0.0
-    for x, y in pts:
-        step = math.hypot((p1 * x + hd) / dd, (q1 * y + r * x + sd) / dd)
-        if step > max_step:
-            max_step = step
-    return max_step
+    dd = d * den
+    return max((math.hypot(x / dd, y / dd) for x, y in _image(gen, pts, den)),
+               default=0.0)
 
 
 def iterate_orbit(g: Affine2, origin, interval, max_points: int = 2_000_000) -> OrbitTrace:
@@ -447,8 +442,8 @@ def _fit_exact(pairs, den, tol, exact):
         return None
     aa, bb, cc = sol
     is_line = aa == 0
-    lcd = math.lcm(aa.denominator, bb.denominator, cc.denominator)
-    an, bn, cn = int(aa * lcd), int(bb * lcd) * den, int(cc * lcd) * den
+    (an, bn, cn), lcd = common_denominator(sol)
+    bn, cn = bn * den, cn * den
     worst = max(abs((an * x + bn) * x + (cn - lcd * y) * den) for x, y in pairs)
     res = Fraction(worst, lcd * d2)
     if to_float(res) > tol:

@@ -7,6 +7,7 @@ produces a float on the exact path.  A value is "exact" when it is a
 Fraction; computations stay exact as long as every input is.
 """
 
+import math
 from fractions import Fraction
 
 Scalar = Fraction | float
@@ -31,6 +32,17 @@ def is_exact(value) -> bool:
 
 def to_float(value) -> float:
     return float(value)
+
+
+def common_denominator(values) -> tuple[list[int], int]:
+    """The values as integer numerators over their least common denominator.
+
+    Ints, Fractions and floats alike convert exactly through
+    as_integer_ratio; a float's denominator is a power of two.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*{d for _, d in ratios})
+    return [n * (den // d) for n, d in ratios], den
 
 
 def parse_scalar(text: str) -> Scalar:

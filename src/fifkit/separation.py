@@ -36,12 +36,11 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .affine import Affine1, Affine2, Word, compose, compose_word, invert, projection
-from .attractor import _scaled_generators, sample_attractor
+from .attractor import sample_attractor
 from .errors import DepthTooLargeError, OutOfDomainError
-from .scalars import Scalar, to_float
+from .scalars import Scalar, common_denominator, to_float
 from .systems import IfsSystem
 
 DEFAULT_WORD_BUDGET = 2_000_000
@@ -185,7 +184,7 @@ def _word_rows(system: IfsSystem, depth: int, budget: int):
     """
     m = len(system)
     total = sum(m ** k for k in range(depth + 1))
-    D, gens = _scaled_generators(system)
+    D, gens = system._scaled_maps
     if total > budget:
         # every coefficient is about as wide as the scale D^depth
         digits = -(-(D ** depth).bit_length() // sys.int_info.bits_per_digit)
@@ -371,8 +370,8 @@ def _scan_1d(buckets, interval, exact):
             mul, lim = win.cap(best[0])
         # dev = max(|p-1|, displacement): minimize |E| by the classic
         # two-pointer min-difference walk over both sorted H lists
-        ii = jj = 0
-        while ii < len(ents_i) and jj < len(ents_j):
+        ii, jj, n_i, n_j = 0, 0, len(ents_i), len(ents_j)
+        while ii < n_i and jj < n_j:
             ei, ej = ents_i[ii], ents_j[jj]
             e = (ei[0] - ej[0]) * cd + shift
             if best is None or abs(e) * mul < lim:
@@ -450,11 +449,12 @@ def _planar_deviation(interval, ybox, exact):
     r = (Ri Pj - Rj Pi)/(Pj Qj), h = (Hi - Hj)/Pj and
     s = ((Si - Sj) Pj - Rj (Hi - Hj))/(Pj Qj).  Every term is compared
     to best by cross-multiplication, on the box corners brought to a
-    common denominator M.
+    common denominator M.  Float corners stay floats over M = 1, like the
+    float rows: a corner near 1e-300 would put M past the float range.
     """
-    M = lcm(*(_nd(v)[1] for v in (*interval, *ybox)))
-    xs = [n * (M // d) for n, d in map(_nd, interval)]
-    ys = [n * (M // d) for n, d in map(_nd, ybox)]
+    corners = (*interval, *ybox)
+    corners, M = common_denominator(corners) if exact else (corners, 1)
+    xs, ys = corners[:2], corners[2:]
     w = xs[1] - xs[0]
     hh = (ys[1] - ys[0]) or w
 
@@ -569,12 +569,12 @@ def _scan_2d(rows, upto, scale, interval, exact, dev2):
         win = _Window(mid, width, p_i, p_j)
         cd, shift = win.cd, win.shift
         mul, lim = win.cap(best[0])
-        jj = 0
+        jj, n_j = 0, len(ents_j)
         for ri in ents_i:
             hi = ri[0]
-            while jj < len(ents_j) and (hi - ents_j[jj][0]) * cd + shift > 0:
+            while jj < n_j and (hi - ents_j[jj][0]) * cd + shift > 0:
                 jj += 1
-            for band in (range(jj - 1, -1, -1), range(jj, len(ents_j))):
+            for band in (range(jj - 1, -1, -1), range(jj, n_j)):
                 for idx in band:
                     rj = ents_j[idx]
                     if abs((hi - rj[0]) * cd + shift) * mul >= lim:

@@ -9,7 +9,6 @@ floats (with a warning), so a system is either exact or floating as a
 whole.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,7 @@ from functools import cached_property
 
 from .affine import Affine1, Affine2, projection
 from .errors import IndexOutOfRangeError, NotContractiveError
-from .scalars import Scalar, coerce, is_exact, to_float
+from .scalars import Scalar, coerce, common_denominator, is_exact, to_float
 
 
 class MixedScalarWarning(UserWarning):
@@ -101,6 +100,20 @@ class IfsSystem:
                 max(to_float(abs(g.q)) for g in self.maps))
 
     @cached_property
+    def _scaled_maps(self):
+        """(D, ((pD, qD, rD, hD, sD) per map)): the forward maps in integers.
+
+        D is the least common denominator of all coefficients, so the
+        scaled coefficients are ints; a float system keeps its floats
+        and D = 1.
+        """
+        rows = tuple((g.p, g.q, g.r, g.h, g.s) for g in self.maps)
+        if not self.exact:
+            return 1, rows
+        nums, d = common_denominator([c for row in rows for c in row])
+        return d, tuple(tuple(nums[k:k + 5]) for k in range(0, len(nums), 5))
+
+    @cached_property
     def _exact_pullback(self):
         """(den, strips, steps) of exact backward iteration, in integers.
 
@@ -108,19 +121,13 @@ class IfsSystem:
         (A, B, L, Q, R, S, C, float |q|) with A/L = 1/p, B/L = -h/p,
         Q/C = q, R/C = r and S/C = s.
         """
-        den = 1
-        for lo, hi in self.strips:
-            den = math.lcm(den, lo.denominator, hi.denominator)
-        strips, steps = [], []
-        for (lo, hi), g in zip(self.strips, self.maps):
-            strips.append((int(lo * den), int(hi * den)))
-            inv, off = 1 / g.p, -g.h / g.p
-            lden = math.lcm(inv.denominator, off.denominator)
-            cden = math.lcm(g.q.denominator, g.r.denominator, g.s.denominator)
-            steps.append((int(inv * lden), int(off * lden), lden,
-                          int(g.q * cden), int(g.r * cden), int(g.s * cden), cden,
-                          to_float(abs(g.q))))
-        return den, tuple(strips), tuple(steps)
+        ends, den = common_denominator([c for st in self.strips for c in st])
+        steps = []
+        for g in self.maps:
+            (inv, off), lden = common_denominator((1 / g.p, -g.h / g.p))
+            (qn, rn, sn), cden = common_denominator((g.q, g.r, g.s))
+            steps.append((inv, off, lden, qn, rn, sn, cden, to_float(abs(g.q))))
+        return den, tuple(zip(ends[::2], ends[1::2])), tuple(steps)
 
 
 def four_piece_overlap_system(a: Scalar = Fraction(1, 5)) -> IfsSystem:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -133,6 +134,16 @@ def test_sample_attractor_resolution_shrinks():
 def test_sample_attractor_budget():
     with pytest.raises(DepthTooLargeError):
         sample_attractor(dyadic_parabola_system(), 25, max_points=1000)
+
+
+def test_sample_attractor_checks_the_budget_before_anchors(cold_caches, monkeypatch):
+    def no_anchors(*args, **kwargs):
+        raise AssertionError("anchor_points called for a refused depth")
+
+    monkeypatch.setattr(attractor, "anchor_points", no_anchors)
+    with pytest.raises(DepthTooLargeError):
+        sample_attractor(four_piece_overlap_system(), 9, max_points=1_000_000)
+    assert attractor._SAMPLES.key is None
 
 
 SAMPLER_CASES = [
@@ -343,6 +354,10 @@ def test_evaluate_constants_are_per_instance():
     assert all(isinstance(c, Fraction) for st in exact.strips for c in st)
     assert all(type(c) is float for st in twin.strips for c in st)
     assert exact.strips is exact.strips
+    # forward maps over their common denominator D: lcm(2, 4) against 1
+    assert exact._scaled_maps == (4, ((2, 1, 0, 0, 0), (2, 1, 2, 2, 1)))
+    assert twin._scaled_maps == (1, ((0.5, 0.25, 0.0, 0.0, 0.0), (0.5, 0.25, 0.5, 0.5, 0.25)))
+    assert all(type(c) is float for row in twin._scaled_maps[1] for c in row)
 
 
 def test_evaluate_f_not_contractive_on_every_call():
@@ -513,3 +528,31 @@ def test_columns_round_once():
     sample = attractor.GraphSample(((big, -big),), 3, 1, 0, 0.0, True)
     assert sample.columns == ([float(Fraction(big, 3))], [float(Fraction(-big, 3))])
     assert sample.columns[0][0] != float(big) / 3
+
+
+def _sample_digest(sample):
+    xs, ys = sample.columns
+    parts = (repr(sample.numerators), repr(sample.den),
+             type(sample.resolution).__name__, repr(sample.resolution),
+             ",".join(v.hex() for v in xs), ",".join(v.hex() for v in ys))
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+# sha256 of _sample_digest when the float twins had a sampler of their own
+FLOAT_SAMPLE_SHA256 = [
+    (four_piece_overlap_system, 6,
+     "4ad0d24b8df23cab02c590d35d535dffa9364353657d6d36859854dc862cb820"),
+    (mixed_ratio_parabola_system, 11,
+     "57693977ea6dc2471a4e1b24b993c9a962cfb66eed74c8b3fd2780b983dcb571"),
+    (dyadic_parabola_system, 10,
+     "934383dcc25cbcd619fd05fcaf667f9a859a243d390f4c9361e6a40f625f65d3"),
+]
+
+
+@pytest.mark.parametrize("make,depth,digest", FLOAT_SAMPLE_SHA256)
+def test_float_sample_bytes_pinned(cold_caches, make, depth, digest):
+    system = float_twin(make())
+    assert _sample_digest(sample_attractor(system, depth)) == digest
+    attractor._SAMPLES.clear()
+    sample_attractor(system, 3)
+    assert _sample_digest(sample_attractor(system, depth)) == digest

@@ -270,3 +270,16 @@ def test_runs_with_numpy_blocked(sys_dir, call):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_heapq_and_numpy_unloaded():
+    # peak RSS follows import size: the scan imports heapq only when it runs
+    script = ("import sys\n"
+              "import fifkit.cli\n"
+              "print(sorted({'heapq', 'numpy'} & set(sys.modules)))\n")
+    src = str(Path(fifkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

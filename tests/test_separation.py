@@ -226,6 +226,19 @@ def test_mixed_2d_profile_frozen():
     assert got[6] == Fraction(17, 81)
 
 
+def test_planar_float_verdict_on_tiny_heights():
+    # the float dyadic parabola scaled vertically by 1e-300: the ybox
+    # corners have denominators near 2^1050, past the float range
+    c = 1e-300
+    tiny = IfsSystem((Affine2(0.5, 0.25, 0.0, 0.0, 0.0),
+                      Affine2(0.5, 0.25, 0.5 * c, 0.5, 0.25 * c)), (0.0, 1.0))
+    want = wsp_check_2d(float_twin(dyadic_parabola_system()), 4, 1e-6)
+    with pytest.warns(CollinearAttractorWarning):  # heights below 1e-12
+        got = wsp_check_2d(tiny, 4, 1e-6)
+    assert got.status == want.status == "NoWitnessUpToDepth"
+    assert got.gap_by_depth == want.gap_by_depth
+
+
 def test_wsp_depth_must_be_at_least_two():
     with pytest.raises(ValueError):
         wsp_check_1d(dyadic_parabola_system(), 1, 1e-3)
