@@ -183,12 +183,12 @@ class GraphSample:
                 [y / den for _, y in self.numerators])
 
 
-def anchor_points(system: IfsSystem, tol: float = 1e-12):
+def anchor_points(system: IfsSystem):
     """Generator fixed points plus the graph points over both endpoints.
 
-    Returns (points, worst_error).  In an exact system the endpoint
-    evaluations terminate on projected fixed points for every bundled
-    example, making the anchors exact.
+    Returns (points, worst_error), the endpoints evaluated within 1e-12.
+    In an exact system the endpoint evaluations terminate on projected
+    fixed points for every bundled example, making the anchors exact.
     """
     pts = []
     worst = 0.0
@@ -197,7 +197,7 @@ def anchor_points(system: IfsSystem, tol: float = 1e-12):
         ystar = (g.r * xstar + g.s) / (1 - g.q)
         pts.append((xstar, ystar))
     for x in system.interval:
-        y, err = _evaluate(system, x, tol)
+        y, err = _evaluate(system, x, 1e-12)
         worst = max(worst, err)
         pts.append((x, y))
     return pts, worst
@@ -351,13 +351,14 @@ class ValidationReport:
                 and self.single_valued is True)
 
 
-def validate(system: IfsSystem, tol: float = 1e-9,
-             overlap_samples: int = 9, strict: bool = False) -> ValidationReport:
+def validate(system: IfsSystem, tol: float = 1e-9, *,
+             strict: bool = False) -> ValidationReport:
     """Check contraction, strip coverage, and branch agreement on overlaps.
 
     Branch agreement is certified numerically: on every shared strip
     (positive-width overlap or single touch point) the two branch
-    evaluations must agree within tol; the report carries the worst
+    evaluations must agree within tol, at nine evenly spaced abscissae
+    of an overlap and at a touch point; the report carries the worst
     discrepancy found.  strict=True turns the first failure into the
     matching typed exception.
     """
@@ -414,14 +415,9 @@ def validate(system: IfsSystem, tol: float = 1e-9,
     if contractive and covering and contained:
         max_disc = 0.0
         eval_tol = tol / 8
-        shared = [(i, j, lo, hi) for (i, j, lo, hi) in overlaps]
-        shared += [(i, j, x, x) for (i, j, x) in touches]
+        shared = overlaps + [(i, j, x, x) for (i, j, x) in touches]
         for i, j, lo, hi in shared:
-            if lo == hi:
-                xs = [lo]
-            else:
-                n = max(2, overlap_samples)
-                xs = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+            xs = [lo] if lo == hi else [lo + (hi - lo) * k / 8 for k in range(9)]
             for x in xs:
                 yi = evaluate_f(system, x, eval_tol, first_branch=i)
                 yj = evaluate_f(system, x, eval_tol, first_branch=j)

@@ -16,6 +16,7 @@ import os
 import sys
 
 from . import __version__
+from .affine import Affine2
 from .attractor import _image, evaluate_f, sample_attractor, validate
 from .errors import DepthTooLargeError, FifkitError
 from .orbits import classify_orbit_curve, epsilon_net, iterate_orbit, verify_orbit_on_curve
@@ -188,8 +189,6 @@ def _cmd_orbit(args):
 
 
 def _cmd_classify(args):
-    from .affine import Affine2
-
     g = Affine2(*(parse_scalar(t) for t in (args.p, args.q, args.r, args.h, args.s)))
     origin = (parse_scalar(args.x0), parse_scalar(args.y0))
     interval = (parse_scalar(args.a), parse_scalar(args.b))

@@ -20,7 +20,6 @@ from .affine import Affine2, fixed_point_1d, projection
 from .attractor import (
     GraphSample,
     _deepening_samples,
-    _image,
     _numerators,
     evaluate_f,
     modulus_of_continuity,
@@ -105,9 +104,10 @@ def _max_graph_step(g: Affine2, sample: GraphSample) -> float:
     else:
         gen, d, den = [to_float(c) for c in coeffs], 1, 1
         pts = zip(*sample.columns)
-    dd = d * den
-    return max((math.hypot(x / dd, y / dd) for x, y in _image(gen, pts, den)),
-               default=0.0)
+    (p, q, r, h, s), dd = gen, d * den
+    hl, sl = h * den, s * den
+    return max((math.hypot((p * x + hl) / dd, (q * y + r * x + sl) / dd)
+                for x, y in pts), default=0.0)
 
 
 def iterate_orbit(g: Affine2, origin, interval, max_points: int = 2_000_000) -> OrbitTrace:
@@ -388,7 +388,7 @@ class ParabolaFit:
 
 
 def _solve3(mat, rhs):
-    # Cramer, exact on Fractions; returns None when singular
+    # Cramer in ints: (d1, d2, d3, det), solution d_k/det; None when singular
     (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = mat
     det = (a11 * (a22 * a33 - a23 * a32)
            - a12 * (a21 * a33 - a23 * a31)
@@ -405,16 +405,17 @@ def _solve3(mat, rhs):
     d3 = (a11 * (a22 * b3 - b2 * a32)
           - a12 * (a21 * b3 - b2 * a31)
           + b1 * (a21 * a32 - a22 * a31))
-    return d1 / det, d2 / det, d3 / det
+    return d1, d2, d3, det
 
 
 def _fit_exact(pairs, den, tol, exact):
     """detect_parabola on numerator pairs over den.
 
-    The normal equations come from integer power sums, and the worst
-    residual is an integer maximum over one common denominator.  Float
-    data (exact False) counts a quadratic coefficient below 1e-12 of the
-    data's scale as zero, and its fit comes back as floats.
+    The normal equations come from integer power sums and are solved in
+    integers for (A, B den, C den^2); the worst residual is an integer
+    maximum over det den^2.  Float data (exact False) counts a
+    quadratic coefficient below 1e-12 of the data's scale as zero, and
+    its fit comes back as floats.
     """
     s0, s1, s2, s3, s4, t0, t1, t2 = len(pairs), 0, 0, 0, 0, 0, 0, 0
     for x, y in pairs:
@@ -426,31 +427,26 @@ def _fit_exact(pairs, den, tol, exact):
         t0 += y
         t1 += x * y
         t2 += x2 * y
-    d2 = den * den
-    s1, s2 = Fraction(s1, den), Fraction(s2, d2)
-    s3, s4 = Fraction(s3, d2 * den), Fraction(s4, d2 * d2)
-    t0, t1, t2 = Fraction(t0, den), Fraction(t1, d2), Fraction(t2, d2 * den)
+    t0, t1, t2 = t0 * den, t1 * den, t2 * den
     sol = _solve3(((s4, s3, s2), (s3, s2, s1), (s2, s1, s0)), (t2, t1, t0))
     if sol is not None and not exact:
         xmax = max(abs(x) for x, _ in pairs) / den
         ymax = max(abs(y) for _, y in pairs) / den
-        if abs(sol[0]) * xmax ** 2 < 1e-12 * max(1.0, ymax):
+        if abs(sol[0] / sol[3]) * xmax ** 2 < 1e-12 * max(1.0, ymax):
             sol = None
     # singular normal equations: fit a line, the quadratic coefficient pinned at 0
     sol = sol or _solve3(((1, 0, 0), (0, s2, s1), (0, s1, s0)), (0, t1, t0))
     if sol is None:
         return None
-    aa, bb, cc = sol
-    is_line = aa == 0
-    (an, bn, cn), lcd = common_denominator(sol)
-    bn, cn = bn * den, cn * den
-    worst = max(abs((an * x + bn) * x + (cn - lcd * y) * den) for x, y in pairs)
-    res = Fraction(worst, lcd * d2)
+    d1, d2, d3, det = sol
+    worst = max(abs(det * den * y - (d1 * x + d2) * x - d3) for x, y in pairs)
+    res = Fraction(worst, abs(det) * den * den)
     if to_float(res) > tol:
         return None
+    fit = (Fraction(d1, det), Fraction(d2, det * den), Fraction(d3, det * den * den))
     if exact:
-        return ParabolaFit(aa, bb, cc, res, is_line)
-    return ParabolaFit(float(aa), float(bb), float(cc), float(res), is_line)
+        return ParabolaFit(*fit, res, d1 == 0)
+    return ParabolaFit(*map(float, fit), float(res), d1 == 0)
 
 
 def detect_parabola(points, tol: float):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine import Affine1, Affine2, Word, compose, compose_word, invert, projection
-from .attractor import sample_attractor
+from .attractor import evaluate_f, sample_attractor
 from .errors import DepthTooLargeError, OutOfDomainError
 from .scalars import Scalar, common_denominator, to_float
 from .systems import IfsSystem
@@ -161,11 +161,12 @@ def attractor_ybox(system: IfsSystem):
 
 
 def _is_collinear(system: IfsSystem) -> bool:
-    # on an exact sample's numerators, every cross product is scaled by den^2
+    # exact: cross products scaled by den^2, tolerance 0; float: relative
     pts = sample_attractor(system, 3).numerators
     (x0, y0) = pts[0]
     (x1, y1) = pts[-1]
-    tol = 0 if system.exact else 1e-12
+    ys = [y for _, y in pts]
+    tol = 0 if system.exact else 1e-12 * (x1 - x0) * (max(ys) - min(ys))
     for (x, y) in pts:
         cross = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)
         if abs(cross) > tol:
@@ -249,54 +250,48 @@ def _buckets(rows, upto, scale, exact):
     return buckets
 
 
-def _bucket_pairs(buckets):
+def _bucket_pairs(buckets, exact):
     """Ordered cross-bucket pairs, cheapest |p - 1| first, built lazily.
 
     Yields (num, den, (P_i, rows_i), (P_j, rows_j)) with
-    |p - 1| = num/den for p = P_i/P_j, in the order of
-    (float |p - 1|, label_i, label_j).  Labels are unique, so that order
-    is total.
+    |p - 1| = num/den for p = P_i/P_j.  With the buckets sorted by P,
+    each j has two walks, the i below and the i above it walking away
+    from j, along which num grows; a heap holds each walk's next pair
+    and merges the walks, so setup costs one pair per walk and each pair
+    pulled O(log B) more.
 
-    With the buckets sorted by P, each j has two streams, the i below
-    and the i above it walking away from j, along which num grows and
-    the float |p - 1| never falls.  A heap merges the streams.  Each
-    stream waits on it as a marker (float of its next pair, "", "", id)
-    that sorts before every pair of that float; popping the marker pushes
-    the pair and the marker of the stream's following pair.  So a pair is
-    yielded only once every stream's next float exceeds its own, and
-    pairs of one float, which exact values can round to while their
-    labels sort against P, come out in label order.  Setup costs one pair
-    per stream; each pair pulled costs O(log B) more.
+    Pairs are keyed on (float |p - 1|, exact key, label_i, label_j).
+    In exact mode the key is floor(|p - 1| 2^k), with 2^k above every
+    product of two |P|: distinct values of |p - 1| get distinct keys and
+    equal values equal ones, so pairs come out by exact |p - 1|, then
+    labels, and the float decides almost every comparison.  Float
+    systems keep the float as their only key; two pairs of one walk
+    whose float |p - 1| are equal keep walk order.
     """
     import heapq  # here, not at the top: it adds 33 KB to every import
 
     order = sorted(buckets.values(), key=lambda bucket: bucket[0])
-    heap, streams = [], []
-    for j, (p_j, _, _) in enumerate(order):
-        for step in (-1, 1):
-            i = j + step
-            if 0 <= i < len(order):
-                num = abs(order[i][0] - p_j)
-                heap.append((num / abs(p_j), "", "", len(streams)))
-                streams.append((i, num, j, step))
-    heapq.heapify(heap)
-    while heap:
-        item = heapq.heappop(heap)
-        if item[1]:
-            yield item[3:]
-            continue
-        f, _, _, sid = item
-        i, num, j, step = streams[sid]
+    if exact:
+        k = 2 * max(abs(p).bit_length() for p, _, _ in order) + 1
+
+    def walk(i, j, step):
         p_i, label_i, ents_i = order[i]
         p_j, label_j, ents_j = order[j]
-        den = abs(p_j)
-        heapq.heappush(heap, (f, label_i, label_j, num, den,
-                              (p_i, ents_i), (p_j, ents_j)))
-        i += step
-        if 0 <= i < len(order):
-            num = abs(order[i][0] - p_j)
-            heapq.heappush(heap, (num / den, "", "", sid))
-            streams[sid] = (i, num, j, step)
+        num, den = abs(p_i - p_j), abs(p_j)
+        f = num / den
+        return (f, (num << k) // den if exact else f, label_i, label_j,
+                (num, den, (p_i, ents_i), (p_j, ents_j)), i, j, step)
+
+    heap = [walk(j + step, j, step) for j in range(len(order))
+            for step in (-1, 1) if 0 <= j + step < len(order)]
+    heapq.heapify(heap)
+    while heap:
+        *_, pair, i, j, step = heap[0]
+        yield pair
+        if 0 <= i + step < len(order):
+            heapq.heapreplace(heap, walk(i + step, j, step))
+        else:
+            heapq.heappop(heap)
 
 
 class _Window:
@@ -361,7 +356,7 @@ def _scan_1d(buckets, interval, exact):
                 best = (_ratio(num, den, exact), e1[1], e2[1])
                 bn, bd = _nd(best[0])
 
-    for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets):
+    for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets, exact):
         if best is not None and num * bd >= bn * den:
             break
         win = _Window(mid, width, p_i, p_j)
@@ -562,7 +557,7 @@ def _scan_2d(rows, upto, scale, interval, exact, dev2):
     # cross-bucket pairs, pruned by |p - 1| then by the projected window:
     # every pair with displacement below best must be measured, so walk
     # the whole band of shifted H_j values around each H_i
-    for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets):
+    for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets, exact):
         bn, bd = _nd(best[0])
         if num * bd >= bn * den:
             break
@@ -619,8 +614,6 @@ def graph_transport_check(system: IfsSystem, element, x: Scalar,
     with the transported graph point within tol in the max norm.
     element may be a FamilyElement or a raw planar map.
     """
-    from .attractor import evaluate_f
-
     if isinstance(element, FamilyElement):
         map2, map1 = element.map2, element.map1
     else:

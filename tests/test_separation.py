@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -233,7 +234,8 @@ def test_planar_float_verdict_on_tiny_heights():
     tiny = IfsSystem((Affine2(0.5, 0.25, 0.0, 0.0, 0.0),
                       Affine2(0.5, 0.25, 0.5 * c, 0.5, 0.25 * c)), (0.0, 1.0))
     want = wsp_check_2d(float_twin(dyadic_parabola_system()), 4, 1e-6)
-    with pytest.warns(CollinearAttractorWarning):  # heights below 1e-12
+    with warnings.catch_warnings():  # not a line, at any height
+        warnings.simplefilter("error", CollinearAttractorWarning)
         got = wsp_check_2d(tiny, 4, 1e-6)
     assert got.status == want.status == "NoWitnessUpToDepth"
     assert got.gap_by_depth == want.gap_by_depth
@@ -257,6 +259,8 @@ def test_collinear_warning_only_for_straight_attractors():
     )
     with pytest.warns(CollinearAttractorWarning):
         wsp_check_2d(line, 3, 1e-3)
+    with pytest.warns(CollinearAttractorWarning):
+        wsp_check_2d(float_twin(line), 3, 1e-3)
 
 
 def test_transport_check_mixed_witnesses():
@@ -382,10 +386,12 @@ def _same_pairs(got, want):
 
 
 def _check_bucket_pairs(system, depth):
+    # the oracle's (float, labels) order is the exact order wherever no
+    # two distinct values of |p - 1| share a float, as on these systems
     rows, scale = separation._word_rows(system, depth, 10 ** 6)
     for upto in range(depth + 1):
         buckets = separation._buckets(rows, upto, scale, system.exact)
-        _same_pairs(list(separation._bucket_pairs(buckets)),
+        _same_pairs(list(separation._bucket_pairs(buckets, system.exact)),
                     oracle_bucket_pairs(buckets))
 
 
@@ -416,20 +422,35 @@ def test_bucket_pairs_match_oracle_random():
         _check_bucket_pairs(float_twin(system), depth)
 
 
-def test_bucket_pairs_float_ties_follow_labels():
+def test_bucket_pairs_follow_exact_order():
     # |p - 1| from P_j = 3 rounds to one float for all four big P_i, on
-    # both sides, while their decimal labels sort against P, so no pair
-    # of that float may leave the heap before every stream has put its
-    # pairs of that float there
+    # both sides, while their decimal labels sort against P: the exact
+    # key puts them in exact order, where the float order with label
+    # ties (the oracle's) puts (10^20 + 3)/3 before (10^20 - 4)/3
     big = 10 ** 20
     values = [3, -3, big - 1, big, -(big - 1), -big]
     assert float(big - 1 - 3) / 3 == float(big - 3) / 3
     assert str(big - 1) > str(big)
     buckets = {p: (p, str(p), [p]) for p in values}
-    got = list(separation._bucket_pairs(buckets))
-    _same_pairs(got, oracle_bucket_pairs(buckets))
+    got = list(separation._bucket_pairs(buckets, True))
+    exact = [Fraction(num, den) for num, den, _, _ in got]
+    assert exact == sorted(exact)
     from_three = [bi[0] for _, _, bi, bj in got if bj[0] == 3]
-    assert from_three == [-3, -big, -(big - 1), big, big - 1]
+    assert from_three == [-3, big - 1, big, -(big - 1), -big]
+    oracle = [bi[0] for _, _, bi, bj in oracle_bucket_pairs(buckets) if bj[0] == 3]
+    assert oracle == [-3, -big, -(big - 1), big, big - 1]
+
+
+def test_bucket_pairs_exact_ties_follow_labels():
+    # five pairs of five different walks share |p - 1| = 1/2
+    buckets = {p: (p, str(p), [p]) for p in (1, 2, 3, 4, 6)}
+    got = list(separation._bucket_pairs(buckets, True))
+    half = [(bi[0], bj[0]) for num, den, bi, bj in got
+            if Fraction(num, den) == Fraction(1, 2)]
+    assert half == [(1, 2), (2, 4), (3, 2), (3, 6), (6, 4)]
+    exact = [(Fraction(num, den), str(bi[0]), str(bj[0]))
+             for num, den, bi, bj in got]
+    assert exact == sorted(exact)
 
 
 class _CountingInt(int):
@@ -453,7 +474,7 @@ def test_bucket_pairs_lazy():
     ps = rng.sample(range(1, 10 ** 6), 1000)
     buckets = {p: (_CountingInt(p), str(p), [p]) for p in ps}
     _CountingInt.subtractions = 0
-    first = list(itertools.islice(separation._bucket_pairs(buckets), 10))
+    first = list(itertools.islice(separation._bucket_pairs(buckets, True), 10))
     assert len(first) == 10
     assert _CountingInt.subtractions <= 2100
     floats = [num / den for num, den, _, _ in first]
