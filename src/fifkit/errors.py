@@ -60,3 +60,7 @@ class DegenerateDenominatorError(FifkitError):
 
 class SpecFormatError(FifkitError):
     """A system description file does not follow the text format."""
+
+
+class RoundingAmbiguityError(FifkitError):
+    """Input rounding could make a float system's map p != 1 the identity."""

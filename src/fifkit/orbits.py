@@ -106,8 +106,12 @@ def _max_graph_step(g: Affine2, sample: GraphSample) -> float:
         pts = zip(*sample.columns)
     (p, q, r, h, s), dd = gen, d * den
     hl, sl = h * den, s * den
-    return max((math.hypot((p * x + hl) / dd, (q * y + r * x + sl) / dd)
-                for x, y in pts), default=0.0)
+    max_step = 0.0
+    for x, y in pts:
+        step = math.hypot((p * x + hl) / dd, (q * y + r * x + sl) / dd)
+        if step > max_step:
+            max_step = step
+    return max_step
 
 
 def iterate_orbit(g: Affine2, origin, interval, max_points: int = 2_000_000) -> OrbitTrace:

@@ -4,17 +4,17 @@ The associated family consists of all maps g = G_j^{-1} G_i where G_w
 runs over compositions of the generators.  Weak separation asks whether
 the identity is isolated in that family.  This module computes, per
 depth d, the smallest deviation-from-identity over all non-identity
-elements with |i|, |j| <= d (empty word included), exactly in rational
-mode.
+elements with |i|, |j| <= d (empty word included).
 
 Every word of length <= N, the scan depth, is composed once and stored
-as a row of its planar coefficients (P, Q, R, H, S).  In exact mode the
-row holds Python ints scaled by D^N, where D is the lcm of the
-generators' coefficient denominators: a length-L composite has
-denominators dividing D^L, so the scaling is exact, and every quantity
-the scans need is a ratio of integer polynomials in two rows.  Float
-systems run the same code on float rows at scale 1, with buckets keyed
-on a 1e-12 quantum.
+as a row of its planar coefficients (P, Q, R, H, S): ints scaled by D^N,
+D the lcm of the generators' coefficient denominators.  A length-L
+composite has denominators dividing D^L, so the scaling is exact, and
+every quantity the scans need is a ratio of integer polynomials in two
+rows.  Floats enter as their exact dyadic values (55 bits wider a level
+on the bundled systems) and run the same scan; rows within a proven
+radius for input rounding are coincidences (see _rounding), and
+deviations are reported as floats.
 
 The scan never materializes the quadratic set of word pairs.  Words are
 bucketed by P; inside a bucket every pair has p = 1 and the minimum
@@ -32,14 +32,15 @@ does beat it.  The planar scan reads G_j^-1 G_i off the two rows in
 closed form instead of composing words.
 """
 
+import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 
 from .affine import Affine1, Affine2, Word, compose, compose_word, invert, projection
 from .attractor import evaluate_f, sample_attractor
-from .errors import DepthTooLargeError, OutOfDomainError
+from .errors import DepthTooLargeError, OutOfDomainError, RoundingAmbiguityError
 from .scalars import Scalar, common_denominator, to_float
 from .systems import IfsSystem
 
@@ -82,10 +83,10 @@ class WspVerdict:
     """Outcome of a bounded-depth separation search.
 
     gap_by_depth lists (d, delta*(d)) for d = 2..depth; witnesses is the
-    subsequence of per-depth minimizers at which delta* strictly drops,
-    so its deviations strictly decrease.  Exact identities realized by
-    distinct word pairs are coincidences, counted apart and never
-    eligible as witnesses.
+    subsequence of per-depth minimizers at which delta* strictly drops.
+    Identities realized by distinct word pairs, up to input rounding in
+    a float system (whose deviations are floats), are coincidences,
+    counted apart and never eligible as witnesses.
     """
 
     status: str  # "NoWitnessUpToDepth" | "WitnessFound"
@@ -179,13 +180,13 @@ def _word_rows(system: IfsSystem, depth: int, budget: int):
 
     Returns (rows, scale).  rows is indexed by length; each entry is a
     list of (H, word, P, Q, R, S) tuples holding the composite's
-    coefficients times scale = D^depth, as ints in exact mode.  Floats
-    keep scale 1.  Total word count (m^(depth+1) - 1)/(m - 1) must stay
-    within budget.
+    coefficients times scale = D^depth, as ints, floats at their exact
+    values.  Total word count (m^(depth+1) - 1)/(m - 1) within budget.
     """
     m = len(system)
     total = sum(m ** k for k in range(depth + 1))
-    D, gens = system._scaled_maps
+    nums, D = common_denominator([c for g in system.maps for c in astuple(g)])
+    gens = [nums[k:k + 5] for k in range(0, len(nums), 5)]
     if total > budget:
         # every coefficient is about as wide as the scale D^depth
         digits = -(-(D ** depth).bit_length() // sys.int_info.bits_per_digit)
@@ -194,10 +195,9 @@ def _word_rows(system: IfsSystem, depth: int, budget: int):
             f"{total} words at depth {depth} exceeds budget {budget} "
             f"(about {total * row / 1e6:,.1f} MB of word rows)"
         )
-    one, zero = (1, 0) if system.exact else (1.0, 0.0)
     # level L holds its composites times D^L; composing with a generator
     # (scaled by D) raises the scale to D^(L+1)
-    rows = [[(zero, (), one, one, zero, zero)]]
+    rows = [[(0, (), 1, 1, 0, 0)]]
     for _ in range(depth):
         nxt = []
         for H, word, P, Q, R, S in rows[-1]:
@@ -213,36 +213,47 @@ def _word_rows(system: IfsSystem, depth: int, budget: int):
     return rows, D ** depth
 
 
-def _quantize(x, exact):
-    return x if exact else round(to_float(x) / 1e-12)
+def _rounding(system: IfsSystem, depth: int, scale: int):
+    """(slack, T_H, [T_Q, T_R, T_S]): what input rounding can hide.
+
+    A float c~ = fl(c) = c (1 + d), |d| <= u = 2^-53, stands for a real
+    c.  A composite's coefficient is a sum of products of at most depth
+    inputs; by Higham's Lemma 3.1 (Accuracy and Stability of Numerical
+    Algorithms, ch. 3), with powers -1, each intended product is the
+    dyadic one times 1 + theta, |theta| <= g = depth u / (1 - depth u).
+    So a row is within g A of the intended one, A being the same sum over
+    |inputs|, at most the _word_rows recurrence on the generators'
+    largest |coefficient| per column.  Rows of equal intended composites
+    are within 2 g A, rounded up in row units: the column's radius T.
+    Their P, single products, are within g (|P_i| + |P_j|), so
+    |P_i/P_j - 1| <= 2 g / (1 - g) = gamma_2depth, the slack.  Exact
+    systems have u = 0, so all are 0.
+    """
+    u = Fraction(0 if system.exact else 1, 2 ** 53)
+    g = depth * u / (1 - depth * u)
+    p, q, r, h, s = (Fraction(max(map(abs, c))) for c in zip(*map(astuple, system.maps)))
+    H, P, Q, R, S, bound = 0, 1, 1, 0, 0, [0] * 4
+    for _ in range(depth):
+        H, P, Q, R, S = P * h + H, P * p, Q * q, Q * r + R * p, Q * s + R * h + S
+        bound = [max(b, c) for b, c in zip(bound, (H, Q, R, S))]
+    t_h, *t_qrs = (math.ceil(2 * g * b * scale) for b in bound)
+    return 2 * g / (1 - g), t_h, t_qrs
 
 
-def _nd(x):
-    """x as (numerator, denominator); a float is (x, 1)."""
-    return (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
-
-
-def _ratio(num, den, exact):
-    return Fraction(num, den) if exact else num / den
-
-
-def _buckets(rows, upto, scale, exact):
+def _buckets(rows, upto, scale):
     """Group the rows of length <= upto by linear coefficient P.
 
-    Returns {P_key: (P, label, rows sorted by exact (H, word))}, in order
-    of first appearance; label is the decimal string of the unscaled P
-    (of the quantized key for floats) and breaks ties between bucket
-    pairs.
+    Returns {P: (P, label, rows sorted by (H, word))}, in order of first
+    appearance; label is the decimal string of the unscaled P and breaks
+    ties between bucket pairs.
     """
     buckets = {}
     for length in range(upto + 1):
         for row in rows[length]:
             P = row[2]
-            key = _quantize(P, exact)
-            bucket = buckets.get(key)
+            bucket = buckets.get(P)
             if bucket is None:
-                label = str(Fraction(P, scale)) if exact else str(key)
-                buckets[key] = (P, label, [row])
+                buckets[P] = (P, str(Fraction(P, scale)), [row])
             else:
                 bucket[2].append(row)
     for _, _, entries in buckets.values():
@@ -250,7 +261,7 @@ def _buckets(rows, upto, scale, exact):
     return buckets
 
 
-def _bucket_pairs(buckets, exact):
+def _bucket_pairs(buckets, slack=0):
     """Ordered cross-bucket pairs, cheapest |p - 1| first, built lazily.
 
     Yields (num, den, (P_i, rows_i), (P_j, rows_j)) with
@@ -261,30 +272,30 @@ def _bucket_pairs(buckets, exact):
     pulled O(log B) more.
 
     Pairs are keyed on (float |p - 1|, exact key, label_i, label_j).
-    In exact mode the key is floor(|p - 1| 2^k), with 2^k above every
-    product of two |P|: distinct values of |p - 1| get distinct keys and
-    equal values equal ones, so pairs come out by exact |p - 1|, then
-    labels, and the float decides almost every comparison.  Float
-    systems keep the float as their only key; two pairs of one walk
-    whose float |p - 1| are equal keep walk order.
+    The exact key is floor(|p - 1| 2^k), with 2^k above every product
+    of two |P|: distinct values of |p - 1| get distinct keys and equal
+    values equal ones, so pairs come out by exact |p - 1|, then labels,
+    and the float decides almost every comparison.  Raises
+    RoundingAmbiguityError when the first pair has |p - 1| <= slack.
     """
     import heapq  # here, not at the top: it adds 33 KB to every import
 
     order = sorted(buckets.values(), key=lambda bucket: bucket[0])
-    if exact:
-        k = 2 * max(abs(p).bit_length() for p, _, _ in order) + 1
+    k = 2 * max(abs(p).bit_length() for p, _, _ in order) + 1
 
     def walk(i, j, step):
         p_i, label_i, ents_i = order[i]
         p_j, label_j, ents_j = order[j]
         num, den = abs(p_i - p_j), abs(p_j)
-        f = num / den
-        return (f, (num << k) // den if exact else f, label_i, label_j,
+        return (num / den, (num << k) // den, label_i, label_j,
                 (num, den, (p_i, ents_i), (p_j, ents_j)), i, j, step)
 
     heap = [walk(j + step, j, step) for j in range(len(order))
             for step in (-1, 1) if 0 <= j + step < len(order)]
     heapq.heapify(heap)
+    if heap and Fraction(*heap[0][4][:2]) <= slack:
+        raise RoundingAmbiguityError(f"|p - 1| = {heap[0][0]:.3g} is within input "
+                                     f"rounding ({float(slack):.3g}) of a coincidence")
     while heap:
         *_, pair, i, j, step = heap[0]
         yield pair
@@ -317,46 +328,48 @@ class _Window:
 
     def cap(self, best):
         """(mul, lim): the displacement is below best iff |E| mul < lim."""
-        bn, bd = _nd(best)
+        bn, bd = best.as_integer_ratio()
         return 2 * self.wd * bd, bn * self.den - self.gamma * bd
 
-    def displacement(self, e, exact):
-        return _ratio(2 * self.wd * abs(e) + self.gamma, self.den, exact)
+    def displacement(self, e):
+        return Fraction(2 * self.wd * abs(e) + self.gamma, self.den)
 
 
-def _scan_1d(buckets, interval, exact):
+def _scan_1d(buckets, interval, rounding):
     """delta*(at this word set) with its minimizing pair and coincidences.
 
     Returns (best, coincidence_pairs, count) with
     best = (dev, j_word, i_word) or None.
     """
-    a, b = interval
-    mid, width = _nd((a + b) / 2), _nd(b - a)
+    a, b = map(Fraction, interval)
+    mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
     wn, wd = width
+    slack, t_h, _ = rounding
     best = None
     bn = bd = None
     coinc = []
     coinc_count = 0
 
-    # same-bucket pairs have p = 1 exactly: dev = |dH| / (|P| (b-a));
-    # equal H means an exact identity, a coincidence
+    # same-bucket pairs have p = 1 exactly: dev = |dH| / (|P| (b-a)); a
+    # chain of H values each within t_h of the last is a coincidence run
     for p_val, _, entries in buckets.values():
         den = abs(p_val) * wn
         run = 0
         for e1, e2 in zip(entries, entries[1:]):
-            if e1[0] == e2[0]:
+            d_h = e2[0] - e1[0]
+            if d_h <= t_h:
                 run += 1
                 coinc_count += run
                 if len(coinc) < _COINCIDENCE_SAMPLE:
                     coinc.append((e1[1], e2[1]))
                 continue
             run = 0
-            num = abs(e2[0] - e1[0]) * wd
+            num = d_h * wd
             if best is None or num * bd < bn * den:
-                best = (_ratio(num, den, exact), e1[1], e2[1])
-                bn, bd = _nd(best[0])
+                best = (Fraction(num, den), e1[1], e2[1])
+                bn, bd = best[0].as_integer_ratio()
 
-    for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets, exact):
+    for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets, slack):
         if best is not None and num * bd >= bn * den:
             break
         win = _Window(mid, width, p_i, p_j)
@@ -370,10 +383,8 @@ def _scan_1d(buckets, interval, exact):
             ei, ej = ents_i[ii], ents_j[jj]
             e = (ei[0] - ej[0]) * cd + shift
             if best is None or abs(e) * mul < lim:
-                disp = win.displacement(e, exact)
-                bound = _ratio(num, den, exact)
-                best = (max(bound, disp), ej[1], ei[1])
-                bn, bd = _nd(best[0])
+                best = (max(Fraction(num, den), win.displacement(e)), ej[1], ei[1])
+                bn, bd = best[0].as_integer_ratio()
                 if num * bd >= bn * den:
                     break  # nothing in this pair can beat |p - 1| itself
                 mul, lim = win.cap(best[0])
@@ -388,7 +399,8 @@ def _verdict(system, depth, tol, mode, scan):
     """The WspVerdict of scan(d) -> (best, coincidence_pairs, count).
 
     Runs d = 2..depth; the witnesses are the per-depth minimizers where
-    delta* strictly drops, and the coincidences are those at full depth.
+    the exact delta* strictly drops, and the coincidences are those at
+    full depth.  A float system reports its deviations as floats.
     """
     gap, wits, devs = [], [], []
     coinc, coinc_count = (), 0
@@ -403,6 +415,8 @@ def _verdict(system, depth, tol, mode, scan):
             devs.append(dev)
         if d == depth:
             coinc, coinc_count = tuple(c_pairs), c_count
+    if not system.exact:
+        gap, devs = [(d, to_float(v)) for d, v in gap], list(map(to_float, devs))
     found = bool(gap) and to_float(gap[-1][1]) < tol
     return WspVerdict(
         status="WitnessFound" if found else "NoWitnessUpToDepth",
@@ -424,18 +438,19 @@ def wsp_check_1d(system: IfsSystem, depth: int, tol: float,
 
     Computes delta*(d) for d = 2..depth over all pairs |i|, |j| <= d,
     empty word included.  WitnessFound when delta*(depth) < tol; the
-    witnesses are the strictly-improving per-depth minimizers.  Exact
-    identities from distinct words are reported as coincidences only.
+    witnesses are the strictly-improving per-depth minimizers.
+    Identities from distinct words, up to input rounding for a float
+    system, are reported as coincidences only.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
     rows, scale = _word_rows(system, depth, budget)
-    exact, interval = system.exact, system.interval
+    rounding, interval = _rounding(system, depth, scale), system.interval
     return _verdict(system, depth, tol, "1d", lambda d: _scan_1d(
-        _buckets(rows, d, scale, exact), interval, exact))
+        _buckets(rows, d, scale), interval, rounding))
 
 
-def _planar_deviation(interval, ybox, exact):
+def _planar_deviation(interval, ybox):
     """dev(row_j, row_i, best): deviation_2d of G_j^-1 G_i from two rows.
 
     Returns the deviation when it is nonzero and below best (any nonzero
@@ -444,11 +459,9 @@ def _planar_deviation(interval, ybox, exact):
     r = (Ri Pj - Rj Pi)/(Pj Qj), h = (Hi - Hj)/Pj and
     s = ((Si - Sj) Pj - Rj (Hi - Hj))/(Pj Qj).  Every term is compared
     to best by cross-multiplication, on the box corners brought to a
-    common denominator M.  Float corners stay floats over M = 1, like the
-    float rows: a corner near 1e-300 would put M past the float range.
+    common denominator M (float corners convert exactly).
     """
-    corners = (*interval, *ybox)
-    corners, M = common_denominator(corners) if exact else (corners, 1)
+    corners, M = common_denominator((*interval, *ybox))
     xs, ys = corners[:2], corners[2:]
     w = xs[1] - xs[0]
     hh = (ys[1] - ys[0]) or w
@@ -467,17 +480,17 @@ def _planar_deviation(interval, ybox, exact):
              abs(Pj * Qj) * hh),
         )
         if best is not None:
-            bn, bd = _nd(best)
+            bn, bd = best.as_integer_ratio()
             if any(num * bd >= bn * den for num, den in terms):
                 return None
         if not any(num for num, _ in terms):
             return None
-        return max(_ratio(num, den, exact) for num, den in terms)
+        return max(Fraction(num, den) for num, den in terms)
 
     return dev
 
 
-def _scan_2d(rows, upto, scale, interval, exact, dev2):
+def _scan_2d(rows, upto, scale, interval, rounding, dev2):
     """delta_2*(at depth upto) by pruning through the projected windows.
 
     Every candidate pair must satisfy projected deviation < current
@@ -486,10 +499,11 @@ def _scan_2d(rows, upto, scale, interval, exact, dev2):
     dev2 from their rows.  Returns (best, coincidences, count) with
     best = (dev2, j_word, i_word).
     """
-    a, b = interval
-    mid, width = _nd((a + b) / 2), _nd(b - a)
+    a, b = map(Fraction, interval)
+    mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
     wn, wd = width
-    buckets = _buckets(rows, upto, scale, exact)
+    slack, t_h, t_qrs = rounding
+    buckets = _buckets(rows, upto, scale)
 
     # seed: generators against the empty word, both directions
     best = None
@@ -503,34 +517,30 @@ def _scan_2d(rows, upto, scale, interval, exact, dev2):
     coinc = []
     coinc_count = 0
 
-    # same (P, H) groups: projected identity; subgroups of equal planar
-    # key are planar identities, and pairs across subgroups are measured
-    # once, on the subgroups' first rows
+    # groups of one P and an H chain (consecutive H within t_h): projected
+    # identities; subgroups of Q, R, S within t_qrs are planar identities,
+    # and pairs across subgroups are measured once, on their first rows
     for _, _, entries in buckets.values():
-        k = 0
-        while k < len(entries):
-            k2 = k + 1
-            while k2 < len(entries) and entries[k2][0] == entries[k][0]:
-                k2 += 1
+        cuts = [k for k in range(1, len(entries)) if entries[k][0] - entries[k - 1][0] > t_h]
+        for k, k2 in zip([0] + cuts, cuts + [len(entries)]):
             group = entries[k:k2]
-            k = k2
             if len(group) < 2:
                 continue
-            keys = [tuple(_quantize(c, exact) for c in row[2:]) for row in group]
-            members = {}
-            for row, key in zip(group, keys):
-                members.setdefault(key, []).append(row)
-            coinc_count += sum(n * (n - 1) // 2 for n in map(len, members.values()))
-            # report the pairs u < v of equal key in (u, v) order
-            rank = {}
-            for row, key in zip(group, keys):
+            # first fit on Q, R, S within t_qrs; a row gets (subgroup, rank)
+            subs, places = [], []
+            for row in group:
+                n = next((n for n, sub in enumerate(subs) if all(
+                    abs(c - c0) <= t for c, c0, t in zip(row[3:], sub[0][3:], t_qrs))), len(subs))
+                if n == len(subs):
+                    subs.append([])
+                subs[n].append(row)
+                places.append((n, len(subs[n])))
+            coinc_count += sum(n * (n - 1) // 2 for n in map(len, subs))
+            # report the pairs u < v of one subgroup in (u, v) order
+            for row, (n, rank) in zip(group, places):
                 room = _COINCIDENCE_SAMPLE - len(coinc)
-                if room == 0:
-                    break
-                r = rank[key] = rank.get(key, 0) + 1
-                for other in members[key][r:r + room]:
-                    coinc.append((row[1], other[1]))
-            firsts = [rows_[0] for rows_ in members.values()]
+                coinc.extend((row[1], other[1]) for other in subs[n][rank:rank + room])
+            firsts = [sub[0] for sub in subs]
             for rj in firsts:
                 for ri in firsts:
                     if rj is not ri:
@@ -538,16 +548,17 @@ def _scan_2d(rows, upto, scale, interval, exact, dev2):
                         if dev is not None:
                             best = (dev, rj[1], ri[1])
 
-    # same-bucket, distinct H: p = 1, projected dev = |dH|/(|P| w) < best
+    # same-bucket, H apart: p = 1, projected dev = |dH|/(|P| w) < best
     for p_val, _, entries in buckets.values():
         den = abs(p_val) * wn
         for u, ru in enumerate(entries):
             for v in range(u + 1, len(entries)):
                 rv = entries[v]
-                if rv[0] == ru[0]:
+                d_h = rv[0] - ru[0]
+                if d_h <= t_h:
                     continue
-                bn, bd = _nd(best[0])
-                if abs(rv[0] - ru[0]) * wd * bd >= bn * den:
+                bn, bd = best[0].as_integer_ratio()
+                if d_h * wd * bd >= bn * den:
                     break
                 for rj, ri in ((ru, rv), (rv, ru)):
                     dev = dev2(rj, ri, best[0])
@@ -557,8 +568,8 @@ def _scan_2d(rows, upto, scale, interval, exact, dev2):
     # cross-bucket pairs, pruned by |p - 1| then by the projected window:
     # every pair with displacement below best must be measured, so walk
     # the whole band of shifted H_j values around each H_i
-    for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets, exact):
-        bn, bd = _nd(best[0])
+    for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets, slack):
+        bn, bd = best[0].as_integer_ratio()
         if num * bd >= bn * den:
             break
         win = _Window(mid, width, p_i, p_j)
@@ -599,10 +610,10 @@ def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
             CollinearAttractorWarning,
         )
     rows, scale = _word_rows(system, depth, budget)
-    exact, interval = system.exact, system.interval
-    dev2 = _planar_deviation(interval, attractor_ybox(system), exact)
+    rounding, interval = _rounding(system, depth, scale), system.interval
+    dev2 = _planar_deviation(interval, attractor_ybox(system))
     return _verdict(system, depth, tol, "2d", lambda d: _scan_2d(
-        rows, d, scale, interval, exact, dev2))
+        rows, d, scale, interval, rounding, dev2))
 
 
 def graph_transport_check(system: IfsSystem, element, x: Scalar,

@@ -2,13 +2,16 @@ import hashlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fifkit
-from fifkit import emit_ifs_text, four_piece_overlap_system
+from fifkit import emit_ifs_text, four_piece_overlap_system, parse_ifs_text, write_ifs_file
 from fifkit.cli import main
+
+from conftest import float_twin
 
 DYADIC = "interval 0 1\nmap 1/2 1/4 0 0 0\nmap 1/2 1/4 1/2 1/2 1/4\n"
 MIXED = "interval 0 1\nmap 1/2 1/4 0 0 0\nmap 2/3 4/9 4/9 1/3 1/9\n"
@@ -161,6 +164,29 @@ def test_wsp_report_is_byte_stable(sys_dir, capsys):
     _, out2, _ = run(capsys, args)
     assert out1 == out2
     assert "gap-by-depth:" in out1
+
+
+def _report_lines(out, key):
+    return [line.split(": ", 1)[1] for line in out.splitlines()
+            if line.startswith(key + ":")]
+
+
+def test_wsp_float_report(sys_dir, tmp_path, capsys):
+    # the float twin of mixed reports float deviations next to the exact
+    # ones, with the same coincidence counts and exit code
+    twin = tmp_path / "mixed_float.ifs"
+    write_ifs_file(twin, float_twin(parse_ifs_text(MIXED)))
+    args = ["--depth", 8, "--tol", "1e-3"]
+    code, out, _ = run(capsys, ["wsp", twin] + args)
+    code_exact, out_exact, _ = run(capsys, ["wsp", sys_dir / "mixed.ifs"] + args)
+    assert code == code_exact == 0
+    stars = _report_lines(out, "delta-star")
+    stars_exact = [Fraction(v) for v in _report_lines(out_exact, "delta-star")]
+    assert len(stars) == len(stars_exact) == 2
+    for star, want in zip(stars, stars_exact):
+        assert star == repr(float(star))
+        assert abs(float(star) - want) <= 1e-9 * want
+    assert _report_lines(out, "coincidences") == _report_lines(out_exact, "coincidences")
 
 
 def test_orbit_writes_trace(sys_dir, capsys):

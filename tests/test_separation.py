@@ -15,6 +15,7 @@ from fifkit import (
     FamilyElement,
     IfsSystem,
     OutOfDomainError,
+    RoundingAmbiguityError,
     attractor_ybox,
     conjugate_map,
     conjugate_system,
@@ -28,7 +29,8 @@ from fifkit import (
     wsp_check_1d,
     wsp_check_2d,
 )
-from fifkit import separation
+from fifkit import separation, write_ifs_file
+from fifkit.cli import main
 
 from conftest import (
     float_twin,
@@ -302,8 +304,9 @@ def test_conjugated_system_same_delta_star():
 def test_wsp_budget_error_states_memory():
     # the stated size must cover the rows the budget would have let in,
     # by tracemalloc, and stay about right
-    for system, depth in ((four_piece_overlap_system(), 7),
-                          (mixed_ratio_parabola_system(), 14)):
+    cases = ((four_piece_overlap_system(), 7), (mixed_ratio_parabola_system(), 14))
+    # float twins' rows hold their dyadic values, about 55 bits wider a level
+    for system, depth in cases + tuple((float_twin(s), d) for s, d in cases):
         words = (len(system) ** (depth + 1) - 1) // (len(system) - 1)
         with pytest.raises(DepthTooLargeError) as info:
             wsp_check_1d(system, depth, 1e-3, budget=words - 1)
@@ -387,12 +390,18 @@ def _same_pairs(got, want):
 
 def _check_bucket_pairs(system, depth):
     # the oracle's (float, labels) order is the exact order wherever no
-    # two distinct values of |p - 1| share a float, as on these systems
+    # two distinct values of |p - 1| share a float, as on the exact
+    # systems here.  A float twin's rows hold dyadic values, where one
+    # rounding splits values its exact twin has equal (1 + 4/fl(2/7)
+    # against 15), and the halves may share a float: its oracle pairs
+    # are put in exact order, a stable sort that keeps label ties
     rows, scale = separation._word_rows(system, depth, 10 ** 6)
     for upto in range(depth + 1):
-        buckets = separation._buckets(rows, upto, scale, system.exact)
-        _same_pairs(list(separation._bucket_pairs(buckets, system.exact)),
-                    oracle_bucket_pairs(buckets))
+        buckets = separation._buckets(rows, upto, scale)
+        want = oracle_bucket_pairs(buckets)
+        if not system.exact:
+            want.sort(key=lambda pair: Fraction(pair[0], pair[1]))
+        _same_pairs(list(separation._bucket_pairs(buckets)), want)
 
 
 @pytest.mark.parametrize("make, depth", [
@@ -432,7 +441,7 @@ def test_bucket_pairs_follow_exact_order():
     assert float(big - 1 - 3) / 3 == float(big - 3) / 3
     assert str(big - 1) > str(big)
     buckets = {p: (p, str(p), [p]) for p in values}
-    got = list(separation._bucket_pairs(buckets, True))
+    got = list(separation._bucket_pairs(buckets))
     exact = [Fraction(num, den) for num, den, _, _ in got]
     assert exact == sorted(exact)
     from_three = [bi[0] for _, _, bi, bj in got if bj[0] == 3]
@@ -444,7 +453,7 @@ def test_bucket_pairs_follow_exact_order():
 def test_bucket_pairs_exact_ties_follow_labels():
     # five pairs of five different walks share |p - 1| = 1/2
     buckets = {p: (p, str(p), [p]) for p in (1, 2, 3, 4, 6)}
-    got = list(separation._bucket_pairs(buckets, True))
+    got = list(separation._bucket_pairs(buckets))
     half = [(bi[0], bj[0]) for num, den, bi, bj in got
             if Fraction(num, den) == Fraction(1, 2)]
     assert half == [(1, 2), (2, 4), (3, 2), (3, 6), (6, 4)]
@@ -474,7 +483,7 @@ def test_bucket_pairs_lazy():
     ps = rng.sample(range(1, 10 ** 6), 1000)
     buckets = {p: (_CountingInt(p), str(p), [p]) for p in ps}
     _CountingInt.subtractions = 0
-    first = list(itertools.islice(separation._bucket_pairs(buckets, True), 10))
+    first = list(itertools.islice(separation._bucket_pairs(buckets), 10))
     assert len(first) == 10
     assert _CountingInt.subtractions <= 2100
     floats = [num / den for num, den, _, _ in first]
@@ -489,3 +498,81 @@ def test_witness_words_pinned(mode, name, depth):
     verdict = check(make(), depth, 1e-3)
     assert [(el.j_word, el.i_word) for el in verdict.witnesses] == \
         PINNED_WITNESS_WORDS[mode, name, depth]
+
+
+def _assert_same_verdict(got, want):
+    """Equal status and coincidence count, gaps within 1e-9 relative."""
+    assert got.status == want.status
+    assert got.coincidence_count == want.coincidence_count
+    assert [d for d, _ in got.gap_by_depth] == [d for d, _ in want.gap_by_depth]
+    for (_, g), (_, w) in zip(got.gap_by_depth, want.gap_by_depth):
+        assert abs(float(g) - float(w)) <= 1e-9 * abs(float(w))
+
+
+@pytest.mark.parametrize("make, depth_1d, depth_2d", [
+    (four_piece_overlap_system, 6, 5),
+    (mixed_ratio_parabola_system, 12, 10),
+    (dyadic_parabola_system, 8, 6),
+])
+def test_float_twin_matches_exact(make, depth_1d, depth_2d):
+    # the float scan runs on the dyadic values, so words whose exact
+    # composites agree stay coincidences, not rounding-noise witnesses
+    system = make()
+    twin = float_twin(system)
+    got = wsp_check_1d(twin, depth_1d, 1e-3)
+    assert all(type(g) is float for _, g in got.gap_by_depth)
+    _assert_same_verdict(got, wsp_check_1d(system, depth_1d, 1e-3))
+    _assert_same_verdict(wsp_check_2d(twin, depth_2d, 1e-3),
+                         wsp_check_2d(system, depth_2d, 1e-3))
+
+
+def test_float_twin_matches_exact_random():
+    rng = random.Random(2026)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CollinearAttractorWarning)
+        for _ in range(20):
+            system = random_two_map_system(rng)
+            for check, depth in ((wsp_check_1d, 8), (wsp_check_2d, 5)):
+                _assert_same_verdict(check(float_twin(system), depth, 1e-3),
+                                     check(system, depth, 1e-3))
+
+
+@pytest.mark.parametrize("make, depth_1d, depth_2d", [
+    (four_piece_overlap_system, 5, 4),
+    (mixed_ratio_parabola_system, 10, 8),
+])
+@pytest.mark.parametrize("lam", [1e6, 1e-6])
+def test_float_verdict_conjugation_covariant(make, depth_1d, depth_2d, lam):
+    # rescaling the interval leaves a float verdict as it is: the
+    # rounding radii scale with the coefficients
+    twin = float_twin(make())
+    scaled = conjugate_system(twin, lam, 0)
+    for check, depth in ((wsp_check_1d, depth_1d), (wsp_check_2d, depth_2d)):
+        _assert_same_verdict(check(scaled, depth, 1e-3), check(twin, depth, 1e-3))
+
+
+def _rounding_tie_system(scalar):
+    # (p, h) = (1/10, 0), (1/100, 0), (9/10, 1/10): p_1 p_1 = p_2 exactly,
+    # but fl(0.1)^2 != fl(0.01), so the float twin's nearest bucket pair
+    # is that exact identity moved off p = 1 by input rounding alone
+    maps = tuple(Affine2(scalar(p), scalar(Fraction(1, 2)), scalar(0), scalar(h), scalar(0))
+                 for p, h in ((Fraction(1, 10), 0), (Fraction(1, 100), 0),
+                              (Fraction(9, 10), Fraction(1, 10))))
+    return IfsSystem(maps, (scalar(0), scalar(1)))
+
+
+def test_rounding_ambiguity_raises(tmp_path, capsys):
+    exact = _rounding_tie_system(Fraction)
+    verdict = wsp_check_1d(exact, 3, 1e-3)
+    assert verdict.coincidence_count == 17
+    assert verdict.delta_star == Fraction(1, 10)
+    twin = _rounding_tie_system(float)
+    with pytest.raises(RoundingAmbiguityError):
+        wsp_check_1d(twin, 3, 1e-3)
+    with pytest.warns(CollinearAttractorWarning):  # the attractor is y = 0
+        with pytest.raises(RoundingAmbiguityError):
+            wsp_check_2d(twin, 3, 1e-3)
+    path = tmp_path / "tie.ifs"
+    write_ifs_file(path, twin)
+    assert main(["wsp", str(path), "--depth", "3", "--tol", "1e-3", "--mode", "1d"]) == 1
+    assert "error:" in capsys.readouterr().err
