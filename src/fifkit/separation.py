@@ -7,14 +7,20 @@ depth d, the smallest deviation-from-identity over all non-identity
 elements with |i|, |j| <= d (empty word included).
 
 Every word of length <= N, the scan depth, is composed once and stored
-as a row of its planar coefficients (P, Q, R, H, S): ints scaled by D^N,
-D the lcm of the generators' coefficient denominators.  A length-L
-composite has denominators dividing D^L, so the scaling is exact, and
-every quantity the scans need is a ratio of integer polynomials in two
-rows.  Floats enter as their exact dyadic values (55 bits wider a level
-on the bundled systems) and run the same scan; rows within a proven
-radius for input rounding are coincidences (see _rounding), and
-deviations are reported as floats.
+as a row: the word's integer key (its letters 1..m as base-(m+1) digits,
+padded with 0s to N digits, so keys sort as the words do) and the
+composite's coefficients, ints scaled by D^N, D the lcm of the
+generators' coefficient denominators.  A length-L composite has
+denominators dividing D^L, so the scaling is exact, and every quantity
+the scans need is a ratio of integer polynomials in two rows.  A row
+holds only what its metric reads: (H, key, P) for the projected scan,
+(H, key, P, Q, R, S) for the planar one.  A projected row is a prefix of
+a planar row, so bucketing reads both shapes alike; words are decoded
+from their keys only for the witnesses and the reported coincidences.
+Floats enter as their exact dyadic values (55 bits wider a level on the
+bundled systems) and run the same scan; rows within a proven radius for
+input rounding are coincidences (see _rounding), and deviations are
+reported as floats.
 
 The scan never materializes the quadratic set of word pairs.  Words are
 bucketed by P; inside a bucket every pair has p = 1 and the minimum
@@ -48,12 +54,12 @@ DEFAULT_WORD_BUDGET = 2_000_000
 
 # cap on reported coincidence pairs (the count itself is complete)
 _COINCIDENCE_SAMPLE = 16
-# tracemalloc bytes per stored word row besides the letters of its word
-# (8 B each) and the digits of its five ints: a list slot, the row and
-# word tuples, five int headers, and freed temporaries the allocator
-# keeps.  Rows measured at 357 B on four-piece depth 7 and 427 B on
-# mixed depth 14 are sized at 366 B and 462 B
-_ROW_BYTES = 290
+# tracemalloc bytes per stored word row besides the digits of its ints,
+# for (projected, planar) rows: a list slot, the row tuple, the headers
+# of its 3 or 6 ints, and freed temporaries the allocator keeps.  Rows
+# measured at 174 and 296 B on four-piece depth 7 and at 180 and 316 B
+# on mixed depth 14 are sized at 182 and 309 B and at 198 and 349 B
+_ROW_BYTES = (170, 285)
 
 
 class CollinearAttractorWarning(UserWarning):
@@ -175,13 +181,16 @@ def _is_collinear(system: IfsSystem) -> bool:
     return True
 
 
-def _word_rows(system: IfsSystem, depth: int, budget: int):
-    """All words of length <= depth with their planar coefficients.
+def _word_rows(system: IfsSystem, depth: int, budget: int, planar: bool):
+    """All words of length <= depth with their coefficients.
 
     Returns (rows, scale).  rows is indexed by length; each entry is a
-    list of (H, word, P, Q, R, S) tuples holding the composite's
-    coefficients times scale = D^depth, as ints, floats at their exact
-    values.  Total word count (m^(depth+1) - 1)/(m - 1) within budget.
+    list of (H, key, P) tuples, or (H, key, P, Q, R, S) when planar,
+    holding the composite's coefficients times scale = D^depth, as ints,
+    floats at their exact values.  key stands for the word w: it is
+    sum of w_i (m+1)^(depth-i), so keys sort as the words do, a proper
+    prefix first, and _word decodes one.  Total word count
+    (m^(depth+1) - 1)/(m - 1) within budget.
     """
     m = len(system)
     total = sum(m ** k for k in range(depth + 1))
@@ -189,28 +198,50 @@ def _word_rows(system: IfsSystem, depth: int, budget: int):
     gens = [nums[k:k + 5] for k in range(0, len(nums), 5)]
     if total > budget:
         # every coefficient is about as wide as the scale D^depth
-        digits = -(-(D ** depth).bit_length() // sys.int_info.bits_per_digit)
-        row = _ROW_BYTES + 8 * depth + 5 * sys.int_info.sizeof_digit * digits
+        def size(n):
+            return sys.int_info.sizeof_digit * -(-n.bit_length() // sys.int_info.bits_per_digit)
+        row = (_ROW_BYTES[planar] + size((m + 1) ** depth)
+               + (5 if planar else 2) * size(D ** depth))
         raise DepthTooLargeError(
             f"{total} words at depth {depth} exceeds budget {budget} "
             f"(about {total * row / 1e6:,.1f} MB of word rows)"
         )
     # level L holds its composites times D^L; composing with a generator
     # (scaled by D) raises the scale to D^(L+1)
-    rows = [[(0, (), 1, 1, 0, 0)]]
-    for _ in range(depth):
-        nxt = []
-        for H, word, P, Q, R, S in rows[-1]:
-            for k, (p, q, r, h, s) in enumerate(gens, start=1):
-                nxt.append((P * h + H * D, word + (k,), P * p, Q * q,
-                            Q * r + R * p, Q * s + R * h + S * D))
-        rows.append(nxt)
+    rows = [[(0, 0, 1, 1, 0, 0) if planar else (0, 0, 1)]]
+    # letter k extends a length-L key by k (m+1)^(depth-L-1)
+    for length in range(depth):
+        step = (m + 1) ** (depth - length - 1)
+        kids = [(k * step, *gen) for k, gen in enumerate(gens, start=1)]
+        if planar:
+            rows.append([(P * h + H * D, key + dk, P * p, Q * q,
+                          Q * r + R * p, Q * s + R * h + S * D)
+                         for H, key, P, Q, R, S in rows[-1]
+                         for dk, p, q, r, h, s in kids])
+        else:
+            rows.append([(P * h + H * D, key + dk, P * p)
+                         for H, key, P in rows[-1]
+                         for dk, p, _, _, h, _ in kids])
     for length in range(depth):
         f = D ** (depth - length)
-        if f != 1:
-            rows[length] = [(H * f, word, P * f, Q * f, R * f, S * f)
-                            for H, word, P, Q, R, S in rows[length]]
+        if f == 1:
+            continue
+        if planar:
+            rows[length] = [(H * f, key, P * f, Q * f, R * f, S * f)
+                            for H, key, P, Q, R, S in rows[length]]
+        else:
+            rows[length] = [(H * f, key, P * f) for H, key, P in rows[length]]
     return rows, D ** depth
+
+
+def _word(key: int, m: int, depth: int) -> Word:
+    """The word of a row key: its depth base-(m+1) digits, padding dropped."""
+    letters = []
+    for _ in range(depth):
+        key, k = divmod(key, m + 1)
+        if k or letters:
+            letters.append(k)
+    return tuple(reversed(letters))
 
 
 def _rounding(system: IfsSystem, depth: int, scale: int):
@@ -243,7 +274,7 @@ def _rounding(system: IfsSystem, depth: int, scale: int):
 def _buckets(rows, upto, scale):
     """Group the rows of length <= upto by linear coefficient P.
 
-    Returns {P: (P, label, rows sorted by (H, word))}, in order of first
+    Returns {P: (P, label, rows sorted by (H, key))}, in order of first
     appearance; label is the decimal string of the unscaled P and breaks
     ties between bucket pairs.
     """
@@ -339,7 +370,7 @@ def _scan_1d(buckets, interval, rounding):
     """delta*(at this word set) with its minimizing pair and coincidences.
 
     Returns (best, coincidence_pairs, count) with
-    best = (dev, j_word, i_word) or None.
+    best = (dev, j_key, i_key) or None; the pairs are of word keys.
     """
     a, b = map(Fraction, interval)
     mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
@@ -400,21 +431,25 @@ def _verdict(system, depth, tol, mode, scan):
 
     Runs d = 2..depth; the witnesses are the per-depth minimizers where
     the exact delta* strictly drops, and the coincidences are those at
-    full depth.  A float system reports its deviations as floats.
+    full depth.  The scans name words by their row keys, decoded here.
+    A float system reports its deviations as floats.
     """
+    m = len(system)
     gap, wits, devs = [], [], []
     coinc, coinc_count = (), 0
     for d in range(2, depth + 1):
         best, c_pairs, c_count = scan(d)
         if best is None:
             continue
-        dev, jw, iw = best
+        dev, j_key, i_key = best
         gap.append((d, dev))
         if not devs or dev < devs[-1]:
-            wits.append(FamilyElement.from_words(system, jw, iw))
+            wits.append(FamilyElement.from_words(
+                system, _word(j_key, m, depth), _word(i_key, m, depth)))
             devs.append(dev)
         if d == depth:
-            coinc, coinc_count = tuple(c_pairs), c_count
+            coinc = tuple((_word(u, m, depth), _word(v, m, depth)) for u, v in c_pairs)
+            coinc_count = c_count
     if not system.exact:
         gap, devs = [(d, to_float(v)) for d, v in gap], list(map(to_float, devs))
     found = bool(gap) and to_float(gap[-1][1]) < tol
@@ -444,7 +479,7 @@ def wsp_check_1d(system: IfsSystem, depth: int, tol: float,
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    rows, scale = _word_rows(system, depth, budget)
+    rows, scale = _word_rows(system, depth, budget, planar=False)
     rounding, interval = _rounding(system, depth, scale), system.interval
     return _verdict(system, depth, tol, "1d", lambda d: _scan_1d(
         _buckets(rows, d, scale), interval, rounding))
@@ -497,7 +532,7 @@ def _scan_2d(rows, upto, scale, interval, rounding, dev2):
     planar best (the planar metric dominates the projected one), so the
     same bucket geometry applies; surviving pairs are measured with
     dev2 from their rows.  Returns (best, coincidences, count) with
-    best = (dev2, j_word, i_word).
+    best = (dev2, j_key, i_key); the coincidences are pairs of word keys.
     """
     a, b = map(Fraction, interval)
     mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
@@ -549,6 +584,7 @@ def _scan_2d(rows, upto, scale, interval, rounding, dev2):
                             best = (dev, rj[1], ri[1])
 
     # same-bucket, H apart: p = 1, projected dev = |dH|/(|P| w) < best
+    bn, bd = best[0].as_integer_ratio()
     for p_val, _, entries in buckets.values():
         den = abs(p_val) * wn
         for u, ru in enumerate(entries):
@@ -557,13 +593,13 @@ def _scan_2d(rows, upto, scale, interval, rounding, dev2):
                 d_h = rv[0] - ru[0]
                 if d_h <= t_h:
                     continue
-                bn, bd = best[0].as_integer_ratio()
                 if d_h * wd * bd >= bn * den:
                     break
                 for rj, ri in ((ru, rv), (rv, ru)):
                     dev = dev2(rj, ri, best[0])
                     if dev is not None:
                         best = (dev, rj[1], ri[1])
+                        bn, bd = dev.as_integer_ratio()
 
     # cross-bucket pairs, pruned by |p - 1| then by the projected window:
     # every pair with displacement below best must be measured, so walk
@@ -609,7 +645,7 @@ def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
             "attractor sample is collinear; planar verdict adds nothing",
             CollinearAttractorWarning,
         )
-    rows, scale = _word_rows(system, depth, budget)
+    rows, scale = _word_rows(system, depth, budget, planar=True)
     rounding, interval = _rounding(system, depth, scale), system.interval
     dev2 = _planar_deviation(interval, attractor_ybox(system))
     return _verdict(system, depth, tol, "2d", lambda d: _scan_2d(

@@ -17,6 +17,7 @@ from fifkit import (
     OutOfDomainError,
     RoundingAmbiguityError,
     attractor_ybox,
+    compose_word,
     conjugate_map,
     conjugate_system,
     deviation_1d,
@@ -301,26 +302,67 @@ def test_conjugated_system_same_delta_star():
             wsp_check_1d(system, depth, 1e-9).delta_star
 
 
+def _retained_rows(system, depth, planar):
+    """(rows, tracemalloc bytes they retain) of a full word-row build."""
+    tracemalloc.start()
+    try:
+        rows, _ = separation._word_rows(system, depth, 10 ** 7, planar)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return rows, retained
+
+
 def test_wsp_budget_error_states_memory():
     # the stated size must cover the rows the budget would have let in,
-    # by tracemalloc, and stay about right
+    # in the shape the check builds, by tracemalloc, and stay about right
     cases = ((four_piece_overlap_system(), 7), (mixed_ratio_parabola_system(), 14))
     # float twins' rows hold their dyadic values, about 55 bits wider a level
     for system, depth in cases + tuple((float_twin(s), d) for s, d in cases):
         words = (len(system) ** (depth + 1) - 1) // (len(system) - 1)
-        with pytest.raises(DepthTooLargeError) as info:
-            wsp_check_1d(system, depth, 1e-3, budget=words - 1)
-        message = str(info.value)
-        assert f"{words} words" in message
-        mb = float(re.search(r"about ([\d,]+\.\d) MB", message).group(1).replace(",", ""))
-        tracemalloc.start()
-        try:
-            rows, _ = separation._word_rows(system, depth, words)
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert sum(map(len, rows)) == words
-        assert retained / 1e6 <= mb <= 1.5 * retained / 1e6
+        for check, planar in ((wsp_check_1d, False), (wsp_check_2d, True)):
+            with pytest.raises(DepthTooLargeError) as info:
+                check(system, depth, 1e-3, budget=words - 1)
+            message = str(info.value)
+            assert f"{words} words" in message
+            mb = float(re.search(r"about ([\d,]+\.\d) MB", message).group(1).replace(",", ""))
+            rows, retained = _retained_rows(system, depth, planar)
+            assert sum(map(len, rows)) == words
+            assert retained / 1e6 <= mb <= 1.5 * retained / 1e6
+
+
+def test_word_rows_bytes_per_row():
+    # mixed at depth 14 stored 433 B per row when every row held all five
+    # coefficients and a word tuple
+    system, depth = mixed_ratio_parabola_system(), 14
+    for planar, limit in ((False, 200), (True, 340)):
+        rows, retained = _retained_rows(system, depth, planar)
+        assert {len(row) for level in rows for row in level} == {6 if planar else 3}
+        assert retained / sum(map(len, rows)) <= limit
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_word_keys_decode_and_sort_as_words(m):
+    # keys decode to every word and sort as the words do, a proper prefix
+    # first; up to length 3, each to the word whose composite its row holds
+    depth = 6
+    system = IfsSystem(
+        tuple(Affine2(Fraction(1, k + 2), Fraction(1, 2), Fraction(0),
+                      Fraction(k, 2 * m), Fraction(k, 3)) for k in range(m)),
+        (Fraction(0), Fraction(1)),
+    )
+    rows, scale = separation._word_rows(system, depth, 10 ** 6, False)
+    assert rows[0] == [(0, 0, scale)]
+    pairs = []
+    for length, level in enumerate(rows):
+        words = [separation._word(key, m, depth) for _, key, _ in level]
+        assert sorted(words) == list(itertools.product(range(1, m + 1), repeat=length))
+        for (H, key, P), word in zip(level, words):
+            if length <= 3:
+                g = projection(compose_word(system.maps, word))
+                assert (H, P) == (g.h * scale, g.p * scale)
+            pairs.append((key, word))
+    assert [word for _, word in sorted(pairs)] == sorted(word for _, word in pairs)
 
 
 # (lam, mu) of x -> lam*x + mu: integer, negative and fractional scalings,
@@ -395,7 +437,7 @@ def _check_bucket_pairs(system, depth):
     # rounding splits values its exact twin has equal (1 + 4/fl(2/7)
     # against 15), and the halves may share a float: its oracle pairs
     # are put in exact order, a stable sort that keeps label ties
-    rows, scale = separation._word_rows(system, depth, 10 ** 6)
+    rows, scale = separation._word_rows(system, depth, 10 ** 6, False)
     for upto in range(depth + 1):
         buckets = separation._buckets(rows, upto, scale)
         want = oracle_bucket_pairs(buckets)
