@@ -36,6 +36,10 @@ integers against a cap derived from the best, in the filter-then-certify
 manner of adaptive predicates; a Fraction is built only for a pair that
 does beat it.  The planar scan reads G_j^-1 G_i off the two rows in
 closed form instead of composing words.
+
+delta*(d) never rises with d, so a scan starts from a known bound: the
+full depth N is scanned right after depth 2, and each shallower depth
+from delta*(d-1) down to delta*(N), with a flat tail left unscanned.
 """
 
 import math
@@ -357,27 +361,33 @@ class _Window:
         self.gamma = self.cd * wn * abs(d_p)
         self.den = 2 * self.cd * wn * abs(p_j)
 
-    def cap(self, best):
-        """(mul, lim): the displacement is below best iff |E| mul < lim."""
-        bn, bd = best.as_integer_ratio()
+    def cap(self, bn, bd):
+        """(mul, lim): the displacement is below bn/bd iff |E| mul < lim."""
         return 2 * self.wd * bd, bn * self.den - self.gamma * bd
 
     def displacement(self, e):
         return Fraction(2 * self.wd * abs(e) + self.gamma, self.den)
 
 
-def _scan_1d(buckets, interval, rounding):
+def _scan_1d(buckets, interval, rounding, seed=None, floor=0):
     """delta*(at this word set) with its minimizing pair and coincidences.
 
     Returns (best, coincidence_pairs, count) with
-    best = (dev, j_key, i_key) or None; the pairs are of word keys.
+    best = (dev, j_key, i_key) or None; the pairs are of word keys.  A
+    seed, an upper bound on delta*, starts best as (seed, None, None),
+    returned as is when no pair beats it; the cross-bucket pairs stop
+    once best reaches floor, a lower bound.  A pair that beats the seed
+    is the one the unseeded scan keeps: pruning only skips pairs that
+    cannot beat best, and the first pair to reach the minimum is kept.
     """
     a, b = map(Fraction, interval)
     mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
     wn, wd = width
     slack, t_h, _ = rounding
-    best = None
-    bn = bd = None
+    best = None if seed is None else (seed, None, None)
+    # best as bn/bd, 1/0 while there is none; floor as fn/fd
+    bn, bd = (1, 0) if seed is None else seed.as_integer_ratio()
+    fn, fd = floor.as_integer_ratio()
     coinc = []
     coinc_count = 0
 
@@ -396,29 +406,28 @@ def _scan_1d(buckets, interval, rounding):
                 continue
             run = 0
             num = d_h * wd
-            if best is None or num * bd < bn * den:
+            if num * bd < bn * den:
                 best = (Fraction(num, den), e1[1], e2[1])
                 bn, bd = best[0].as_integer_ratio()
 
     for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets, slack):
-        if best is not None and num * bd >= bn * den:
+        if num * bd >= bn * den or bn * fd <= fn * bd:
             break
         win = _Window(mid, width, p_i, p_j)
         cd, shift = win.cd, win.shift
-        if best is not None:
-            mul, lim = win.cap(best[0])
+        mul, lim = win.cap(bn, bd)
         # dev = max(|p-1|, displacement): minimize |E| by the classic
         # two-pointer min-difference walk over both sorted H lists
         ii, jj, n_i, n_j = 0, 0, len(ents_i), len(ents_j)
         while ii < n_i and jj < n_j:
             ei, ej = ents_i[ii], ents_j[jj]
             e = (ei[0] - ej[0]) * cd + shift
-            if best is None or abs(e) * mul < lim:
+            if abs(e) * mul < lim:
                 best = (max(Fraction(num, den), win.displacement(e)), ej[1], ei[1])
                 bn, bd = best[0].as_integer_ratio()
                 if num * bd >= bn * den:
                     break  # nothing in this pair can beat |p - 1| itself
-                mul, lim = win.cap(best[0])
+                mul, lim = win.cap(bn, bd)
             if e < 0:
                 ii += 1
             else:
@@ -427,18 +436,29 @@ def _scan_1d(buckets, interval, rounding):
 
 
 def _verdict(system, depth, tol, mode, scan):
-    """The WspVerdict of scan(d) -> (best, coincidence_pairs, count).
+    """The WspVerdict of scan(d, seed, floor) -> (best, coincidence_pairs, count).
 
-    Runs d = 2..depth; the witnesses are the per-depth minimizers where
-    the exact delta* strictly drops, and the coincidences are those at
-    full depth.  The scans name words by their row keys, decoded here.
-    A float system reports its deviations as floats.
+    delta*(d) is a minimum over pairs that only grow with d, so it never
+    rises.  Scans depth 2, then the full depth seeded with delta*(2),
+    then d = 3..depth-1, each seeded with delta*(d-1) and floored at
+    delta*(depth); once delta*(d-1) is delta*(depth), the remaining
+    depths are filled in unscanned.  The witnesses are the per-depth
+    minimizers where the exact delta* strictly drops, so a returned
+    seed, which names no words, never is one; the coincidences are
+    those at full depth.  The scans name words by their row keys,
+    decoded here.  A float system reports its deviations as floats.
     """
     m = len(system)
+    bests = dict.fromkeys(range(2, depth + 1))
+    bests[2], coinc, coinc_count = scan(2, None, 0)
+    if depth > 2:
+        bests[depth], coinc, coinc_count = scan(depth, bests[2] and bests[2][0], 0)
+    floor = bests[depth] and bests[depth][0]
+    for d in range(3, depth):
+        seed = bests[d - 1] and bests[d - 1][0]
+        bests[d] = bests[d - 1] if seed == floor else scan(d, seed, floor)[0]
     gap, wits, devs = [], [], []
-    coinc, coinc_count = (), 0
-    for d in range(2, depth + 1):
-        best, c_pairs, c_count = scan(d)
+    for d, best in bests.items():
         if best is None:
             continue
         dev, j_key, i_key = best
@@ -447,9 +467,7 @@ def _verdict(system, depth, tol, mode, scan):
             wits.append(FamilyElement.from_words(
                 system, _word(j_key, m, depth), _word(i_key, m, depth)))
             devs.append(dev)
-        if d == depth:
-            coinc = tuple((_word(u, m, depth), _word(v, m, depth)) for u, v in c_pairs)
-            coinc_count = c_count
+    coinc = tuple((_word(u, m, depth), _word(v, m, depth)) for u, v in coinc)
     if not system.exact:
         gap, devs = [(d, to_float(v)) for d, v in gap], list(map(to_float, devs))
     found = bool(gap) and to_float(gap[-1][1]) < tol
@@ -481,51 +499,51 @@ def wsp_check_1d(system: IfsSystem, depth: int, tol: float,
         raise ValueError("depth must be >= 2")
     rows, scale = _word_rows(system, depth, budget, planar=False)
     rounding, interval = _rounding(system, depth, scale), system.interval
-    return _verdict(system, depth, tol, "1d", lambda d: _scan_1d(
-        _buckets(rows, d, scale), interval, rounding))
+    return _verdict(system, depth, tol, "1d", lambda d, seed, floor: _scan_1d(
+        _buckets(rows, d, scale), interval, rounding, seed, floor))
 
 
 def _planar_deviation(interval, ybox):
-    """dev(row_j, row_i, best): deviation_2d of G_j^-1 G_i from two rows.
+    """dev(row_j, row_i, bn, bd): deviation_2d of G_j^-1 G_i from two rows.
 
-    Returns the deviation when it is nonzero and below best (any nonzero
-    value when best is None), else None.  With rows scaled by a common
+    Returns the deviation when it is nonzero and below bn/bd (any
+    nonzero value for 1/0), else None.  With rows scaled by a common
     factor, G_j^-1 G_i has p = Pi/Pj, q = Qi/Qj,
     r = (Ri Pj - Rj Pi)/(Pj Qj), h = (Hi - Hj)/Pj and
     s = ((Si - Sj) Pj - Rj (Hi - Hj))/(Pj Qj).  Every term is compared
-    to best by cross-multiplication, on the box corners brought to a
-    common denominator M (float corners convert exactly).
+    to bn/bd by cross-multiplication, cheapest first, on the box corners
+    brought to a common denominator M (float corners convert exactly);
+    the corner products are formed only for pairs that pass the others.
     """
-    corners, M = common_denominator((*interval, *ybox))
-    xs, ys = corners[:2], corners[2:]
-    w = xs[1] - xs[0]
-    hh = (ys[1] - ys[0]) or w
+    (x0, x1, y0, y1), M = common_denominator((*interval, *ybox))
+    w = x1 - x0
+    hh = (y1 - y0) or w
 
-    def dev(rj, ri, best):
+    def dev(rj, ri, bn, bd):
         Hj, _, Pj, Qj, Rj, Sj = rj
         Hi, _, Pi, Qi, Ri, Si = ri
         d_p, d_q, d_h = Pi - Pj, Qi - Qj, Hi - Hj
+        n_p, n_q, den_p, den_q = abs(d_p), abs(d_q), abs(Pj), abs(Qj)
+        if n_p * bd >= bn * den_p or n_q * bd >= bn * den_q:
+            return None
+        e = d_h * M
+        n_x, den_x = max(abs(d_p * x0 + e), abs(d_p * x1 + e)), den_p * w
+        if n_x * bd >= bn * den_x:
+            return None
         alpha, beta = d_q * Pj, Ri * Pj - Rj * Pi
         gamma = ((Si - Sj) * Pj - Rj * d_h) * M
-        terms = (
-            (abs(d_p), abs(Pj)),
-            (abs(d_q), abs(Qj)),
-            (max(abs(d_p * x + d_h * M) for x in xs), abs(Pj) * w),
-            (max(abs(alpha * y + beta * x + gamma) for x in xs for y in ys),
-             abs(Pj * Qj) * hh),
-        )
-        if best is not None:
-            bn, bd = best.as_integer_ratio()
-            if any(num * bd >= bn * den for num, den in terms):
-                return None
-        if not any(num for num, _ in terms):
+        u0, u1, v0, v1 = beta * x0 + gamma, beta * x1 + gamma, alpha * y0, alpha * y1
+        n_y = max(abs(u0 + v0), abs(u0 + v1), abs(u1 + v0), abs(u1 + v1))
+        den_y = den_p * den_q * hh
+        if n_y * bd >= bn * den_y or not (n_p or n_q or n_x or n_y):
             return None
-        return max(Fraction(num, den) for num, den in terms)
+        return max(Fraction(n_p, den_p), Fraction(n_q, den_q),
+                   Fraction(n_x, den_x), Fraction(n_y, den_y))
 
     return dev
 
 
-def _scan_2d(rows, upto, scale, interval, rounding, dev2):
+def _scan_2d(rows, upto, scale, interval, rounding, dev2, seed=None, floor=0):
     """delta_2*(at depth upto) by pruning through the projected windows.
 
     Every candidate pair must satisfy projected deviation < current
@@ -533,21 +551,26 @@ def _scan_2d(rows, upto, scale, interval, rounding, dev2):
     same bucket geometry applies; surviving pairs are measured with
     dev2 from their rows.  Returns (best, coincidences, count) with
     best = (dev2, j_key, i_key); the coincidences are pairs of word keys.
+    seed and floor act as in _scan_1d.
     """
     a, b = map(Fraction, interval)
     mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
     wn, wd = width
     slack, t_h, t_qrs = rounding
     buckets = _buckets(rows, upto, scale)
+    best = None if seed is None else (seed, None, None)
+    # best as bn/bd, 1/0 while there is none; floor as fn/fd
+    bn, bd = (1, 0) if seed is None else seed.as_integer_ratio()
+    fn, fd = floor.as_integer_ratio()
 
-    # seed: generators against the empty word, both directions
-    best = None
+    # generators against the empty word, both directions
     empty = rows[0][0]
     for gen in rows[1]:
         for rj, ri in ((empty, gen), (gen, empty)):
-            dev = dev2(rj, ri, None if best is None else best[0])
+            dev = dev2(rj, ri, bn, bd)
             if dev is not None:
                 best = (dev, rj[1], ri[1])
+                bn, bd = dev.as_integer_ratio()
 
     coinc = []
     coinc_count = 0
@@ -579,12 +602,12 @@ def _scan_2d(rows, upto, scale, interval, rounding, dev2):
             for rj in firsts:
                 for ri in firsts:
                     if rj is not ri:
-                        dev = dev2(rj, ri, best[0])
+                        dev = dev2(rj, ri, bn, bd)
                         if dev is not None:
                             best = (dev, rj[1], ri[1])
+                            bn, bd = dev.as_integer_ratio()
 
     # same-bucket, H apart: p = 1, projected dev = |dH|/(|P| w) < best
-    bn, bd = best[0].as_integer_ratio()
     for p_val, _, entries in buckets.values():
         den = abs(p_val) * wn
         for u, ru in enumerate(entries):
@@ -596,7 +619,7 @@ def _scan_2d(rows, upto, scale, interval, rounding, dev2):
                 if d_h * wd * bd >= bn * den:
                     break
                 for rj, ri in ((ru, rv), (rv, ru)):
-                    dev = dev2(rj, ri, best[0])
+                    dev = dev2(rj, ri, bn, bd)
                     if dev is not None:
                         best = (dev, rj[1], ri[1])
                         bn, bd = dev.as_integer_ratio()
@@ -605,12 +628,11 @@ def _scan_2d(rows, upto, scale, interval, rounding, dev2):
     # every pair with displacement below best must be measured, so walk
     # the whole band of shifted H_j values around each H_i
     for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets, slack):
-        bn, bd = best[0].as_integer_ratio()
-        if num * bd >= bn * den:
+        if num * bd >= bn * den or bn * fd <= fn * bd:
             break
         win = _Window(mid, width, p_i, p_j)
         cd, shift = win.cd, win.shift
-        mul, lim = win.cap(best[0])
+        mul, lim = win.cap(bn, bd)
         jj, n_j = 0, len(ents_j)
         for ri in ents_i:
             hi = ri[0]
@@ -621,10 +643,11 @@ def _scan_2d(rows, upto, scale, interval, rounding, dev2):
                     rj = ents_j[idx]
                     if abs((hi - rj[0]) * cd + shift) * mul >= lim:
                         break
-                    dev = dev2(rj, ri, best[0])
+                    dev = dev2(rj, ri, bn, bd)
                     if dev is not None:
                         best = (dev, rj[1], ri[1])
-                        mul, lim = win.cap(best[0])
+                        bn, bd = dev.as_integer_ratio()
+                        mul, lim = win.cap(bn, bd)
     return best, coinc, coinc_count
 
 
@@ -648,8 +671,8 @@ def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
     rows, scale = _word_rows(system, depth, budget, planar=True)
     rounding, interval = _rounding(system, depth, scale), system.interval
     dev2 = _planar_deviation(interval, attractor_ybox(system))
-    return _verdict(system, depth, tol, "2d", lambda d: _scan_2d(
-        rows, d, scale, interval, rounding, dev2))
+    return _verdict(system, depth, tol, "2d", lambda d, seed, floor: _scan_2d(
+        rows, d, scale, interval, rounding, dev2, seed, floor))
 
 
 def graph_transport_check(system: IfsSystem, element, x: Scalar,

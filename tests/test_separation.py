@@ -618,3 +618,93 @@ def test_rounding_ambiguity_raises(tmp_path, capsys):
     write_ifs_file(path, twin)
     assert main(["wsp", str(path), "--depth", "3", "--tol", "1e-3", "--mode", "1d"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _scan_every_depth(system, depth, mode):
+    """(profile, witness words, coincidence count, coincidence sample) from
+    an unseeded, unfloored scan at every depth 2..depth."""
+    planar = mode == "2d"
+    rows, scale = separation._word_rows(system, depth, separation.DEFAULT_WORD_BUDGET, planar)
+    rounding, interval = separation._rounding(system, depth, scale), system.interval
+    if planar:
+        dev2 = separation._planar_deviation(interval, attractor_ybox(system))
+        scans = [separation._scan_2d(rows, d, scale, interval, rounding, dev2)
+                 for d in range(2, depth + 1)]
+    else:
+        scans = [separation._scan_1d(separation._buckets(rows, d, scale), interval, rounding)
+                 for d in range(2, depth + 1)]
+
+    def word(key):
+        return separation._word(key, len(system), depth)
+
+    gap, words = [], []
+    for d, (best, _, _) in enumerate(scans, start=2):
+        if not gap or best[0] < gap[-1][1]:
+            words.append((word(best[1]), word(best[2])))
+        gap.append((d, best[0]))
+    _, pairs, count = scans[-1]
+    return gap, words, count, [(word(u), word(v)) for u, v in pairs]
+
+
+def _check_every_depth(system, mode, depth, oracle_depth):
+    """The verdict against the per-depth scans up to depth, and its
+    profile against the oracle of the exact system up to oracle_depth."""
+    check = {"1d": wsp_check_1d, "2d": wsp_check_2d}[mode]
+    twin = float_twin(system)
+    ybox = attractor_ybox(system)
+    want_gap = [oracle_delta_1d(system, d)[0] if mode == "1d" else
+                oracle_delta_2d(system, d, ybox) for d in range(2, oracle_depth + 1)]
+    for scanned in (system, twin):
+        verdict = check(scanned, depth, 1e-3)
+        gap, words, count, sample = _scan_every_depth(scanned, depth, mode)
+        if not scanned.exact:
+            gap = [(d, float(v)) for d, v in gap]
+        assert list(verdict.gap_by_depth) == gap
+        assert [(el.j_word, el.i_word) for el in verdict.witnesses] == words
+        assert verdict.coincidence_count == count
+        assert list(verdict.coincidences) == sample
+        for (_, got), want in zip(verdict.gap_by_depth, want_gap):
+            assert abs(got - want) <= 1e-9 * want if twin is scanned else got == want
+
+
+@pytest.mark.parametrize("make, mode, depth, oracle_depth", [
+    (mixed_ratio_parabola_system, "1d", 14, 6),
+    (mixed_ratio_parabola_system, "2d", 8, 4),
+    (dyadic_parabola_system, "1d", 8, 6),
+    (dyadic_parabola_system, "2d", 6, 4),
+    (four_piece_overlap_system, "1d", 5, 3),
+    (four_piece_overlap_system, "2d", 4, 3),
+])
+def test_every_depth_matches_unseeded_scans_and_oracle(make, mode, depth, oracle_depth):
+    _check_every_depth(make(), mode, depth, oracle_depth)
+
+
+def test_every_depth_matches_unseeded_scans_and_oracle_random():
+    rng = random.Random(1313)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CollinearAttractorWarning)
+        for _ in range(20):
+            system = random_two_map_system(rng)
+            _check_every_depth(system, "1d", 7, 4)
+            _check_every_depth(system, "2d", 5, 3)
+
+
+@pytest.mark.parametrize("make, mode, depth, scans", [
+    (four_piece_overlap_system, "1d", 7, 2),
+    (dyadic_parabola_system, "1d", 8, 2),
+    (four_piece_overlap_system, "2d", 5, 2),
+    # mixed: delta*(12) = delta*(14), so only depth 13 goes unscanned
+    (mixed_ratio_parabola_system, "1d", 14, 12),
+])
+def test_flat_depths_are_not_scanned(monkeypatch, make, mode, depth, scans):
+    name = {"1d": "_scan_1d", "2d": "_scan_2d"}[mode]
+    scan, calls = getattr(separation, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(separation, name, counted)
+    check = {"1d": wsp_check_1d, "2d": wsp_check_2d}[mode]
+    check(make(), depth, 1e-3)
+    assert len(calls) == scans
