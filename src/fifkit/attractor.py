@@ -452,18 +452,22 @@ def validate(system: IfsSystem, tol: float = 1e-9, *,
     return report
 
 
-def _window_spread(xs, ys, delta):
-    """Worst y-spread over the windows [x, x + delta] of the sorted sample.
+def _threshold(xs, ys, eps):
+    """Smallest float delta with hypot(delta, spread(delta)) > eps, where
+    spread(delta) is the largest max y - min y over the windows of the
+    sorted sample whose width xs[r] - xs[l] is at most delta.
 
-    Returns (spread, w_in, w_out).  A two-pointer walk gives each right
-    end r the leftmost point left(r) with xs[r] - xs[left(r)] <= delta;
-    the spread is the largest max y - min y over those windows.  Every
-    left(r), and so the spread, is the same for each delta' with
-    w_in <= delta' < w_out: w_in is the largest xs[r] - xs[left(r)], and
-    w_out the smallest xs[r] - xs[left(r) - 1] over left(r) > 0.
+    One two-pointer pass: each right end keeps the leftmost left end
+    whose window passes at its own width, hypot(width, range) <= eps.
+    first_fail is the smallest width of a window that fails at its own
+    width, worst the largest range of a window that passes.  Below
+    first_fail every window within delta passes, so spread(delta) <=
+    worst, with equality once delta reaches the window of worst; the
+    threshold is the smaller of first_fail and the smallest delta with
+    hypot(delta, worst) > eps, found by float bisection.
     """
-    worst = 0.0
-    w_in, w_out = 0.0, math.inf
+    worst, first_fail = 0.0, math.inf
+    hypot = math.hypot
     mx, mn = deque(), deque()
     left = 0
     for right, (x, y) in enumerate(zip(xs, ys)):
@@ -473,7 +477,9 @@ def _window_spread(xs, ys, delta):
         while mn and ys[mn[-1]] >= y:
             mn.pop()
         mn.append(right)
-        while x - xs[left] > delta:
+        while hypot(x - xs[left], ys[mx[0]] - ys[mn[0]]) > eps:
+            if x - xs[left] < first_fail:
+                first_fail = x - xs[left]
             if mx[0] == left:
                 mx.popleft()
             if mn[0] == left:
@@ -482,12 +488,13 @@ def _window_spread(xs, ys, delta):
         spread = ys[mx[0]] - ys[mn[0]]
         if spread > worst:
             worst = spread
-        width = x - xs[left]
-        if width > w_in:
-            w_in = width
-        if left and x - xs[left - 1] < w_out:
-            w_out = x - xs[left - 1]
-    return worst, w_in, w_out
+    lo, hi = 0.0, math.nextafter(eps, math.inf)  # hypot(lo, worst) <= eps < hypot(hi, worst)
+    while (mid := lo + (hi - lo) / 2) not in (lo, hi):
+        if hypot(mid, worst) > eps:
+            hi = mid
+        else:
+            lo = mid
+    return min(first_fail, hi)
 
 
 def modulus_of_continuity(system: IfsSystem, eps: float,
@@ -501,8 +508,13 @@ def modulus_of_continuity(system: IfsSystem, eps: float,
     factor).  Raises ResolutionInsufficientError when no affordable
     sample is dense enough.
 
-    The bisection scans the sample only for a trial delta outside every
-    range of deltas already known to give the same windows.  A finished
+    Each sampled depth fine enough for the cap min(eps, width) takes one
+    threshold scan (_threshold).  The spread never falls as delta grows,
+    because windows only widen, and math.hypot is non-decreasing in each
+    argument, so the test fails from the threshold on and holds below
+    it.  The bisection (the cap, then 50 halvings up from 8 * resolution)
+    therefore reads each trial as delta < threshold, and gives the same
+    bits as a bisection that scans for every trial.  A finished
     modulus stays in the sample cache, keyed on (eps, max_points), for
     as long as the cache holds this system's samples.
     """
@@ -514,30 +526,17 @@ def modulus_of_continuity(system: IfsSystem, eps: float,
         return cache.moduli[memo_key]
     hi_cap = min(eps, to_float(system.width))
     for sample in _deepening_samples(system, max_points):
-        xs, ys = sample.columns
-        res = to_float(sample.resolution)
-        known = []  # (w_in, w_out, spread) of every scan at this depth
-
-        def spread(delta):
-            for w_in, w_out, worst in known:
-                if w_in <= delta < w_out:
-                    return worst
-            worst, w_in, w_out = _window_spread(xs, ys, delta)
-            known.append((w_in, w_out, worst))
-            return worst
-
-        def ok(delta):
-            return (delta >= 8 * res
-                    and math.hypot(delta, spread(delta)) <= eps)
-
-        lo_candidate = 8 * res
-        if ok(hi_cap):
+        lo_candidate = 8 * to_float(sample.resolution)
+        if hi_cap < lo_candidate:
+            continue
+        threshold = _threshold(*sample.columns, eps)
+        if hi_cap < threshold:
             delta = hi_cap
-        elif lo_candidate < hi_cap and ok(lo_candidate):
+        elif lo_candidate < hi_cap and lo_candidate < threshold:
             lo, hi = lo_candidate, hi_cap
             for _ in range(50):
                 mid = (lo + hi) / 2
-                if ok(mid):
+                if mid < threshold:
                     lo = mid
                 else:
                     hi = mid

@@ -13,6 +13,7 @@ from fifkit import (
     NotContractiveError,
     NotCoveringError,
     OutOfDomainError,
+    ResolutionInsufficientError,
     anchor_points,
     dyadic_parabola_system,
     evaluate_f,
@@ -31,6 +32,7 @@ from conftest import (
     oracle_modulus,
     oracle_sample,
     random_overlapping_system,
+    random_two_map_system,
 )
 
 FOUR_PIECE_ANCHORS = {
@@ -333,16 +335,55 @@ def test_modulus_matches_oracle(cold_caches):
                                  0.14062839080113376) == 0.06488020307051946
 
 
-def test_window_spread_range_gives_the_same_windows():
-    sample = sample_attractor(mixed_ratio_parabola_system(), 7)
-    xs = [float(x) for x, _ in sample.points]
-    ys = [float(y) for _, y in sample.points]
-    spread, w_in, w_out = attractor._window_spread(xs, ys, 0.05)
-    assert w_in <= 0.05 < w_out
-    for delta in (w_in, (w_in + w_out) / 2, math.nextafter(w_out, 0.0)):
-        assert attractor._window_spread(xs, ys, delta) == (spread, w_in, w_out)
-    assert attractor._window_spread(xs, ys, w_out)[1] >= w_out
-    assert attractor._window_spread(xs, ys, math.nextafter(w_in, 0.0))[2] <= w_in
+def test_modulus_matches_oracle_random(cold_caches):
+    # rough random systems often exhaust the budget; eps >= 1 lets a
+    # fair share of them bisect
+    rng = random.Random(20261019)
+    outcomes = []
+    for k in range(30):
+        make = random_overlapping_system if k % 2 else random_two_map_system
+        exact = make(rng)
+        eps = rng.choice((1.0, 1.5, 2.0))
+        for system in (exact, float_twin(exact)):
+            try:
+                want = oracle_modulus(system, eps, 5_000, outcomes=outcomes).hex()
+            except ResolutionInsufficientError:
+                want = "insufficient"
+            try:
+                got = modulus_of_continuity(system, eps, 5_000).hex()
+            except ResolutionInsufficientError:
+                got = "insufficient"
+            assert got == want, (system, eps)
+    assert sum(kind == "bisect" for _, kind in outcomes) >= 10
+
+
+def _plain_spread(xs, ys, delta):
+    """Largest max y - min y over every window [l, r] of the sorted
+    sample with xs[r] - xs[l] <= delta, each left end walked afresh."""
+    worst = 0.0
+    for left, x in enumerate(xs):
+        right = left
+        while right < len(xs) and xs[right] - x <= delta:
+            right += 1
+        worst = max(worst, max(ys[left:right]) - min(ys[left:right]))
+    return worst
+
+
+@pytest.mark.parametrize("make, depth, eps_values", [
+    (mixed_ratio_parabola_system, 7, (0.1, 0.14062839080113376, 0.3, 0.6, 2.0)),
+    (four_piece_overlap_system, 5, (0.02, 0.05, 0.1)),
+], ids=["mixed-d7", "four-piece-d5"])
+def test_threshold_against_plain_windows(cold_caches, make, depth, eps_values):
+    for system in (make(), float_twin(make())):
+        xs, ys = sample_attractor(system, depth).columns
+        for eps in eps_values:
+            t = attractor._threshold(xs, ys, eps)
+            below = math.nextafter(t, 0.0)
+            assert math.hypot(t, _plain_spread(xs, ys, t)) > eps, (system, eps)
+            assert math.hypot(below, _plain_spread(xs, ys, below)) <= eps, (system, eps)
+            if math.hypot(xs[-1] - xs[0], max(ys) - min(ys)) <= eps:
+                # no window fails: the range of the whole sample sets t
+                assert t > xs[-1] - xs[0]
 
 
 def test_evaluate_constants_are_per_instance():

@@ -290,15 +290,15 @@ def test_exhausted_budget_is_resolution_insufficient(run, max_points):
 
 @pytest.fixture
 def scans(monkeypatch):
-    """A one-item list counting the window scans of modulus_of_continuity."""
+    """A one-item list counting the threshold scans of modulus_of_continuity."""
     count = [0]
-    scan = attractor._window_spread
+    scan = attractor._threshold
 
     def counted(*args):
         count[0] += 1
         return scan(*args)
 
-    monkeypatch.setattr(attractor, "_window_spread", counted)
+    monkeypatch.setattr(attractor, "_threshold", counted)
     return count
 
 
@@ -311,7 +311,8 @@ def test_net_reuses_the_suggested_modulus(cold_caches, scans):
     )
     eps = suggest_eps(system, el.map2)
     assert eps == 0.14062839080113376
-    assert 0 < scans[0] < 52
+    # one scan at depth 11, which rejects 8 * resolution, one at depth 13
+    assert scans[0] == 2
     before = scans[0]
     trace = epsilon_net(system, el.map2, eps)
     assert scans[0] == before
