@@ -240,46 +240,46 @@ def _image(gen, level, den):
 
 
 def _levels(system, level, den, levels):
-    """P_levels from the pairs P_0 = `level` over `den`:
+    """P_levels from the sorted pairs P_0 = `level` over `den`:
     (sorted pairs, their denominator, resolution).
 
     One generator step (`_image` of each of system._scaled_maps)
-    multiplies the denominator by D.  In an exact system every point of
-    level k is an int pair over the one denominator L_k, so the set of
-    pairs is the level, deduplicated exactly.  A float system runs on
-    its float points over 1; they are keyed on the 1e-12 grid and each
-    key keeps its smallest point, so a level depends only on the set of
-    points it came from.
+    multiplies the denominator by D.  A sorted level maps to one run per
+    generator, sorted by x (descending when p < 0), so one sort per
+    level merges the runs.  In an exact system every point of level k
+    is an int pair over the one denominator L_k, and dropping adjacent
+    duplicates deduplicates exactly.  A float system runs on its float
+    points over 1; they are keyed on the 1e-12 grid, and the first
+    point of a key in sorted order, its smallest, stays, so a level
+    depends only on the set of points it came from.
     """
     d, gens = system._scaled_maps
     for _ in range(levels):
-        images = itertools.chain.from_iterable(_image(gen, level, den) for gen in gens)
+        images = sorted(itertools.chain.from_iterable(_image(gen, level, den) for gen in gens))
         if system.exact:
-            level = set(images)
+            level = images[:1] + [b for a, b in zip(images, images[1:]) if a != b]
         else:
             seen = {}
             for pt in images:
-                key = (round(pt[0] / _DEDUP_QUANTUM), round(pt[1] / _DEDUP_QUANTUM))
-                if key not in seen or pt < seen[key]:
-                    seen[key] = pt
-            level = seen.values()
+                seen.setdefault((round(pt[0] / _DEDUP_QUANTUM), round(pt[1] / _DEDUP_QUANTUM)), pt)
+            level = list(seen.values())
         den *= d
-    ordered = sorted(level)
-    gap = max((b[0] - a[0] for a, b in zip(ordered, ordered[1:])), default=0)
+    gap = max((b[0] - a[0] for a, b in zip(level, level[1:])), default=0)
     if not system.exact:
-        return ordered, den, gap / den
-    return ordered, den, Fraction(gap, den) if gap > 0 else 0
+        return level, den, gap / den
+    return level, den, Fraction(gap, den) if gap > 0 else 0
 
 
 def sample_attractor(system: IfsSystem, depth: int,
                      max_points: int = 2_000_000) -> GraphSample:
     """Images of the anchor set under every length-`depth` word.
 
-    Built level by level: P_0 is the anchor set and P_k is the union of
-    S(P_{k-1}) over the generators S, deduplicated at every level.  The
-    word count m^depth * (m + 2) is checked against max_points before
-    anything else; exceeding it raises DepthTooLargeError.  Points come
-    back sorted by x, with the realized horizontal resolution (largest
+    Built level by level: P_0 is the sorted anchor set and P_k the union
+    of S(P_{k-1}) over the generators S, one sort of their sorted runs
+    with duplicates dropped (see `_levels`).  The word count
+    m^depth * (m + 2) is checked against max_points before anything
+    else; exceeding it raises DepthTooLargeError.  Points come back
+    sorted by x, with the realized horizontal resolution (largest
     consecutive gap).
 
     The samples of the most recently sampled system stay cached by
@@ -300,7 +300,7 @@ def sample_attractor(system: IfsSystem, depth: int,
     if cache.key != key:
         anchors, anchor_err = anchor_points(system)
         cache.clear()
-        cache.key, cache.anchors, cache.anchor_err = key, tuple(anchors), anchor_err
+        cache.key, cache.anchors, cache.anchor_err = key, tuple(sorted(anchors)), anchor_err
     hit = cache.samples.get(depth)
     if hit is not None:
         return hit

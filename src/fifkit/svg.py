@@ -61,9 +61,14 @@ def _columns(points):
 
 
 def _polyline(frame, xs, ys, css):
-    coords = " ".join(
-        f"{_fmt(frame.px(x))},{_fmt(frame.py(y))}" for x, y in zip(xs, ys)
-    )
+    # _Frame.px/py and _fmt inlined: the same float operations, and at
+    # three decimals "-0.000" can only be a whole coordinate
+    xlo, dx, wx = frame.xlo, frame.xhi - frame.xlo, _W - 2 * _MARGIN
+    ylo, dy, hy, top = frame.ylo, frame.yhi - frame.ylo, _H - 2 * _MARGIN, _H - _MARGIN
+    coords = " ".join([
+        f"{_MARGIN + (x - xlo) / dx * wx:.3f},{top - (y - ylo) / dy * hy:.3f}"
+        for x, y in zip(xs, ys)
+    ]).replace("-0.000", "0.000")
     return f'  <polyline class="{css}" points="{coords}"/>\n'
 
 

@@ -26,6 +26,7 @@ from fifkit import (
     NotCoveringError,
     OutOfDomainError,
     ResolutionInsufficientError,
+    anchor_points,
     attractor,
     sample_attractor,
     to_float,
@@ -162,22 +163,13 @@ def oracle_family_1d(system, depth):
 
 
 def oracle_anchors(system):
-    """Generator fixed points and the graph points over both interval ends.
-
-    Each end value is read off the generator whose fixed point is that
-    end, so only systems whose ends are generator fixed points are
-    supported (every bundled system is one).
-    """
+    """Generator fixed points and the graph points over both interval ends,
+    the ends evaluated by oracle_evaluate within 1e-12 as anchor_points does."""
     fixed = []
     for g in system.maps:
         x = g.h / (1 - g.p)
         fixed.append((x, (g.r * x + g.s) / (1 - g.q)))
-    ends = []
-    for e in system.interval:
-        x, y = min(fixed, key=lambda pt: abs(pt[0] - e))
-        assert abs(x - e) <= 1e-12, "interval end is not a generator fixed point"
-        ends.append((e, y))
-    return fixed + ends
+    return fixed + [(e, oracle_evaluate(system, e, 1e-12)[0]) for e in system.interval]
 
 
 def oracle_sample(system, depth):
@@ -199,6 +191,37 @@ def oracle_sample(system, depth):
     pts = sorted(seen.values())
     gaps = [b[0] - a[0] for a, b in zip(pts, pts[1:])]
     return pts, max(gaps, default=0)
+
+
+def oracle_levels(system, depth):
+    """(numerators, den, resolution) of the depth-`depth` sample by the
+    package's level builder before it sorted runs, kept as written then.
+
+    Each level was a set of images (for floats, a dict keeping each 1e-12
+    grid key's smallest point), sorted once after the last level.  It
+    runs on the package's anchors, scaled maps and `_image`, so the two
+    must agree bit for bit; it checks the sorting and deduplication alone.
+    """
+    anchors, _ = anchor_points(system)
+    level, den = attractor._numerators(anchors) if system.exact else (anchors, 1)
+    d, gens = system._scaled_maps
+    for _ in range(depth):
+        images = itertools.chain.from_iterable(attractor._image(g, level, den) for g in gens)
+        if system.exact:
+            level = set(images)
+        else:
+            seen = {}
+            for pt in images:
+                key = (round(pt[0] / 1e-12), round(pt[1] / 1e-12))
+                if key not in seen or pt < seen[key]:
+                    seen[key] = pt
+            level = seen.values()
+        den *= d
+    ordered = sorted(level)
+    gap = max((b[0] - a[0] for a, b in zip(ordered, ordered[1:])), default=0)
+    if not system.exact:
+        return tuple(ordered), den, gap / den
+    return tuple(ordered), den, Fraction(gap, den) if gap > 0 else 0
 
 
 def oracle_modulus(system, eps, max_points=2_000_000, outcomes=None):

@@ -29,6 +29,7 @@ from fifkit import attractor, separation
 from conftest import (
     float_twin,
     oracle_evaluate,
+    oracle_levels,
     oracle_modulus,
     oracle_sample,
     random_overlapping_system,
@@ -148,11 +149,27 @@ def test_sample_attractor_checks_the_budget_before_anchors(cold_caches, monkeypa
     assert attractor._SAMPLES.key is None
 
 
-SAMPLER_CASES = [
+def seeded_overlapping_system(seed):
+    def make():
+        return random_overlapping_system(random.Random(seed))
+    make.__name__ = f"random_overlapping_system_{seed}"
+    return make
+
+
+BUNDLED_SAMPLER_CASES = [
     (four_piece_overlap_system, range(1, 6)),
     (mixed_ratio_parabola_system, range(1, 10)),
     (dyadic_parabola_system, range(1, 9)),
 ]
+# the bundled maps all have p > 0; these reverse x (p < 0) or y (q < 0)
+RANDOM_SAMPLER_SYSTEMS = [seeded_overlapping_system(seed) for seed in range(8)]
+SAMPLER_CASES = BUNDLED_SAMPLER_CASES + [(make, range(1, 7)) for make in RANDOM_SAMPLER_SYSTEMS]
+
+
+def test_random_sampler_cases_reverse():
+    maps = [g for make in RANDOM_SAMPLER_SYSTEMS for g in make().maps]
+    assert any(g.p < 0 for g in maps)
+    assert any(g.p > 0 and g.q < 0 for g in maps)
 
 
 @pytest.mark.parametrize("make,depths", SAMPLER_CASES)
@@ -167,7 +184,11 @@ def test_sample_attractor_matches_oracle_exact(cold_caches, make, depths):
         assert sample.depth == depth
 
 
-@pytest.mark.parametrize("make,depths", SAMPLER_CASES)
+# The word oracle deduplicates a float sample once, at the end; the sampler
+# does so at every level.  Where the float anchors are off by ~1e-12 (the
+# random systems' float twins) the two can split or merge near-duplicates
+# differently, so those are checked against oracle_levels instead.
+@pytest.mark.parametrize("make,depths", BUNDLED_SAMPLER_CASES)
 def test_sample_attractor_matches_oracle_float(cold_caches, make, depths):
     system = float_twin(make())
     for depth in depths:
@@ -178,6 +199,29 @@ def test_sample_attractor_matches_oracle_float(cold_caches, make, depths):
             assert type(x) is float and type(y) is float
             assert abs(x - u) <= 1e-12 and abs(y - v) <= 1e-12
         assert abs(sample.resolution - res) <= 1e-12
+
+
+def _sample_parts(sample):
+    return repr((sample.numerators, sample.den, sample.resolution))
+
+
+@pytest.mark.parametrize("make", RANDOM_SAMPLER_SYSTEMS)
+def test_sample_attractor_matches_oracle_levels(cold_caches, make):
+    for system in (make(), float_twin(make())):
+        for depth in range(1, 7):
+            got = _sample_parts(sample_attractor(system, depth))
+            assert got == repr(oracle_levels(system, depth))
+
+
+@pytest.mark.parametrize("make", RANDOM_SAMPLER_SYSTEMS)
+def test_sample_attractor_matches_oracle_warm(cold_caches, make):
+    # depth 6 continued over four levels from a cached depth-2 sample
+    exact = make()
+    sample_attractor(exact, 2)
+    assert list(sample_attractor(exact, 6).points) == oracle_sample(exact, 6)[0]
+    system = float_twin(exact)
+    sample_attractor(system, 2)
+    assert _sample_parts(sample_attractor(system, 6)) == repr(oracle_levels(system, 6))
 
 
 def test_sample_cache_repeat_is_identical(cold_caches):

@@ -26,6 +26,13 @@ FIGURE1_SVG_SHA256 = {
     "1/3": "b02656e5f3ab4dc2343ffbbc1117a9584b3ed705254a90da6f1820063b0f9709",
 }
 
+# sha256 of the CSV and the SVG `fifkit render four.ifs --depth 5` wrote
+# when each sampler level was a set and the polyline formatted per point
+RENDER_FOUR_D5_SHA256 = {
+    "csv": "95c40e4a48838a9089deb379ade046279bd203ea480d85f5ebe22eef8502a4c0",
+    "svg": "4e812563e58833f1a8e777201f2c9f7b17a74f638962f24f57d18f66051db7db",
+}
+
 
 @pytest.fixture
 def sys_dir(tmp_path):
@@ -115,6 +122,15 @@ def test_render_writes_csv_and_svg(sys_dir, capsys):
     x, y = map(float, lines[17].split(","))
     assert abs(y - x * x) < 1e-12
     assert svg.read_text().startswith("<svg")
+
+
+def test_render_bytes_unchanged(sys_dir, capsys):
+    out = {"csv": sys_dir / "four.csv", "svg": sys_dir / "four.svg"}
+    code, _, _ = run(capsys, ["render", sys_dir / "four.ifs", "--depth", 5,
+                              "--out", out["csv"], "--svg", out["svg"]])
+    assert code == 0
+    for kind, path in out.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == RENDER_FOUR_D5_SHA256[kind]
 
 
 def test_render_budget_exits_2(sys_dir, capsys):
