@@ -64,3 +64,7 @@ class SpecFormatError(FifkitError):
 
 class RoundingAmbiguityError(FifkitError):
     """Input rounding could make a float system's map p != 1 the identity."""
+
+
+class NotCertifiableError(FifkitError):
+    """The neighbour-map closure proves nothing for this system."""

@@ -40,6 +40,14 @@ closed form instead of composing words.
 delta*(d) never rises with d, so a scan starts from a known bound: the
 full depth N is scanned right after depth 2, and each shallower depth
 from delta*(d-1) down to delta*(N), with a flat tail left unscanned.
+The rows are grouped by P once per verdict, as per-length sorted runs;
+the buckets of a depth are the runs of length <= d.
+
+A projected system of finite type also has a floor that holds at every
+depth: the bound of a closed neighbours.neighbour_graph, proven there.
+wsp_check_1d floors its depth-2 and full-depth scans at it, so the
+cross-bucket phase stops at its first bucket pair once the best reaches
+it, and everything the verdict reports is as without the floor.
 """
 
 import math
@@ -50,7 +58,8 @@ from fractions import Fraction
 
 from .affine import Affine1, Affine2, Word, compose, compose_word, invert, projection
 from .attractor import evaluate_f, sample_attractor
-from .errors import DepthTooLargeError, OutOfDomainError, RoundingAmbiguityError
+from .errors import (DepthTooLargeError, NotCertifiableError, OutOfDomainError,
+                     RoundingAmbiguityError)
 from .scalars import Scalar, common_denominator, to_float
 from .systems import IfsSystem
 
@@ -109,6 +118,11 @@ class WspVerdict:
     coincidences: tuple[tuple[Word, Word], ...]
     coincidence_count: int
     exact: bool
+    # the all-depth bound of a closed neighbour_graph that floored the
+    # scans, None when none was proven; the closure states it kept, 0
+    # when no closure was attempted
+    certified_floor: Scalar | None = None
+    closure_states: int = 0
 
     @property
     def delta_star(self) -> Scalar:
@@ -275,24 +289,55 @@ def _rounding(system: IfsSystem, depth: int, scale: int):
     return 2 * g / (1 - g), t_h, t_qrs
 
 
-def _buckets(rows, upto, scale):
-    """Group the rows of length <= upto by linear coefficient P.
+def _runs(rows, scale):
+    """Group the rows by linear coefficient P, once per verdict.
 
-    Returns {P: (P, label, rows sorted by (H, key))}, in order of first
-    appearance; label is the decimal string of the unscaled P and breaks
-    ties between bucket pairs.
+    Returns {P: (label, [(length, run), ...])} in order of first
+    appearance, so by the length of P's first row; each run holds the
+    rows of one length sorted by (H, key), the runs by length.  label is
+    the decimal string of the unscaled P and breaks ties between bucket
+    pairs.
+    """
+    groups = {}
+    for length, level in enumerate(rows):
+        by_p = {}
+        for row in level:
+            run = by_p.get(row[2])
+            if run is None:
+                by_p[row[2]] = [row]
+            else:
+                run.append(row)
+        for P, run in by_p.items():
+            run.sort()
+            group = groups.get(P)
+            if group is None:
+                groups[P] = (str(Fraction(P, scale)), [(length, run)])
+            else:
+                group[1].append((length, run))
+    return groups
+
+
+def _buckets(runs, upto):
+    """The rows of length <= upto by P, from _runs: {P: (P, label, entries)}.
+
+    In order of first appearance, entries sorted by (H, key).  A bucket
+    of one run is that run's list; one of several runs is one sort of
+    the presorted runs, which merges them.
     """
     buckets = {}
-    for length in range(upto + 1):
-        for row in rows[length]:
-            P = row[2]
-            bucket = buckets.get(P)
-            if bucket is None:
-                buckets[P] = (P, str(Fraction(P, scale)), [row])
-            else:
-                bucket[2].append(row)
-    for _, _, entries in buckets.values():
-        entries.sort()
+    for P, (label, group) in runs.items():
+        if group[0][0] > upto:
+            break  # every later P first appears deeper still
+        if len(group) == 1 or group[1][0] > upto:
+            entries = group[0][1]
+        else:
+            entries = []
+            for length, run in group:
+                if length > upto:
+                    break
+                entries += run
+            entries.sort()
+        buckets[P] = (P, label, entries)
     return buckets
 
 
@@ -435,24 +480,27 @@ def _scan_1d(buckets, interval, rounding, seed=None, floor=0):
     return best, coinc, coinc_count
 
 
-def _verdict(system, depth, tol, mode, scan):
+def _verdict(system, depth, tol, mode, scan, graph=None):
     """The WspVerdict of scan(d, seed, floor) -> (best, coincidence_pairs, count).
 
     delta*(d) is a minimum over pairs that only grow with d, so it never
     rises.  Scans depth 2, then the full depth seeded with delta*(2),
-    then d = 3..depth-1, each seeded with delta*(d-1) and floored at
-    delta*(depth); once delta*(d-1) is delta*(depth), the remaining
-    depths are filled in unscanned.  The witnesses are the per-depth
-    minimizers where the exact delta* strictly drops, so a returned
-    seed, which names no words, never is one; the coincidences are
-    those at full depth.  The scans name words by their row keys,
+    both floored at the bound of graph, a NeighbourGraph, when it closed
+    (at 0 otherwise), then d = 3..depth-1, each seeded with delta*(d-1)
+    and floored at delta*(depth); once delta*(d-1) is delta*(depth), the
+    remaining depths are filled in unscanned.  The witnesses are the
+    per-depth minimizers where the exact delta* strictly drops, so a
+    returned seed, which names no words, never is one; the coincidences
+    are those at full depth.  The scans name words by their row keys,
     decoded here.  A float system reports its deviations as floats.
     """
     m = len(system)
+    certified = graph and graph.bound
+    lowest = certified or 0
     bests = dict.fromkeys(range(2, depth + 1))
-    bests[2], coinc, coinc_count = scan(2, None, 0)
+    bests[2], coinc, coinc_count = scan(2, None, lowest)
     if depth > 2:
-        bests[depth], coinc, coinc_count = scan(depth, bests[2] and bests[2][0], 0)
+        bests[depth], coinc, coinc_count = scan(depth, bests[2] and bests[2][0], lowest)
     floor = bests[depth] and bests[depth][0]
     for d in range(3, depth):
         seed = bests[d - 1] and bests[d - 1][0]
@@ -482,6 +530,8 @@ def _verdict(system, depth, tol, mode, scan):
         coincidences=coinc,
         coincidence_count=coinc_count,
         exact=system.exact,
+        certified_floor=certified,
+        closure_states=0 if graph is None else len(graph.states),
     )
 
 
@@ -499,8 +549,18 @@ def wsp_check_1d(system: IfsSystem, depth: int, tol: float,
         raise ValueError("depth must be >= 2")
     rows, scale = _word_rows(system, depth, budget, planar=False)
     rounding, interval = _rounding(system, depth, scale), system.interval
+    runs = _runs(rows, scale)
+    del rows  # the runs hold every row
+    # imported here, not at the top, so that only a 1d scan compiles it.
+    # Capped at the full-depth bucket count, an attempt that does not
+    # close costs about what one pass over the buckets does
+    from .neighbours import neighbour_graph
+    try:
+        graph = neighbour_graph(system, len(runs))
+    except NotCertifiableError:
+        graph = None
     return _verdict(system, depth, tol, "1d", lambda d, seed, floor: _scan_1d(
-        _buckets(rows, d, scale), interval, rounding, seed, floor))
+        _buckets(runs, d), interval, rounding, seed, floor), graph)
 
 
 def _planar_deviation(interval, ybox):
@@ -543,21 +603,21 @@ def _planar_deviation(interval, ybox):
     return dev
 
 
-def _scan_2d(rows, upto, scale, interval, rounding, dev2, seed=None, floor=0):
-    """delta_2*(at depth upto) by pruning through the projected windows.
+def _scan_2d(rows, buckets, interval, rounding, dev2, seed=None, floor=0):
+    """delta_2*(over the words in buckets) by pruning through the projected windows.
 
     Every candidate pair must satisfy projected deviation < current
     planar best (the planar metric dominates the projected one), so the
     same bucket geometry applies; surviving pairs are measured with
     dev2 from their rows.  Returns (best, coincidences, count) with
     best = (dev2, j_key, i_key); the coincidences are pairs of word keys.
-    seed and floor act as in _scan_1d.
+    rows gives the empty word and the generators; seed and floor act as
+    in _scan_1d.
     """
     a, b = map(Fraction, interval)
     mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
     wn, wd = width
     slack, t_h, t_qrs = rounding
-    buckets = _buckets(rows, upto, scale)
     best = None if seed is None else (seed, None, None)
     # best as bn/bd, 1/0 while there is none; floor as fn/fd
     bn, bd = (1, 0) if seed is None else seed.as_integer_ratio()
@@ -671,8 +731,9 @@ def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
     rows, scale = _word_rows(system, depth, budget, planar=True)
     rounding, interval = _rounding(system, depth, scale), system.interval
     dev2 = _planar_deviation(interval, attractor_ybox(system))
+    runs = _runs(rows, scale)
     return _verdict(system, depth, tol, "2d", lambda d, seed, floor: _scan_2d(
-        rows, d, scale, interval, rounding, dev2, seed, floor))
+        rows, _buckets(runs, d), interval, rounding, dev2, seed, floor))
 
 
 def graph_transport_check(system: IfsSystem, element, x: Scalar,

@@ -394,6 +394,27 @@ def oracle_parabola(points, tol):
     return None
 
 
+def oracle_buckets(rows, upto, scale):
+    """The rows of length <= upto grouped by P, row by row.
+
+    The package's bucketing before it grouped each verdict's rows once,
+    kept as written then: {P: (P, label, rows sorted by (H, key))} in
+    order of first appearance, label the decimal string of P / scale.
+    """
+    buckets = {}
+    for length in range(upto + 1):
+        for row in rows[length]:
+            P = row[2]
+            bucket = buckets.get(P)
+            if bucket is None:
+                buckets[P] = (P, str(Fraction(P, scale)), [row])
+            else:
+                bucket[2].append(row)
+    for _, _, entries in buckets.values():
+        entries.sort()
+    return buckets
+
+
 def oracle_bucket_pairs(buckets):
     """Every ordered cross-bucket pair, sorted by (float |p - 1|, label_i, label_j).
 
@@ -411,6 +432,43 @@ def oracle_bucket_pairs(buckets):
                           (p_i, ents_i), (p_j, ents_j)))
     pairs.sort()
     return [(num, den, bi, bj) for _, _, _, num, den, bi, bj in pairs]
+
+
+def oracle_closure_bound(system, states):
+    """Re-check a closed neighbour_graph in Fraction arithmetic; its bound.
+
+    states are neighbour_graph's (pn, hn, den) triples, each the map
+    x -> (pn x + hn)/den.  Checks that each is in lowest terms with
+    den > 0, that its image of [a, b] meets [a, b], and that every start
+    S_i^-1 S_j (i != j) and every child is a state or has an image that
+    misses [a, b].  A state with |p| <= 1 has the children S_k^-1 g,
+    any other g S_k.  Returns min(1 - max |p_k|, the least oracle_dev_1d
+    of a non-identity state).
+    """
+    a, b = system.interval
+    gens = [(g.p, g.h) for g in system.maps]
+    maps = set()
+    for pn, hn, den in states:
+        assert den > 0 and math.gcd(pn, hn, den) == 1
+        maps.add((Fraction(pn, den), Fraction(hn, den)))
+    assert len(maps) == len(states)
+
+    def misses(p, h):
+        ends = (p * a + h, p * b + h)
+        return max(ends) < a or min(ends) > b
+
+    children = [((pj / pi, (hj - hi) / pi)) for i, (pi, hi) in enumerate(gens)
+                for j, (pj, hj) in enumerate(gens) if i != j]
+    for p, h in maps:
+        assert not misses(p, h)
+        if abs(p) <= 1:
+            children += [(p / pk, (h - hk) / pk) for pk, hk in gens]
+        else:
+            children += [(p * pk, p * hk + h) for pk, hk in gens]
+    for child in children:
+        assert child in maps or misses(*child)
+    devs = [oracle_dev_1d(p, h, (a, b)) for p, h in maps if (p, h) != (1, 0)]
+    return min([1 - max(abs(p) for p, _ in gens)] + devs)
 
 
 def float_twin(system):
@@ -453,6 +511,21 @@ def random_overlapping_system(rng):
         p1, p2 = (g.p for g in system.maps)
         if abs(p1) + abs(p2) > 1:
             return system
+
+
+def random_lattice_system(rng):
+    """Exact system of finite type: two or three maps whose ratios are
+    +-1/b^k (b in {2, 3}, one b per system, k in {1, 2}) and whose strips
+    lie inside [0, 1] with left ends on the 1/b^2 grid."""
+    base = rng.choice((2, 3))
+    maps = []
+    for _ in range(rng.choice((2, 3))):
+        width = Fraction(1, base ** rng.choice((1, 2)))
+        left = Fraction(rng.randrange(base * base - int(width * base * base) + 1),
+                        base * base)
+        p, h = rng.choice(((width, left), (-width, left + width)))
+        maps.append(Affine2(p, rng.choice(_Q_POOL), Fraction(0), h, Fraction(0)))
+    return IfsSystem(tuple(maps), (Fraction(0), Fraction(1)))
 
 
 _NEAR_ONE = [1 + Fraction(k, 64) for k in range(-6, 7) if k != 0]

@@ -14,6 +14,7 @@ from fifkit import (
     DepthTooLargeError,
     FamilyElement,
     IfsSystem,
+    NotCertifiableError,
     OutOfDomainError,
     RoundingAmbiguityError,
     attractor_ybox,
@@ -31,15 +32,19 @@ from fifkit import (
     wsp_check_2d,
 )
 from fifkit import separation, write_ifs_file
+from fifkit.neighbours import neighbour_graph
 from fifkit.cli import main
 
 from conftest import (
     float_twin,
     oracle_bucket_pairs,
+    oracle_buckets,
+    oracle_closure_bound,
     oracle_coincidences_2d,
     oracle_delta_1d,
     oracle_delta_2d,
     oracle_family_1d,
+    random_lattice_system,
     random_two_map_system,
 )
 
@@ -438,12 +443,33 @@ def _check_bucket_pairs(system, depth):
     # against 15), and the halves may share a float: its oracle pairs
     # are put in exact order, a stable sort that keeps label ties
     rows, scale = separation._word_rows(system, depth, 10 ** 6, False)
+    runs = separation._runs(rows, scale)
     for upto in range(depth + 1):
-        buckets = separation._buckets(rows, upto, scale)
+        buckets = separation._buckets(runs, upto)
         want = oracle_bucket_pairs(buckets)
         if not system.exact:
             want.sort(key=lambda pair: Fraction(pair[0], pair[1]))
         _same_pairs(list(separation._bucket_pairs(buckets)), want)
+
+
+def test_buckets_match_oracle():
+    # ratios 1/b and 1/b^2 give one P at several lengths, so the buckets
+    # of a depth merge several runs, and some runs lie deeper still
+    rng = random.Random(31)
+    systems = [make() for make in (four_piece_overlap_system, mixed_ratio_parabola_system,
+                                   dyadic_parabola_system)]
+    systems += [random_lattice_system(rng) for _ in range(10)]
+    partial = 0
+    for system in systems + [float_twin(system) for system in systems]:
+        for planar, depth in ((False, 7), (True, 4)):
+            rows, scale = separation._word_rows(system, depth, 10 ** 6, planar)
+            runs = separation._runs(rows, scale)
+            for upto in range(depth + 1):
+                got = separation._buckets(runs, upto)
+                assert list(got.items()) == list(oracle_buckets(rows, upto, scale).items())
+                partial += sum(1 < sum(n <= upto for n, _ in runs[P][1]) < len(runs[P][1])
+                               for P in got)
+    assert partial > 0
 
 
 @pytest.mark.parametrize("make, depth", [
@@ -626,12 +652,13 @@ def _scan_every_depth(system, depth, mode):
     planar = mode == "2d"
     rows, scale = separation._word_rows(system, depth, separation.DEFAULT_WORD_BUDGET, planar)
     rounding, interval = separation._rounding(system, depth, scale), system.interval
+    runs = separation._runs(rows, scale)
     if planar:
         dev2 = separation._planar_deviation(interval, attractor_ybox(system))
-        scans = [separation._scan_2d(rows, d, scale, interval, rounding, dev2)
+        scans = [separation._scan_2d(rows, separation._buckets(runs, d), interval, rounding, dev2)
                  for d in range(2, depth + 1)]
     else:
-        scans = [separation._scan_1d(separation._buckets(rows, d, scale), interval, rounding)
+        scans = [separation._scan_1d(separation._buckets(runs, d), interval, rounding)
                  for d in range(2, depth + 1)]
 
     def word(key):
@@ -708,3 +735,103 @@ def test_flat_depths_are_not_scanned(monkeypatch, make, mode, depth, scans):
     check = {"1d": wsp_check_1d, "2d": wsp_check_2d}[mode]
     check(make(), depth, 1e-3)
     assert len(calls) == scans
+
+
+# ---------- the all-depth floor from the neighbour-map closure ----------
+
+@pytest.mark.parametrize("make, bound, states", [
+    (four_piece_overlap_system, Fraction(2, 3), 15),
+    (dyadic_parabola_system, Fraction(1, 2), 4),
+])
+def test_neighbour_graph_certificate(make, bound, states):
+    system = make()
+    graph = neighbour_graph(system, 64)
+    assert graph.closed and graph.bound == bound and len(graph.states) == states
+    assert oracle_closure_bound(system, graph.states) == bound
+    # deviations are invariant under conjugation, and so is the closure
+    for lam, mu in ((3, -1), (Fraction(-1, 2), 2)):
+        conj = conjugate_system(system, lam, mu)
+        graph = neighbour_graph(conj, 64)
+        assert graph.closed and graph.bound == bound and len(graph.states) == states
+        assert oracle_closure_bound(conj, graph.states) == bound
+
+
+@pytest.mark.parametrize("max_states", [1, 16, 1000])
+def test_neighbour_graph_never_certifies_mixed(max_states):
+    # ratios 1/2 and 2/3 are multiplicatively independent: no finite closure
+    graph = neighbour_graph(mixed_ratio_parabola_system(), max_states)
+    assert not graph.closed and graph.bound is None
+    assert len(graph.states) > max_states
+
+
+def test_neighbour_graph_bound_below_oracle_on_lattice_systems():
+    rng = random.Random(16)
+    sharp = 0
+    for _ in range(24):
+        system = random_lattice_system(rng)
+        graph = neighbour_graph(system, 10_000)
+        assert graph.closed
+        assert oracle_closure_bound(system, graph.states) == graph.bound
+        for d in range(2, (4 if len(system) == 2 else 3) + 1):
+            assert graph.bound <= oracle_delta_1d(system, d)[0]
+        verdict = wsp_check_1d(system, 7, 1e-3)
+        assert graph.bound <= verdict.delta_star
+        assert verdict.certified_floor in (None, graph.bound)
+        sharp += graph.bound == verdict.delta_star
+    assert sharp >= 12
+
+
+def _outside_strips_system():
+    # strips [-5/9, -2/9] and [-7/9, -2/3]: they do not nest, and an
+    # unguarded walk drops every start and claims 2/3, while delta* = 1/3
+    f = Fraction
+    return IfsSystem((Affine2(f(1, 3), f(1, 2), f(0), f(-5, 9), f(0)),
+                      Affine2(f(1, 9), f(1, 2), f(0), f(-7, 9), f(0))), (f(0), f(1)))
+
+
+def _recorded_scans(monkeypatch, system, depth):
+    """The 1d verdict, and [floor, bucket pairs pulled] per _scan_1d call."""
+    scan, bucket_pairs = separation._scan_1d, separation._bucket_pairs
+    calls = []
+
+    def recorded(*args):
+        calls.append([args[4], 0])
+        return scan(*args)
+
+    def counted(*args):
+        for pair in bucket_pairs(*args):
+            calls[-1][1] += 1
+            yield pair
+
+    monkeypatch.setattr(separation, "_scan_1d", recorded)
+    monkeypatch.setattr(separation, "_bucket_pairs", counted)
+    return wsp_check_1d(system, depth, 1e-3), calls
+
+
+@pytest.mark.parametrize("make, depth, certifiable", [
+    (lambda: float_twin(four_piece_overlap_system()), 5, False),
+    (_outside_strips_system, 6, False),
+    # attempted, and stopped past its 91 depth-12 buckets
+    (mixed_ratio_parabola_system, 12, True),
+])
+def test_unproven_floor_never_reaches_a_scan(monkeypatch, make, depth, certifiable):
+    system = make()
+    verdict, calls = _recorded_scans(monkeypatch, system, depth)
+    # depth 2 and the full depth; later scans are floored at delta*(depth)
+    assert [floor for floor, _ in calls[:2]] == [0, 0]
+    assert verdict.certified_floor is None
+    if certifiable:
+        assert verdict.closure_states > 91
+    else:
+        assert verdict.closure_states == 0
+        with pytest.raises(NotCertifiableError):
+            neighbour_graph(system, 64)
+
+
+def test_certified_floor_ends_the_full_depth_scan(monkeypatch):
+    verdict, calls = _recorded_scans(monkeypatch, four_piece_overlap_system(), 7)
+    assert verdict.certified_floor == Fraction(2, 3) and verdict.closure_states == 15
+    assert [floor for floor, _ in calls] == [Fraction(2, 3)] * 2
+    assert calls[1][1] == 1
+    planar = wsp_check_2d(four_piece_overlap_system(), 3, 1e-3)
+    assert planar.certified_floor is None and planar.closure_states == 0
