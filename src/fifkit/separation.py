@@ -40,8 +40,11 @@ closed form instead of composing words.
 delta*(d) never rises with d, so a scan starts from a known bound: the
 full depth N is scanned right after depth 2, and each shallower depth
 from delta*(d-1) down to delta*(N), with a flat tail left unscanned.
-The rows are grouped by P once per verdict, as per-length sorted runs;
-the buckets of a depth are the runs of length <= d.
+The rows are born grouped by P, as per-length runs sorted by (H, key):
+the rows of one run share P_w, so appending a letter on the right
+shifts every H by one constant and keeps the run's order, and
+the children of one P at a length merge by one sort of presorted runs.
+The buckets of a depth are the runs of length <= d.
 
 A projected system of finite type also has a floor that holds at every
 depth: the bound of a closed neighbours.neighbour_graph, proven there.
@@ -69,10 +72,11 @@ DEFAULT_WORD_BUDGET = 2_000_000
 _COINCIDENCE_SAMPLE = 16
 # tracemalloc bytes per stored word row besides the digits of its ints,
 # for (projected, planar) rows: a list slot, the row tuple, the headers
-# of its 3 or 6 ints, and freed temporaries the allocator keeps.  Rows
-# measured at 174 and 296 B on four-piece depth 7 and at 180 and 316 B
-# on mixed depth 14 are sized at 182 and 309 B and at 198 and 349 B
-_ROW_BYTES = (170, 285)
+# of its own 2 or 5 ints (its run shares one P), and freed temporaries
+# the allocator keeps.  Rows measured at 137 and 264 B on four-piece
+# depth 7 and at 142 and 282 B on mixed depth 14 are sized at 143 and
+# 275 B and at 151 and 307 B
+_ROW_BYTES = (135, 255)
 
 
 class CollinearAttractorWarning(UserWarning):
@@ -199,57 +203,70 @@ def _is_collinear(system: IfsSystem) -> bool:
     return True
 
 
-def _word_rows(system: IfsSystem, depth: int, budget: int, planar: bool):
-    """All words of length <= depth with their coefficients.
+def _word_runs(system: IfsSystem, depth: int, budget: int, planar: bool):
+    """Every word of length <= depth as a row, grouped by P: (runs, scale).
 
-    Returns (rows, scale).  rows is indexed by length; each entry is a
-    list of (H, key, P) tuples, or (H, key, P, Q, R, S) when planar,
-    holding the composite's coefficients times scale = D^depth, as ints,
-    floats at their exact values.  key stands for the word w: it is
-    sum of w_i (m+1)^(depth-i), so keys sort as the words do, a proper
-    prefix first, and _word decodes one.  Total word count
-    (m^(depth+1) - 1)/(m - 1) within budget.
+    A row is (H, key, P), or (H, key, P, Q, R, S) when planar, the
+    composite's coefficients times scale = D^depth as ints, floats at
+    their exact values.  key stands for the word w: it is sum of
+    w_i (m+1)^(depth-i), so keys sort as the words do, a proper prefix
+    first, and _word decodes one.  runs is {P: (label, [(length, run),
+    ...])} in order of first appearance, so by the length, then the
+    smallest key, of P's first row; each run holds the rows of one
+    length sorted by (H, key), the runs by length.  label is the decimal
+    string of the unscaled P and breaks ties between bucket pairs.
+    Total word count (m^(depth+1) - 1)/(m - 1) within budget.
     """
     m = len(system)
     total = sum(m ** k for k in range(depth + 1))
     nums, D = common_denominator([c for g in system.maps for c in astuple(g)])
     gens = [nums[k:k + 5] for k in range(0, len(nums), 5)]
     if total > budget:
-        # every coefficient is about as wide as the scale D^depth
+        # every coefficient is about as wide as the scale D^depth, and
+        # the rows of a run share one P
         def size(n):
             return sys.int_info.sizeof_digit * -(-n.bit_length() // sys.int_info.bits_per_digit)
         row = (_ROW_BYTES[planar] + size((m + 1) ** depth)
-               + (5 if planar else 2) * size(D ** depth))
+               + (4 if planar else 1) * size(D ** depth))
         raise DepthTooLargeError(
             f"{total} words at depth {depth} exceeds budget {budget} "
             f"(about {total * row / 1e6:,.1f} MB of word rows)"
         )
-    # level L holds its composites times D^L; composing with a generator
-    # (scaled by D) raises the scale to D^(L+1)
-    rows = [[(0, 0, 1, 1, 0, 0) if planar else (0, 0, 1)]]
-    # letter k extends a length-L key by k (m+1)^(depth-L-1)
-    for length in range(depth):
-        step = (m + 1) ** (depth - length - 1)
-        kids = [(k * step, *gen) for k, gen in enumerate(gens, start=1)]
-        if planar:
-            rows.append([(P * h + H * D, key + dk, P * p, Q * q,
-                          Q * r + R * p, Q * s + R * h + S * D)
-                         for H, key, P, Q, R, S in rows[-1]
-                         for dk, p, q, r, h, s in kids])
-        else:
-            rows.append([(P * h + H * D, key + dk, P * p)
-                         for H, key, P in rows[-1]
-                         for dk, p, _, _, h, _ in kids])
-    for length in range(depth):
-        f = D ** (depth - length)
-        if f == 1:
-            continue
-        if planar:
-            rows[length] = [(H * f, key, P * f, Q * f, R * f, S * f)
-                            for H, key, P, Q, R, S in rows[length]]
-        else:
-            rows[length] = [(H * f, key, P * f) for H, key, P in rows[length]]
-    return rows, D ** depth
+    scale = D ** depth
+    root = (0, 0, scale, scale, 0, 0) if planar else (0, 0, scale)
+    runs = {scale: ("1", [(0, [root])])}
+    level = {scale: [root]}
+    for length in range(1, depth + 1):
+        # a child run is its parent run with H shifted by c = P_w h_k.  A
+        # level is in order of smallest key, so walking it letter by
+        # letter meets each new P at its smallest key first
+        step = (m + 1) ** (depth - length)
+        kids = {}
+        for P, run in level.items():
+            Pd = P // D  # exact: P holds a word shorter than depth
+            if planar:
+                parent = [(H, key, Q // D, R // D, S) for H, key, _, Q, R, S in run]
+            for k, (p, q, r, h, s) in enumerate(gens, start=1):
+                c, dk, P2 = Pd * h, k * step, Pd * p
+                if planar:
+                    kid = [(H + c, key + dk, P2, Q * q, Q * r + R * p, Q * s + R * h + S)
+                           for H, key, Q, R, S in parent]
+                else:
+                    kid = [(H + c, key + dk, P2) for H, key, _ in run]
+                kids.setdefault(P2, []).append(kid)
+        level = {}
+        for P, parts in kids.items():
+            run = parts[0]
+            if len(parts) > 1:
+                run = [row for part in parts for row in part]
+                run.sort()
+            level[P] = run
+            group = runs.get(P)
+            if group is None:
+                runs[P] = (str(Fraction(P, scale)), [(length, run)])
+            else:
+                group[1].append((length, run))
+    return runs, scale
 
 
 def _word(key: int, m: int, depth: int) -> Word:
@@ -271,12 +288,12 @@ def _rounding(system: IfsSystem, depth: int, scale: int):
     Algorithms, ch. 3), with powers -1, each intended product is the
     dyadic one times 1 + theta, |theta| <= g = depth u / (1 - depth u).
     So a row is within g A of the intended one, A being the same sum over
-    |inputs|, at most the _word_rows recurrence on the generators'
-    largest |coefficient| per column.  Rows of equal intended composites
-    are within 2 g A, rounded up in row units: the column's radius T.
-    Their P, single products, are within g (|P_i| + |P_j|), so
-    |P_i/P_j - 1| <= 2 g / (1 - g) = gamma_2depth, the slack.  Exact
-    systems have u = 0, so all are 0.
+    |inputs|, at most the row recurrence of _word_runs (a letter appended
+    on the right) on the generators' largest |coefficient| per column.
+    Rows of equal intended composites are within 2 g A, rounded up in row
+    units: the column's radius T.  Their P, single products, are within
+    g (|P_i| + |P_j|), so |P_i/P_j - 1| <= 2 g / (1 - g) = gamma_2depth,
+    the slack.  Exact systems have u = 0, so all are 0.
     """
     u = Fraction(0 if system.exact else 1, 2 ** 53)
     g = depth * u / (1 - depth * u)
@@ -289,36 +306,8 @@ def _rounding(system: IfsSystem, depth: int, scale: int):
     return 2 * g / (1 - g), t_h, t_qrs
 
 
-def _runs(rows, scale):
-    """Group the rows by linear coefficient P, once per verdict.
-
-    Returns {P: (label, [(length, run), ...])} in order of first
-    appearance, so by the length of P's first row; each run holds the
-    rows of one length sorted by (H, key), the runs by length.  label is
-    the decimal string of the unscaled P and breaks ties between bucket
-    pairs.
-    """
-    groups = {}
-    for length, level in enumerate(rows):
-        by_p = {}
-        for row in level:
-            run = by_p.get(row[2])
-            if run is None:
-                by_p[row[2]] = [row]
-            else:
-                run.append(row)
-        for P, run in by_p.items():
-            run.sort()
-            group = groups.get(P)
-            if group is None:
-                groups[P] = (str(Fraction(P, scale)), [(length, run)])
-            else:
-                group[1].append((length, run))
-    return groups
-
-
 def _buckets(runs, upto):
-    """The rows of length <= upto by P, from _runs: {P: (P, label, entries)}.
+    """The rows of length <= upto by P, from _word_runs: {P: (P, label, entries)}.
 
     In order of first appearance, entries sorted by (H, key).  A bucket
     of one run is that run's list; one of several runs is one sort of
@@ -547,10 +536,8 @@ def wsp_check_1d(system: IfsSystem, depth: int, tol: float,
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    rows, scale = _word_rows(system, depth, budget, planar=False)
+    runs, scale = _word_runs(system, depth, budget, planar=False)
     rounding, interval = _rounding(system, depth, scale), system.interval
-    runs = _runs(rows, scale)
-    del rows  # the runs hold every row
     # imported here, not at the top, so that only a 1d scan compiles it.
     # Capped at the full-depth bucket count, an attempt that does not
     # close costs about what one pass over the buckets does
@@ -603,7 +590,7 @@ def _planar_deviation(interval, ybox):
     return dev
 
 
-def _scan_2d(rows, buckets, interval, rounding, dev2, seed=None, floor=0):
+def _scan_2d(short, buckets, interval, rounding, dev2, seed=None, floor=0):
     """delta_2*(over the words in buckets) by pruning through the projected windows.
 
     Every candidate pair must satisfy projected deviation < current
@@ -611,8 +598,8 @@ def _scan_2d(rows, buckets, interval, rounding, dev2, seed=None, floor=0):
     same bucket geometry applies; surviving pairs are measured with
     dev2 from their rows.  Returns (best, coincidences, count) with
     best = (dev2, j_key, i_key); the coincidences are pairs of word keys.
-    rows gives the empty word and the generators; seed and floor act as
-    in _scan_1d.
+    short holds the rows of the empty word and the generators in key
+    order; seed and floor act as in _scan_1d.
     """
     a, b = map(Fraction, interval)
     mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
@@ -624,8 +611,8 @@ def _scan_2d(rows, buckets, interval, rounding, dev2, seed=None, floor=0):
     fn, fd = floor.as_integer_ratio()
 
     # generators against the empty word, both directions
-    empty = rows[0][0]
-    for gen in rows[1]:
+    empty = short[0]
+    for gen in short[1:]:
         for rj, ri in ((empty, gen), (gen, empty)):
             dev = dev2(rj, ri, bn, bd)
             if dev is not None:
@@ -728,12 +715,13 @@ def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
             "attractor sample is collinear; planar verdict adds nothing",
             CollinearAttractorWarning,
         )
-    rows, scale = _word_rows(system, depth, budget, planar=True)
+    runs, scale = _word_runs(system, depth, budget, planar=True)
     rounding, interval = _rounding(system, depth, scale), system.interval
     dev2 = _planar_deviation(interval, attractor_ybox(system))
-    runs = _runs(rows, scale)
+    short = sorted((row for *_, rows in _buckets(runs, 1).values() for row in rows),
+                   key=lambda row: row[1])
     return _verdict(system, depth, tol, "2d", lambda d, seed, floor: _scan_2d(
-        rows, _buckets(runs, d), interval, rounding, dev2, seed, floor))
+        short, _buckets(runs, d), interval, rounding, dev2, seed, floor))
 
 
 def graph_transport_check(system: IfsSystem, element, x: Scalar,

@@ -394,6 +394,74 @@ def oracle_parabola(points, tol):
     return None
 
 
+def oracle_word_rows(system, depth, planar):
+    """All words of length <= depth with their coefficients: (rows, scale).
+
+    The package's row builder before it built the rows grouped by P,
+    kept as written then, less its budget check and with its own exact
+    conversion: rows[L] lists the length-L rows in key order, built at
+    scale D^L and rescaled to D^depth in a second pass.
+    """
+    coeffs = [Fraction(c) for g in system.maps for c in (g.p, g.q, g.r, g.h, g.s)]
+    D = math.lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (D // c.denominator) for c in coeffs]
+    m = len(system)
+    gens = [nums[k:k + 5] for k in range(0, len(nums), 5)]
+    # level L holds its composites times D^L; composing with a generator
+    # (scaled by D) raises the scale to D^(L+1)
+    rows = [[(0, 0, 1, 1, 0, 0) if planar else (0, 0, 1)]]
+    # letter k extends a length-L key by k (m+1)^(depth-L-1)
+    for length in range(depth):
+        step = (m + 1) ** (depth - length - 1)
+        kids = [(k * step, *gen) for k, gen in enumerate(gens, start=1)]
+        if planar:
+            rows.append([(P * h + H * D, key + dk, P * p, Q * q,
+                          Q * r + R * p, Q * s + R * h + S * D)
+                         for H, key, P, Q, R, S in rows[-1]
+                         for dk, p, q, r, h, s in kids])
+        else:
+            rows.append([(P * h + H * D, key + dk, P * p)
+                         for H, key, P in rows[-1]
+                         for dk, p, _, _, h, _ in kids])
+    for length in range(depth):
+        f = D ** (depth - length)
+        if f == 1:
+            continue
+        if planar:
+            rows[length] = [(H * f, key, P * f, Q * f, R * f, S * f)
+                            for H, key, P, Q, R, S in rows[length]]
+        else:
+            rows[length] = [(H * f, key, P * f) for H, key, P in rows[length]]
+    return rows, D ** depth
+
+
+def oracle_runs(rows, scale):
+    """The rows of oracle_word_rows grouped by P, level by level.
+
+    The package's grouping before the rows were built grouped, kept as
+    written then: {P: (label, [(length, run), ...])} in order of first
+    appearance, each run the rows of one length sorted by (H, key),
+    label the decimal string of P / scale.
+    """
+    groups = {}
+    for length, level in enumerate(rows):
+        by_p = {}
+        for row in level:
+            run = by_p.get(row[2])
+            if run is None:
+                by_p[row[2]] = [row]
+            else:
+                run.append(row)
+        for P, run in by_p.items():
+            run.sort()
+            group = groups.get(P)
+            if group is None:
+                groups[P] = (str(Fraction(P, scale)), [(length, run)])
+            else:
+                group[1].append((length, run))
+    return groups
+
+
 def oracle_buckets(rows, upto, scale):
     """The rows of length <= upto grouped by P, row by row.
 

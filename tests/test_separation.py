@@ -44,6 +44,8 @@ from conftest import (
     oracle_delta_1d,
     oracle_delta_2d,
     oracle_family_1d,
+    oracle_runs,
+    oracle_word_rows,
     random_lattice_system,
     random_two_map_system,
 )
@@ -307,15 +309,28 @@ def test_conjugated_system_same_delta_star():
             wsp_check_1d(system, depth, 1e-9).delta_star
 
 
+def _rows_by_length(runs):
+    """The rows of _word_runs read back out of the runs, by length, in key order."""
+    rows = []
+    for _, group in runs.values():
+        for length, run in group:
+            rows += [[] for _ in range(length + 1 - len(rows))]
+            rows[length] += run
+    for level in rows:
+        level.sort(key=lambda row: row[1])
+    return rows
+
+
 def _retained_rows(system, depth, planar):
-    """(rows, tracemalloc bytes they retain) of a full word-row build."""
+    """(rows by length, tracemalloc bytes they retain, tracemalloc peak)
+    of a full word-row build."""
     tracemalloc.start()
     try:
-        rows, _ = separation._word_rows(system, depth, 10 ** 7, planar)
-        retained = tracemalloc.get_traced_memory()[0]
+        runs, _ = separation._word_runs(system, depth, 10 ** 7, planar)
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return rows, retained
+    return _rows_by_length(runs), retained, peak
 
 
 def test_wsp_budget_error_states_memory():
@@ -331,19 +346,31 @@ def test_wsp_budget_error_states_memory():
             message = str(info.value)
             assert f"{words} words" in message
             mb = float(re.search(r"about ([\d,]+\.\d) MB", message).group(1).replace(",", ""))
-            rows, retained = _retained_rows(system, depth, planar)
+            rows, retained, _ = _retained_rows(system, depth, planar)
             assert sum(map(len, rows)) == words
             assert retained / 1e6 <= mb <= 1.5 * retained / 1e6
 
 
 def test_word_rows_bytes_per_row():
     # mixed at depth 14 stored 433 B per row when every row held all five
-    # coefficients and a word tuple
+    # coefficients and a word tuple, and 180 B (213 B at the peak) when
+    # rows were built per length and rescaled in a second pass; the peak
+    # bound catches such a pass
     system, depth = mixed_ratio_parabola_system(), 14
-    for planar, limit in ((False, 200), (True, 340)):
-        rows, retained = _retained_rows(system, depth, planar)
+    for planar, limit, peak_limit in ((False, 155, 160), (True, 310, 315)):
+        rows, retained, peak = _retained_rows(system, depth, planar)
         assert {len(row) for level in rows for row in level} == {6 if planar else 3}
         assert retained / sum(map(len, rows)) <= limit
+        assert peak / sum(map(len, rows)) <= peak_limit
+
+
+def _m_map_system(m):
+    """m maps of ratios 1/2, 1/3, ..., 1/(m+1)."""
+    return IfsSystem(
+        tuple(Affine2(Fraction(1, k + 2), Fraction(1, 2), Fraction(0),
+                      Fraction(k, 2 * m), Fraction(k, 3)) for k in range(m)),
+        (Fraction(0), Fraction(1)),
+    )
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -351,12 +378,9 @@ def test_word_keys_decode_and_sort_as_words(m):
     # keys decode to every word and sort as the words do, a proper prefix
     # first; up to length 3, each to the word whose composite its row holds
     depth = 6
-    system = IfsSystem(
-        tuple(Affine2(Fraction(1, k + 2), Fraction(1, 2), Fraction(0),
-                      Fraction(k, 2 * m), Fraction(k, 3)) for k in range(m)),
-        (Fraction(0), Fraction(1)),
-    )
-    rows, scale = separation._word_rows(system, depth, 10 ** 6, False)
+    system = _m_map_system(m)
+    runs, scale = separation._word_runs(system, depth, 10 ** 6, False)
+    rows = _rows_by_length(runs)
     assert rows[0] == [(0, 0, scale)]
     pairs = []
     for length, level in enumerate(rows):
@@ -442,14 +466,38 @@ def _check_bucket_pairs(system, depth):
     # rounding splits values its exact twin has equal (1 + 4/fl(2/7)
     # against 15), and the halves may share a float: its oracle pairs
     # are put in exact order, a stable sort that keeps label ties
-    rows, scale = separation._word_rows(system, depth, 10 ** 6, False)
-    runs = separation._runs(rows, scale)
+    runs, _ = separation._word_runs(system, depth, 10 ** 6, False)
     for upto in range(depth + 1):
         buckets = separation._buckets(runs, upto)
         want = oracle_bucket_pairs(buckets)
         if not system.exact:
             want.sort(key=lambda pair: Fraction(pair[0], pair[1]))
         _same_pairs(list(separation._bucket_pairs(buckets)), want)
+
+
+def test_word_runs_match_oracle():
+    # the runs built grouped, at full scale, are the per-length rows of
+    # the oracle grouped by P: the same P order, labels, lengths and rows.
+    # Lattice systems have negative p and P values that several parents
+    # reach at one length
+    rng = random.Random(17)
+    systems = [make() for make in (four_piece_overlap_system, mixed_ratio_parabola_system,
+                                   dyadic_parabola_system)]
+    systems += [random_lattice_system(rng) for _ in range(10)]
+    systems += [_m_map_system(m) for m in (2, 3, 4, 5)]
+    merged = 0
+    for system in systems + [float_twin(system) for system in systems]:
+        for planar, depth in ((False, 7), (True, 4)):
+            runs, scale = separation._word_runs(system, depth, 10 ** 6, planar)
+            rows, want_scale = oracle_word_rows(system, depth, planar)
+            want = oracle_runs(rows, want_scale)
+            assert scale == want_scale
+            assert list(runs.items()) == list(want.items())
+            # a run whose rows end in different letters merged several children
+            base = len(system) + 1
+            merged += sum(len({key // base ** (depth - n) % base for _, key, *_ in run}) > 1
+                          for _, group in runs.values() for n, run in group)
+    assert merged > 0
 
 
 def test_buckets_match_oracle():
@@ -462,8 +510,8 @@ def test_buckets_match_oracle():
     partial = 0
     for system in systems + [float_twin(system) for system in systems]:
         for planar, depth in ((False, 7), (True, 4)):
-            rows, scale = separation._word_rows(system, depth, 10 ** 6, planar)
-            runs = separation._runs(rows, scale)
+            runs, scale = separation._word_runs(system, depth, 10 ** 6, planar)
+            rows = _rows_by_length(runs)
             for upto in range(depth + 1):
                 got = separation._buckets(runs, upto)
                 assert list(got.items()) == list(oracle_buckets(rows, upto, scale).items())
@@ -650,12 +698,13 @@ def _scan_every_depth(system, depth, mode):
     """(profile, witness words, coincidence count, coincidence sample) from
     an unseeded, unfloored scan at every depth 2..depth."""
     planar = mode == "2d"
-    rows, scale = separation._word_rows(system, depth, separation.DEFAULT_WORD_BUDGET, planar)
+    runs, scale = separation._word_runs(system, depth, separation.DEFAULT_WORD_BUDGET, planar)
     rounding, interval = separation._rounding(system, depth, scale), system.interval
-    runs = separation._runs(rows, scale)
     if planar:
         dev2 = separation._planar_deviation(interval, attractor_ybox(system))
-        scans = [separation._scan_2d(rows, separation._buckets(runs, d), interval, rounding, dev2)
+        rows = _rows_by_length(runs)
+        scans = [separation._scan_2d(rows[0] + rows[1], separation._buckets(runs, d), interval,
+                                     rounding, dev2)
                  for d in range(2, depth + 1)]
     else:
         scans = [separation._scan_1d(separation._buckets(runs, d), interval, rounding)
