@@ -1,0 +1,175 @@
+"""The planar separation scan, compiled only when a planar check runs."""
+
+from fractions import Fraction
+
+from .scalars import common_denominator
+from .separation import _COINCIDENCE_SAMPLE, _Window, _bucket_pairs
+
+
+def _planar_deviation(interval, ybox):
+    """dev(row_j, row_i, bn, bd): deviation_2d of G_j^-1 G_i from two rows.
+
+    Returns the deviation when it is nonzero and below bn/bd (any
+    nonzero value for 1/0), else None.  With rows scaled by a common
+    factor, G_j^-1 G_i has p = Pi/Pj, q = Qi/Qj,
+    r = (Ri Pj - Rj Pi)/(Pj Qj), h = (Hi - Hj)/Pj and
+    s = ((Si - Sj) Pj - Rj (Hi - Hj))/(Pj Qj).  Every term is compared
+    to bn/bd by cross-multiplication, cheapest first, on the box corners
+    brought to a common denominator M (float corners convert exactly);
+    the corner products are formed only for pairs that pass the others.
+    """
+    (x0, x1, y0, y1), M = common_denominator((*interval, *ybox))
+    w = x1 - x0
+    hh = (y1 - y0) or w
+
+    def dev(rj, ri, bn, bd):
+        Hj, _, Pj, Qj, Rj, Sj = rj
+        Hi, _, Pi, Qi, Ri, Si = ri
+        d_p, d_q, d_h = Pi - Pj, Qi - Qj, Hi - Hj
+        n_p, n_q, den_p, den_q = abs(d_p), abs(d_q), abs(Pj), abs(Qj)
+        if n_p * bd >= bn * den_p or n_q * bd >= bn * den_q:
+            return None
+        e = d_h * M
+        n_x, den_x = max(abs(d_p * x0 + e), abs(d_p * x1 + e)), den_p * w
+        if n_x * bd >= bn * den_x:
+            return None
+        alpha, beta = d_q * Pj, Ri * Pj - Rj * Pi
+        gamma = ((Si - Sj) * Pj - Rj * d_h) * M
+        u0, u1, v0, v1 = beta * x0 + gamma, beta * x1 + gamma, alpha * y0, alpha * y1
+        n_y = max(abs(u0 + v0), abs(u0 + v1), abs(u1 + v0), abs(u1 + v1))
+        den_y = den_p * den_q * hh
+        if n_y * bd >= bn * den_y or not (n_p or n_q or n_x or n_y):
+            return None
+        return max(Fraction(n_p, den_p), Fraction(n_q, den_q),
+                   Fraction(n_x, den_x), Fraction(n_y, den_y))
+
+    return dev
+
+
+def _q_bound(lo_i, hi_i, lo_j, hi_j):
+    """(n, d): |Q_i - Q_j| d >= n |Q_j| for all Q_i in [lo_i, hi_i] and Q_j in [lo_j, hi_j]."""
+    return max(lo_i - hi_j, lo_j - hi_i, 0), max(-lo_j, hi_j)
+
+
+def _scan_2d(short, buckets, interval, rounding, dev2, seed=None, floor=0, fresh=None):
+    """delta_2*(over the words in buckets) by pruning through the projected windows.
+
+    Every candidate pair must satisfy projected deviation < current
+    planar best (the planar metric dominates the projected one), so the
+    same bucket geometry applies; surviving pairs are measured with
+    dev2 from their rows.  Returns (best, coincidences, count) with
+    best = (dev2, j_key, i_key); the coincidences are pairs of word keys.
+    short holds the rows of the empty word and the generators in key
+    order; seed, floor and fresh act as in _scan_1d (a fresh set also
+    skips the generators against the empty word).
+    """
+    a, b = map(Fraction, interval)
+    mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
+    wn, wd = width
+    slack, t_h, t_qrs = rounding
+    best = None if seed is None else (seed, None, None)
+    # best as bn/bd, 1/0 while there is none; floor as fn/fd
+    bn, bd = (1, 0) if seed is None else seed.as_integer_ratio()
+    fn, fd = floor.as_integer_ratio()
+
+    if fresh is None:  # all buckets, and the generators against the empty word both ways
+        fresh = buckets
+        for rj, ri in [pair for gen in short[1:] for pair in ((short[0], gen), (gen, short[0]))]:
+            dev = dev2(rj, ri, bn, bd)
+            if dev is not None:
+                best = (dev, rj[1], ri[1])
+                bn, bd = dev.as_integer_ratio()
+    same = [(p_val, entries) for p_val, _, entries in buckets.values() if p_val in fresh]
+
+    coinc, coinc_count = [], 0
+
+    # groups of one P and an H chain (consecutive H within t_h): projected
+    # identities; subgroups of Q, R, S within t_qrs are planar identities,
+    # and pairs across subgroups are measured once, on their first rows
+    for _, entries in same:
+        groups = []  # [start, stop) of each maximal chain of ties
+        for k in range(1, len(entries)):
+            if entries[k][0] - entries[k - 1][0] <= t_h:
+                if groups and groups[-1][1] == k:
+                    groups[-1][1] = k + 1
+                else:
+                    groups.append([k - 1, k + 1])
+        for k, k2 in groups:
+            group = entries[k:k2]
+            if all(row[3:] == group[0][3:] for row in group):  # first fit's one subgroup
+                subs, places = [group], [(0, rank) for rank in range(1, len(group) + 1)]
+            else:  # first fit on Q, R, S within t_qrs; a row gets (subgroup, rank)
+                subs, places = [], []
+                for row in group:
+                    n = next((n for n, sub in enumerate(subs) if all(abs(c - c0) <= t for c, c0, t
+                              in zip(row[3:], sub[0][3:], t_qrs))), len(subs))
+                    if n == len(subs):
+                        subs.append([])
+                    subs[n].append(row)
+                    places.append((n, len(subs[n])))
+            coinc_count += sum(n * (n - 1) // 2 for n in map(len, subs))
+            # report the pairs u < v of one subgroup in (u, v) order
+            for row, (n, rank) in zip(group, places):
+                room = _COINCIDENCE_SAMPLE - len(coinc)
+                coinc.extend((row[1], other[1]) for other in subs[n][rank:rank + room])
+            firsts = [sub[0] for sub in subs]
+            for rj in firsts:
+                for ri in firsts:
+                    if rj is not ri:
+                        dev = dev2(rj, ri, bn, bd)
+                        if dev is not None:
+                            best = (dev, rj[1], ri[1])
+                            bn, bd = dev.as_integer_ratio()
+
+    # same-bucket, H apart: p = 1, projected dev = |dH|/(|P| w) < best
+    for p_val, entries in same:
+        den = abs(p_val) * wn
+        for u, ru in enumerate(entries):
+            for v in range(u + 1, len(entries)):
+                rv = entries[v]
+                d_h = rv[0] - ru[0]
+                if d_h <= t_h:
+                    continue
+                if d_h * wd * bd >= bn * den:
+                    break
+                for rj, ri in ((ru, rv), (rv, ru)):
+                    dev = dev2(rj, ri, bn, bd)
+                    if dev is not None:
+                        best = (dev, rj[1], ri[1])
+                        bn, bd = dev.as_integer_ratio()
+
+    # cross-bucket pairs, pruned by |p - 1|, by Q ranges that keep every
+    # |q - 1| at or above best, then by the projected window: every pair
+    # with displacement below best must be measured, so walk the whole
+    # band of shifted H_j values around each H_i
+    q_ranges = {}  # P: (min Q, max Q) of a pulled bucket
+    for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets, slack):
+        if num * bd >= bn * den or bn * fd <= fn * bd:
+            break
+        if p_i not in fresh and p_j not in fresh:
+            continue
+        for p_val, ents in ((p_i, ents_i), (p_j, ents_j)):
+            if p_val not in q_ranges:
+                q_ranges[p_val] = min(row[3] for row in ents), max(row[3] for row in ents)
+        n_q, den_q = _q_bound(*q_ranges[p_i], *q_ranges[p_j])
+        if n_q * bd >= bn * den_q:
+            continue
+        win = _Window(mid, width, p_i, p_j)
+        cd, shift = win.cd, win.shift
+        mul, lim = win.cap(bn, bd)
+        jj, n_j = 0, len(ents_j)
+        for ri in ents_i:
+            hi = ri[0]
+            while jj < n_j and (hi - ents_j[jj][0]) * cd + shift > 0:
+                jj += 1
+            for band in (range(jj - 1, -1, -1), range(jj, n_j)):
+                for idx in band:
+                    rj = ents_j[idx]
+                    if abs((hi - rj[0]) * cd + shift) * mul >= lim:
+                        break
+                    dev = dev2(rj, ri, bn, bd)
+                    if dev is not None:
+                        best = (dev, rj[1], ri[1])
+                        bn, bd = dev.as_integer_ratio()
+                        mul, lim = win.cap(bn, bd)
+    return best, coinc, coinc_count

@@ -34,12 +34,16 @@ only those the scan pulls before |p - 1| stops it.
 Whether a pair beats the current best is decided by cross-multiplying
 integers against a cap derived from the best, in the filter-then-certify
 manner of adaptive predicates; a Fraction is built only for a pair that
-does beat it.  The planar scan reads G_j^-1 G_i off the two rows in
-closed form instead of composing words.
+does beat it.  The planar scan (planar.py) reads G_j^-1 G_i off the
+two rows in closed form instead of composing words, and drops a bucket
+pair whose Q ranges keep every |q - 1| at or above the best.
 
 delta*(d) never rises with d, so a scan starts from a known bound: the
 full depth N is scanned right after depth 2, and each shallower depth
 from delta*(d-1) down to delta*(N), with a flat tail left unscanned.
+Such a seeded scan measures only pairs with a row in a bucket that
+gained rows at depth d: any other pair was there at d-1, at or above
+delta*(d-1), and a scan keeps only a pair that beats its best.
 The rows are born grouped by P, as per-length runs sorted by (H, key):
 the rows of one run share P_w, so appending a letter on the right
 shifts every H by one constant and keeps the run's order, and
@@ -403,16 +407,18 @@ class _Window:
         return Fraction(2 * self.wd * abs(e) + self.gamma, self.den)
 
 
-def _scan_1d(buckets, interval, rounding, seed=None, floor=0):
+def _scan_1d(buckets, interval, rounding, seed=None, floor=0, fresh=None):
     """delta*(at this word set) with its minimizing pair and coincidences.
 
     Returns (best, coincidence_pairs, count) with
     best = (dev, j_key, i_key) or None; the pairs are of word keys.  A
     seed, an upper bound on delta*, starts best as (seed, None, None),
     returned as is when no pair beats it; the cross-bucket pairs stop
-    once best reaches floor, a lower bound.  A pair that beats the seed
-    is the one the unseeded scan keeps: pruning only skips pairs that
-    cannot beat best, and the first pair to reach the minimum is kept.
+    once best reaches floor, a lower bound.  fresh, a set of P (None for
+    all), limits the same-bucket pairs to its buckets and the cross-bucket
+    pairs to those with a bucket in it (see _verdict).  A pair that beats
+    the seed is the one the unseeded scan keeps: pruning only skips pairs
+    that cannot beat best, and the first pair to reach the minimum is kept.
     """
     a, b = map(Fraction, interval)
     mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
@@ -422,12 +428,14 @@ def _scan_1d(buckets, interval, rounding, seed=None, floor=0):
     # best as bn/bd, 1/0 while there is none; floor as fn/fd
     bn, bd = (1, 0) if seed is None else seed.as_integer_ratio()
     fn, fd = floor.as_integer_ratio()
-    coinc = []
-    coinc_count = 0
+    fresh = buckets if fresh is None else fresh
+    coinc, coinc_count = [], 0
 
     # same-bucket pairs have p = 1 exactly: dev = |dH| / (|P| (b-a)); a
     # chain of H values each within t_h of the last is a coincidence run
     for p_val, _, entries in buckets.values():
+        if p_val not in fresh:
+            continue
         den = abs(p_val) * wn
         run = 0
         for e1, e2 in zip(entries, entries[1:]):
@@ -447,6 +455,8 @@ def _scan_1d(buckets, interval, rounding, seed=None, floor=0):
     for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets, slack):
         if num * bd >= bn * den or bn * fd <= fn * bd:
             break
+        if p_i not in fresh and p_j not in fresh:
+            continue
         win = _Window(mid, width, p_i, p_j)
         cd, shift = win.cd, win.shift
         mul, lim = win.cap(bn, bd)
@@ -469,15 +479,19 @@ def _scan_1d(buckets, interval, rounding, seed=None, floor=0):
     return best, coinc, coinc_count
 
 
-def _verdict(system, depth, tol, mode, scan, graph=None):
-    """The WspVerdict of scan(d, seed, floor) -> (best, coincidence_pairs, count).
+def _verdict(system, runs, depth, tol, mode, scan, graph=None):
+    """The WspVerdict of scan(d, seed, floor, fresh) -> (best, coincidence_pairs, count).
 
     delta*(d) is a minimum over pairs that only grow with d, so it never
     rises.  Scans depth 2, then the full depth seeded with delta*(2),
     both floored at the bound of graph, a NeighbourGraph, when it closed
     (at 0 otherwise), then d = 3..depth-1, each seeded with delta*(d-1)
     and floored at delta*(depth); once delta*(d-1) is delta*(depth), the
-    remaining depths are filled in unscanned.  The witnesses are the
+    remaining depths are filled in unscanned.  A scan seeded with
+    delta*(d-1) gets fresh, the P values with a run of length d: any
+    other bucket holds its rows of d-1, so its pairs (float chains and
+    subgroups too) measure as there, at or above the seed, which a scan
+    must beat.  Depth 2 and the full depth get None.  The witnesses are the
     per-depth minimizers where the exact delta* strictly drops, so a
     returned seed, which names no words, never is one; the coincidences
     are those at full depth.  The scans name words by their row keys,
@@ -487,13 +501,14 @@ def _verdict(system, depth, tol, mode, scan, graph=None):
     certified = graph and graph.bound
     lowest = certified or 0
     bests = dict.fromkeys(range(2, depth + 1))
-    bests[2], coinc, coinc_count = scan(2, None, lowest)
+    bests[2], coinc, coinc_count = scan(2, None, lowest, None)
     if depth > 2:
-        bests[depth], coinc, coinc_count = scan(depth, bests[2] and bests[2][0], lowest)
+        bests[depth], coinc, coinc_count = scan(depth, bests[2] and bests[2][0], lowest, None)
     floor = bests[depth] and bests[depth][0]
     for d in range(3, depth):
         seed = bests[d - 1] and bests[d - 1][0]
-        bests[d] = bests[d - 1] if seed == floor else scan(d, seed, floor)[0]
+        fresh = {P for P, (_, group) in runs.items() if any(n == d for n, _ in group)}
+        bests[d] = bests[d - 1] if seed == floor else scan(d, seed, floor, fresh)[0]
     gap, wits, devs = [], [], []
     for d, best in bests.items():
         if best is None:
@@ -546,156 +561,8 @@ def wsp_check_1d(system: IfsSystem, depth: int, tol: float,
         graph = neighbour_graph(system, len(runs))
     except NotCertifiableError:
         graph = None
-    return _verdict(system, depth, tol, "1d", lambda d, seed, floor: _scan_1d(
-        _buckets(runs, d), interval, rounding, seed, floor), graph)
-
-
-def _planar_deviation(interval, ybox):
-    """dev(row_j, row_i, bn, bd): deviation_2d of G_j^-1 G_i from two rows.
-
-    Returns the deviation when it is nonzero and below bn/bd (any
-    nonzero value for 1/0), else None.  With rows scaled by a common
-    factor, G_j^-1 G_i has p = Pi/Pj, q = Qi/Qj,
-    r = (Ri Pj - Rj Pi)/(Pj Qj), h = (Hi - Hj)/Pj and
-    s = ((Si - Sj) Pj - Rj (Hi - Hj))/(Pj Qj).  Every term is compared
-    to bn/bd by cross-multiplication, cheapest first, on the box corners
-    brought to a common denominator M (float corners convert exactly);
-    the corner products are formed only for pairs that pass the others.
-    """
-    (x0, x1, y0, y1), M = common_denominator((*interval, *ybox))
-    w = x1 - x0
-    hh = (y1 - y0) or w
-
-    def dev(rj, ri, bn, bd):
-        Hj, _, Pj, Qj, Rj, Sj = rj
-        Hi, _, Pi, Qi, Ri, Si = ri
-        d_p, d_q, d_h = Pi - Pj, Qi - Qj, Hi - Hj
-        n_p, n_q, den_p, den_q = abs(d_p), abs(d_q), abs(Pj), abs(Qj)
-        if n_p * bd >= bn * den_p or n_q * bd >= bn * den_q:
-            return None
-        e = d_h * M
-        n_x, den_x = max(abs(d_p * x0 + e), abs(d_p * x1 + e)), den_p * w
-        if n_x * bd >= bn * den_x:
-            return None
-        alpha, beta = d_q * Pj, Ri * Pj - Rj * Pi
-        gamma = ((Si - Sj) * Pj - Rj * d_h) * M
-        u0, u1, v0, v1 = beta * x0 + gamma, beta * x1 + gamma, alpha * y0, alpha * y1
-        n_y = max(abs(u0 + v0), abs(u0 + v1), abs(u1 + v0), abs(u1 + v1))
-        den_y = den_p * den_q * hh
-        if n_y * bd >= bn * den_y or not (n_p or n_q or n_x or n_y):
-            return None
-        return max(Fraction(n_p, den_p), Fraction(n_q, den_q),
-                   Fraction(n_x, den_x), Fraction(n_y, den_y))
-
-    return dev
-
-
-def _scan_2d(short, buckets, interval, rounding, dev2, seed=None, floor=0):
-    """delta_2*(over the words in buckets) by pruning through the projected windows.
-
-    Every candidate pair must satisfy projected deviation < current
-    planar best (the planar metric dominates the projected one), so the
-    same bucket geometry applies; surviving pairs are measured with
-    dev2 from their rows.  Returns (best, coincidences, count) with
-    best = (dev2, j_key, i_key); the coincidences are pairs of word keys.
-    short holds the rows of the empty word and the generators in key
-    order; seed and floor act as in _scan_1d.
-    """
-    a, b = map(Fraction, interval)
-    mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
-    wn, wd = width
-    slack, t_h, t_qrs = rounding
-    best = None if seed is None else (seed, None, None)
-    # best as bn/bd, 1/0 while there is none; floor as fn/fd
-    bn, bd = (1, 0) if seed is None else seed.as_integer_ratio()
-    fn, fd = floor.as_integer_ratio()
-
-    # generators against the empty word, both directions
-    empty = short[0]
-    for gen in short[1:]:
-        for rj, ri in ((empty, gen), (gen, empty)):
-            dev = dev2(rj, ri, bn, bd)
-            if dev is not None:
-                best = (dev, rj[1], ri[1])
-                bn, bd = dev.as_integer_ratio()
-
-    coinc = []
-    coinc_count = 0
-
-    # groups of one P and an H chain (consecutive H within t_h): projected
-    # identities; subgroups of Q, R, S within t_qrs are planar identities,
-    # and pairs across subgroups are measured once, on their first rows
-    for _, _, entries in buckets.values():
-        cuts = [k for k in range(1, len(entries)) if entries[k][0] - entries[k - 1][0] > t_h]
-        for k, k2 in zip([0] + cuts, cuts + [len(entries)]):
-            group = entries[k:k2]
-            if len(group) < 2:
-                continue
-            # first fit on Q, R, S within t_qrs; a row gets (subgroup, rank)
-            subs, places = [], []
-            for row in group:
-                n = next((n for n, sub in enumerate(subs) if all(
-                    abs(c - c0) <= t for c, c0, t in zip(row[3:], sub[0][3:], t_qrs))), len(subs))
-                if n == len(subs):
-                    subs.append([])
-                subs[n].append(row)
-                places.append((n, len(subs[n])))
-            coinc_count += sum(n * (n - 1) // 2 for n in map(len, subs))
-            # report the pairs u < v of one subgroup in (u, v) order
-            for row, (n, rank) in zip(group, places):
-                room = _COINCIDENCE_SAMPLE - len(coinc)
-                coinc.extend((row[1], other[1]) for other in subs[n][rank:rank + room])
-            firsts = [sub[0] for sub in subs]
-            for rj in firsts:
-                for ri in firsts:
-                    if rj is not ri:
-                        dev = dev2(rj, ri, bn, bd)
-                        if dev is not None:
-                            best = (dev, rj[1], ri[1])
-                            bn, bd = dev.as_integer_ratio()
-
-    # same-bucket, H apart: p = 1, projected dev = |dH|/(|P| w) < best
-    for p_val, _, entries in buckets.values():
-        den = abs(p_val) * wn
-        for u, ru in enumerate(entries):
-            for v in range(u + 1, len(entries)):
-                rv = entries[v]
-                d_h = rv[0] - ru[0]
-                if d_h <= t_h:
-                    continue
-                if d_h * wd * bd >= bn * den:
-                    break
-                for rj, ri in ((ru, rv), (rv, ru)):
-                    dev = dev2(rj, ri, bn, bd)
-                    if dev is not None:
-                        best = (dev, rj[1], ri[1])
-                        bn, bd = dev.as_integer_ratio()
-
-    # cross-bucket pairs, pruned by |p - 1| then by the projected window:
-    # every pair with displacement below best must be measured, so walk
-    # the whole band of shifted H_j values around each H_i
-    for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets, slack):
-        if num * bd >= bn * den or bn * fd <= fn * bd:
-            break
-        win = _Window(mid, width, p_i, p_j)
-        cd, shift = win.cd, win.shift
-        mul, lim = win.cap(bn, bd)
-        jj, n_j = 0, len(ents_j)
-        for ri in ents_i:
-            hi = ri[0]
-            while jj < n_j and (hi - ents_j[jj][0]) * cd + shift > 0:
-                jj += 1
-            for band in (range(jj - 1, -1, -1), range(jj, n_j)):
-                for idx in band:
-                    rj = ents_j[idx]
-                    if abs((hi - rj[0]) * cd + shift) * mul >= lim:
-                        break
-                    dev = dev2(rj, ri, bn, bd)
-                    if dev is not None:
-                        best = (dev, rj[1], ri[1])
-                        bn, bd = dev.as_integer_ratio()
-                        mul, lim = win.cap(bn, bd)
-    return best, coinc, coinc_count
+    return _verdict(system, runs, depth, tol, "1d", lambda d, seed, floor, fresh: _scan_1d(
+        _buckets(runs, d), interval, rounding, seed, floor, fresh), graph)
 
 
 def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
@@ -717,11 +584,13 @@ def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
         )
     runs, scale = _word_runs(system, depth, budget, planar=True)
     rounding, interval = _rounding(system, depth, scale), system.interval
+    # imported here, like neighbours in wsp_check_1d: only a 2d scan compiles it
+    from .planar import _planar_deviation, _scan_2d
     dev2 = _planar_deviation(interval, attractor_ybox(system))
     short = sorted((row for *_, rows in _buckets(runs, 1).values() for row in rows),
                    key=lambda row: row[1])
-    return _verdict(system, depth, tol, "2d", lambda d, seed, floor: _scan_2d(
-        short, _buckets(runs, d), interval, rounding, dev2, seed, floor))
+    return _verdict(system, runs, depth, tol, "2d", lambda d, seed, floor, fresh: _scan_2d(
+        short, _buckets(runs, d), interval, rounding, dev2, seed, floor, fresh))
 
 
 def graph_transport_check(system: IfsSystem, element, x: Scalar,

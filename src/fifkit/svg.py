@@ -62,13 +62,14 @@ def _columns(points):
 
 def _polyline(frame, xs, ys, css):
     # _Frame.px/py and _fmt inlined: the same float operations, and at
-    # three decimals "-0.000" can only be a whole coordinate
+    # three decimals "-0.000" can only be a whole coordinate.  Chunks of
+    # 4096 points keep a string per point from being held all at once
     xlo, dx, wx = frame.xlo, frame.xhi - frame.xlo, _W - 2 * _MARGIN
     ylo, dy, hy, top = frame.ylo, frame.yhi - frame.ylo, _H - 2 * _MARGIN, _H - _MARGIN
-    coords = " ".join([
+    coords = " ".join(" ".join([
         f"{_MARGIN + (x - xlo) / dx * wx:.3f},{top - (y - ylo) / dy * hy:.3f}"
-        for x, y in zip(xs, ys)
-    ]).replace("-0.000", "0.000")
+        for x, y in zip(xs[k:k + 4096], ys[k:k + 4096])
+    ]) for k in range(0, len(xs), 4096)).replace("-0.000", "0.000")
     return f'  <polyline class="{css}" points="{coords}"/>\n'
 
 

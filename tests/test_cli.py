@@ -315,10 +315,12 @@ def test_runs_with_numpy_blocked(sys_dir, call):
 
 
 def test_cli_import_leaves_heapq_and_numpy_unloaded():
-    # peak RSS follows import size: the scan imports heapq only when it runs
+    # peak RSS follows import size: the scan imports heapq, and a 1d or a
+    # 2d check the neighbour walk or the planar scan, only when it runs
     script = ("import sys\n"
               "import fifkit.cli\n"
-              "print(sorted({'heapq', 'numpy'} & set(sys.modules)))\n")
+              "print(sorted({'heapq', 'numpy', 'fifkit.neighbours', 'fifkit.planar'}\n"
+              "             & set(sys.modules)))\n")
     src = str(Path(fifkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,

@@ -31,6 +31,7 @@ from fifkit import (
     wsp_check_1d,
     wsp_check_2d,
 )
+from fifkit import planar as planar_scan
 from fifkit import separation, write_ifs_file
 from fifkit.neighbours import neighbour_graph
 from fifkit.cli import main
@@ -701,10 +702,10 @@ def _scan_every_depth(system, depth, mode):
     runs, scale = separation._word_runs(system, depth, separation.DEFAULT_WORD_BUDGET, planar)
     rounding, interval = separation._rounding(system, depth, scale), system.interval
     if planar:
-        dev2 = separation._planar_deviation(interval, attractor_ybox(system))
+        dev2 = planar_scan._planar_deviation(interval, attractor_ybox(system))
         rows = _rows_by_length(runs)
-        scans = [separation._scan_2d(rows[0] + rows[1], separation._buckets(runs, d), interval,
-                                     rounding, dev2)
+        scans = [planar_scan._scan_2d(rows[0] + rows[1], separation._buckets(runs, d), interval,
+                                      rounding, dev2)
                  for d in range(2, depth + 1)]
     else:
         scans = [separation._scan_1d(separation._buckets(runs, d), interval, rounding)
@@ -774,16 +775,94 @@ def test_every_depth_matches_unseeded_scans_and_oracle_random():
 ])
 def test_flat_depths_are_not_scanned(monkeypatch, make, mode, depth, scans):
     name = {"1d": "_scan_1d", "2d": "_scan_2d"}[mode]
-    scan, calls = getattr(separation, name), []
+    module = {"1d": separation, "2d": planar_scan}[mode]
+    scan, calls = getattr(module, name), []
 
     def counted(*args):
         calls.append(args)
         return scan(*args)
 
-    monkeypatch.setattr(separation, name, counted)
+    monkeypatch.setattr(module, name, counted)
     check = {"1d": wsp_check_1d, "2d": wsp_check_2d}[mode]
     check(make(), depth, 1e-3)
     assert len(calls) == scans
+
+
+@pytest.mark.parametrize("make, mode, depth, seeded", [
+    (mixed_ratio_parabola_system, "1d", 14, 10),
+    (mixed_ratio_parabola_system, "2d", 12, 9),
+    (four_piece_overlap_system, "1d", 7, 0),
+    (four_piece_overlap_system, "2d", 5, 0),
+])
+def test_seeded_scans_get_the_buckets_that_gained_rows(monkeypatch, make, mode, depth, seeded):
+    # depth 2 and the full depth scan every bucket; a depth d seeded with
+    # delta*(d-1) gets fresh, the P values of the words of length d
+    name = {"1d": "_scan_1d", "2d": "_scan_2d"}[mode]
+    module = {"1d": separation, "2d": planar_scan}[mode]
+    scan, calls = getattr(module, name), []
+
+    def recorded(*args):
+        buckets = args[mode == "2d"]
+        calls.append((sum(len(rows) for *_, rows in buckets.values()), set(buckets), args[-1]))
+        return scan(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    system = make()
+    {"1d": wsp_check_1d, "2d": wsp_check_2d}[mode](system, depth, 1e-3)
+    rows, _ = oracle_word_rows(system, depth, mode == "2d")
+    # the depth of a scan from its word count
+    depths = [list(itertools.accumulate(map(len, rows))).index(n) for n, _, _ in calls]
+    assert depths == [2, depth, *range(3, 3 + seeded)]
+    assert [fresh for _, _, fresh in calls[:2]] == [None, None]
+    for d, (_, every, fresh) in zip(depths[2:], calls[2:]):
+        assert fresh == {row[2] for row in rows[d]} and fresh < every
+
+
+def _shared_p_system(rng, m):
+    """m exact maps whose strips cover [0, 1]; maps 1 and 2 share p and
+    have q of opposite signs, so P buckets hold Q values of both signs."""
+    f = Fraction
+    w, sign = rng.choice((f(1, 2), f(2, 3), f(3, 4), f(3, 5))), rng.choice((1, -1))
+    qs = [rng.choice((f(1, 2), f(1, 3), f(2, 3), f(3, 4), f(2, 5))) for _ in range(m)]
+    hs = [f(0), 1 - w] if sign > 0 else [w, f(1)]
+    ps = [sign * w] * 2
+    for _ in range(m - 2):
+        v = rng.choice((f(1, 3), f(1, 4), f(2, 5)))
+        ps.append(rng.choice((v, -v)))
+        hs.append(rng.randrange(5) * (1 - v) / 4 + (v if ps[-1] < 0 else 0))
+    return IfsSystem(tuple(
+        Affine2(p, q * ((1, -1)[k] if k < 2 else rng.choice((1, -1))),
+                f(rng.randrange(-2, 3), 4), h, f(rng.randrange(-2, 3), 3))
+        for k, (p, q, h) in enumerate(zip(ps, qs, hs))), (f(0), f(1)))
+
+
+def test_q_bound_against_brute_force():
+    # a bucket pair is dropped when n bd >= bn d, so n/d must not exceed
+    # any |Q_i - Q_j|/|Q_j| = |q - 1| of the pairs dev2 would measure
+    rng = random.Random(18)
+    straddling = sharp = 0
+    for _ in range(2000):
+        lo_i, hi_i = sorted(rng.randrange(-12, 13) for _ in range(2))
+        lo_j, hi_j = sorted(rng.randrange(-12, 13) for _ in range(2))
+        n, d = planar_scan._q_bound(lo_i, hi_i, lo_j, hi_j)
+        ratios = [Fraction(abs(q_i - q_j), abs(q_j)) for q_i in range(lo_i, hi_i + 1)
+                  for q_j in range(lo_j, hi_j + 1) if q_j]
+        if not ratios:  # Q_j = 0 alone: dev2 rejects every pair, and so does the bound
+            assert d == 0
+            continue
+        assert n <= min(ratios) * d
+        straddling += n > 0 and (lo_i < 0 < hi_i or lo_j < 0 < hi_j)
+        sharp += n > 0 and n == min(ratios) * d
+    assert straddling > 200 and sharp > 100
+
+
+def test_q_range_prune_with_q_of_both_signs_in_a_bucket():
+    # buckets whose Q straddle 0, exact and float twin, against the oracle
+    rng = random.Random(1818)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CollinearAttractorWarning)
+        for m, oracle_depth in ((2, 4), (2, 4), (2, 4), (2, 4), (3, 4), (3, 3)):
+            _check_every_depth(_shared_p_system(rng, m), "2d", 8 - m, oracle_depth)
 
 
 # ---------- the all-depth floor from the neighbour-map closure ----------
