@@ -13,10 +13,13 @@ composite's coefficients, ints scaled by D^N, D the lcm of the
 generators' coefficient denominators.  A length-L composite has
 denominators dividing D^L, so the scaling is exact, and every quantity
 the scans need is a ratio of integer polynomials in two rows.  A row
-holds only what its metric reads: (H, key, P) for the projected scan,
-(H, key, P, Q, R, S) for the planar one.  A projected row is a prefix of
-a planar row, so bucketing reads both shapes alike; words are decoded
-from their keys only for the witnesses and the reported coincidences.
+holds only what its metric reads.  A projected row is one int,
+(H << kb) + key with 2^kb above every key: it decodes by a shift and a
+mask even for negative H, and ints sort as (H, key) does, so bucketing
+sorts plain ints.  A planar row is the tuple (H, key, P, Q, R, S).  The
+rows of a bucket share P, which the projected rows leave to the bucket;
+words are decoded from their keys only for the witnesses and the
+reported coincidences.
 Floats enter as their exact dyadic values (55 bits wider a level on the
 bundled systems) and run the same scan; rows within a proven radius for
 input rounding are coincidences (see _rounding), and deviations are
@@ -34,9 +37,14 @@ only those the scan pulls before |p - 1| stops it.
 Whether a pair beats the current best is decided by cross-multiplying
 integers against a cap derived from the best, in the filter-then-certify
 manner of adaptive predicates; a Fraction is built only for a pair that
-does beat it.  The planar scan (planar.py) reads G_j^-1 G_i off the
-two rows in closed form instead of composing words, and drops a bucket
-pair whose Q ranges keep every |q - 1| at or above the best.
+does beat it.  The projected scan filters one step earlier: the
+difference of two packed rows is (H_i - H_j) 2^kb plus a key difference
+below 2^kb in size, so it fixes H_i - H_j to within one; the scan
+compares it against its thresholds scaled by 2^kb and decodes H only
+for a pair within one of a decision.  The planar scan (planar.py) reads
+G_j^-1 G_i off the two rows in closed form instead of composing words,
+and drops a bucket pair whose Q ranges keep every |q - 1| at or above
+the best.
 
 delta*(d) never rises with d, so a scan starts from a known bound: the
 full depth N is scanned right after depth 2, and each shallower depth
@@ -46,8 +54,9 @@ gained rows at depth d: any other pair was there at d-1, at or above
 delta*(d-1), and a scan keeps only a pair that beats its best.
 The rows are born grouped by P, as per-length runs sorted by (H, key):
 the rows of one run share P_w, so appending a letter on the right
-shifts every H by one constant and keeps the run's order, and
-the children of one P at a length merge by one sort of presorted runs.
+shifts every H by one constant (every packed row by one int) and keeps
+the run's order, and the children of one P at a length merge by one
+sort of presorted runs.
 The buckets of a depth are the runs of length <= d.
 
 A projected system of finite type also has a floor that holds at every
@@ -63,10 +72,10 @@ import warnings
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 
-from .affine import Affine1, Affine2, Word, compose, compose_word, invert, projection
+from .affine import Affine1, Affine2, Word, compose, invert, projection
 from .attractor import evaluate_f, sample_attractor
-from .errors import (DepthTooLargeError, NotCertifiableError, OutOfDomainError,
-                     RoundingAmbiguityError)
+from .errors import (DepthTooLargeError, IndexOutOfRangeError, NotCertifiableError,
+                     OutOfDomainError, RoundingAmbiguityError)
 from .scalars import Scalar, common_denominator, to_float
 from .systems import IfsSystem
 
@@ -75,12 +84,14 @@ DEFAULT_WORD_BUDGET = 2_000_000
 # cap on reported coincidence pairs (the count itself is complete)
 _COINCIDENCE_SAMPLE = 16
 # tracemalloc bytes per stored word row besides the digits of its ints,
-# for (projected, planar) rows: a list slot, the row tuple, the headers
-# of its own 2 or 5 ints (its run shares one P), and freed temporaries
-# the allocator keeps.  Rows measured at 137 and 264 B on four-piece
-# depth 7 and at 142 and 282 B on mixed depth 14 are sized at 143 and
-# 275 B and at 151 and 307 B
-_ROW_BYTES = (135, 255)
+# for (projected, planar) rows.  A projected row is a list slot and one
+# int header, its run's share of list slack and P; a planar row a list
+# slot, the row tuple, the headers of its own 5 ints (its run shares one
+# P), and freed temporaries the allocator keeps.  Projected rows measured
+# at 45 and 54 B on four-piece depth 7 and mixed depth 14 (93 and 142 B
+# for their float twins) are sized at 49 and 57 B (97 and 145 B); planar
+# rows measured at 264 and 282 B at 275 and 307 B
+_ROW_BYTES = (41, 255)
 
 
 class CollinearAttractorWarning(UserWarning):
@@ -99,10 +110,30 @@ class FamilyElement:
 
     @classmethod
     def from_words(cls, system: IfsSystem, j_word, i_word) -> "FamilyElement":
-        gj = compose_word(system.maps, j_word)
-        gi = compose_word(system.maps, i_word)
-        g2 = compose(invert(gj), gi)
+        g2 = compose(invert(_composite(system, j_word)), _composite(system, i_word))
         return cls(tuple(j_word), tuple(i_word), g2, projection(g2))
+
+
+def _composite(system: IfsSystem, word) -> Affine2:
+    """compose_word(system.maps, word), folded over IfsSystem._scaled_maps.
+
+    G_wk = G_w S_k on coefficients scaled by D^len(w): P' = P p,
+    Q' = Q q, R' = Q r + R p, H' = P h + H D and S' = Q s + R h + S D.
+    An exact system divides by D^len(w) once; a float system has D = 1
+    and does compose's float operations in compose's order.  The empty
+    word gives Fraction coefficients, as compose_word's identity does.
+    """
+    D, gens = system._scaled_maps
+    P, Q, R, H, S = 1, 1, 0, 0, 0
+    for k in word:
+        if not 1 <= k <= len(gens):
+            raise IndexOutOfRangeError(f"index {k} outside 1..{len(gens)}")
+        p, q, r, h, s = gens[k - 1]
+        P, Q, R, H, S = P * p, Q * q, Q * r + R * p, P * h + H * D, Q * s + R * h + S * D
+    if system.exact:
+        den = D ** len(word)
+        return Affine2(*(Fraction(c, den) for c in (P, Q, R, H, S)))
+    return Affine2(P, Q, R, H, S)
 
 
 @dataclass(frozen=True)
@@ -207,37 +238,47 @@ def _is_collinear(system: IfsSystem) -> bool:
     return True
 
 
+def _key_bits(m: int, depth: int) -> int:
+    """kb of a packed projected row (H << kb) + key: 2^kb exceeds every key."""
+    return ((m + 1) ** depth).bit_length()
+
+
 def _word_runs(system: IfsSystem, depth: int, budget: int, planar: bool):
     """Every word of length <= depth as a row, grouped by P: (runs, scale).
 
-    A row is (H, key, P), or (H, key, P, Q, R, S) when planar, the
-    composite's coefficients times scale = D^depth as ints, floats at
-    their exact values.  key stands for the word w: it is sum of
-    w_i (m+1)^(depth-i), so keys sort as the words do, a proper prefix
-    first, and _word decodes one.  runs is {P: (label, [(length, run),
-    ...])} in order of first appearance, so by the length, then the
-    smallest key, of P's first row; each run holds the rows of one
-    length sorted by (H, key), the runs by length.  label is the decimal
-    string of the unscaled P and breaks ties between bucket pairs.
-    Total word count (m^(depth+1) - 1)/(m - 1) within budget.
+    A row holds the composite's coefficients times scale = D^depth as
+    ints, floats at their exact values, and a key standing for the word
+    w: sum of w_i (m+1)^(depth-i), so keys sort as the words do, a
+    proper prefix first, and _word decodes one.  A planar row is
+    (H, key, P, Q, R, S); a projected row is the int (H << kb) + key,
+    kb = _key_bits(m, depth), its P left to its run.  runs is
+    {P: (label, [(length, run), ...])} in order of first appearance, so
+    by the length, then the smallest key, of P's first row; each run
+    holds the rows of one length sorted by (H, key), the runs by length.
+    label is the decimal string of the unscaled P and breaks ties
+    between bucket pairs.  Total word count (m^(depth+1) - 1)/(m - 1)
+    within budget.
     """
     m = len(system)
     total = sum(m ** k for k in range(depth + 1))
     nums, D = common_denominator([c for g in system.maps for c in astuple(g)])
     gens = [nums[k:k + 5] for k in range(0, len(nums), 5)]
+    kb = _key_bits(m, depth)
     if total > budget:
         # every coefficient is about as wide as the scale D^depth, and
         # the rows of a run share one P
         def size(n):
             return sys.int_info.sizeof_digit * -(-n.bit_length() // sys.int_info.bits_per_digit)
-        row = (_ROW_BYTES[planar] + size((m + 1) ** depth)
-               + (4 if planar else 1) * size(D ** depth))
+        if planar:
+            row = _ROW_BYTES[1] + size((m + 1) ** depth) + 4 * size(D ** depth)
+        else:
+            row = _ROW_BYTES[0] + size(D ** depth << kb)
         raise DepthTooLargeError(
             f"{total} words at depth {depth} exceeds budget {budget} "
             f"(about {total * row / 1e6:,.1f} MB of word rows)"
         )
     scale = D ** depth
-    root = (0, 0, scale, scale, 0, 0) if planar else (0, 0, scale)
+    root = (0, 0, scale, scale, 0, 0) if planar else 0
     runs = {scale: ("1", [(0, [root])])}
     level = {scale: [root]}
     for length in range(1, depth + 1):
@@ -256,7 +297,8 @@ def _word_runs(system: IfsSystem, depth: int, budget: int, planar: bool):
                     kid = [(H + c, key + dk, P2, Q * q, Q * r + R * p, Q * s + R * h + S)
                            for H, key, Q, R, S in parent]
                 else:
-                    kid = [(H + c, key + dk, P2) for H, key, _ in run]
+                    shift = (c << kb) + dk
+                    kid = [row + shift for row in run]
                 kids.setdefault(P2, []).append(kid)
         level = {}
         for P, parts in kids.items():
@@ -406,24 +448,48 @@ class _Window:
     def displacement(self, e):
         return Fraction(2 * self.wd * abs(e) + self.gamma, self.den)
 
+    def zone(self, mul, lim, kb):
+        """(below, above): bounds on the differences of packed rows.
 
-def _scan_1d(buckets, interval, rounding, seed=None, floor=0, fresh=None):
+        Rows i and j packed as (H << kb) + key differ by
+        (H_i - H_j) 2^kb + (key_i - key_j), |key_i - key_j| < 2^kb.  A
+        difference at or below `below` has E < 0, one at or above
+        `above` has E >= 0, and neither has |E| mul < lim, so only one
+        strictly between needs its H decoded.  E < 0 iff H_i - H_j < c
+        = ceil(-shift/cd), and |E| mul < lim iff lo <= H_i - H_j <= hi;
+        the bounds enclose min(lo, c) to max(hi, c - 1), widened by the
+        largest key difference.  With no best yet (mul = 0) every pair
+        is in the window.
+        """
+        if not mul:
+            return -math.inf, math.inf
+        a, b = self.cd * mul, self.shift * mul
+        c = -(self.shift // self.cd)
+        lo = min((-lim - b) // a + 1, c)
+        hi = max(-((b - lim) // a) - 1, c - 1)
+        mask = (1 << kb) - 1
+        return (lo << kb) - mask - 1, (hi << kb) + mask + 1
+
+
+def _scan_1d(buckets, kb, interval, rounding, seed=None, floor=0, fresh=None):
     """delta*(at this word set) with its minimizing pair and coincidences.
 
-    Returns (best, coincidence_pairs, count) with
-    best = (dev, j_key, i_key) or None; the pairs are of word keys.  A
-    seed, an upper bound on delta*, starts best as (seed, None, None),
-    returned as is when no pair beats it; the cross-bucket pairs stop
-    once best reaches floor, a lower bound.  fresh, a set of P (None for
-    all), limits the same-bucket pairs to its buckets and the cross-bucket
-    pairs to those with a bucket in it (see _verdict).  A pair that beats
-    the seed is the one the unseeded scan keeps: pruning only skips pairs
-    that cannot beat best, and the first pair to reach the minimum is kept.
+    buckets hold packed rows (H << kb) + key.  Returns
+    (best, coincidence_pairs, count) with best = (dev, j_key, i_key) or
+    None; the pairs are of word keys.  A seed, an upper bound on delta*,
+    starts best as (seed, None, None), returned as is when no pair beats
+    it; the cross-bucket pairs stop once best reaches floor, a lower
+    bound.  fresh, a set of P (None for all), limits the same-bucket
+    pairs to its buckets and the cross-bucket pairs to those with a
+    bucket in it (see _verdict).  A pair that beats the seed is the one
+    the unseeded scan keeps: pruning only skips pairs that cannot beat
+    best, and the first pair to reach the minimum is kept.
     """
     a, b = map(Fraction, interval)
     mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
     wn, wd = width
     slack, t_h, _ = rounding
+    mask = (1 << kb) - 1
     best = None if seed is None else (seed, None, None)
     # best as bn/bd, 1/0 while there is none; floor as fn/fd
     bn, bd = (1, 0) if seed is None else seed.as_integer_ratio()
@@ -432,25 +498,32 @@ def _scan_1d(buckets, interval, rounding, seed=None, floor=0, fresh=None):
     coinc, coinc_count = [], 0
 
     # same-bucket pairs have p = 1 exactly: dev = |dH| / (|P| (b-a)); a
-    # chain of H values each within t_h of the last is a coincidence run
+    # chain of H values each within t_h of the last is a coincidence run.
+    # Adjacent rows further apart than near hold dH above t_h and above
+    # the largest dH whose dev beats best
     for p_val, _, entries in buckets.values():
         if p_val not in fresh:
             continue
         den = abs(p_val) * wn
+        near = (max(t_h, (bn * den - 1) // (wd * bd)) << kb) + mask if bd else math.inf
         run = 0
-        for e1, e2 in zip(entries, entries[1:]):
-            d_h = e2[0] - e1[0]
+        for v1, v2 in zip(entries, entries[1:]):
+            if v2 - v1 > near:
+                run = 0
+                continue
+            d_h = (v2 >> kb) - (v1 >> kb)
             if d_h <= t_h:
                 run += 1
                 coinc_count += run
                 if len(coinc) < _COINCIDENCE_SAMPLE:
-                    coinc.append((e1[1], e2[1]))
+                    coinc.append((v1 & mask, v2 & mask))
                 continue
             run = 0
             num = d_h * wd
             if num * bd < bn * den:
-                best = (Fraction(num, den), e1[1], e2[1])
+                best = (Fraction(num, den), v1 & mask, v2 & mask)
                 bn, bd = best[0].as_integer_ratio()
+                near = (max(t_h, (bn * den - 1) // (wd * bd)) << kb) + mask
 
     for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets, slack):
         if num * bd >= bn * den or bn * fd <= fn * bd:
@@ -460,18 +533,28 @@ def _scan_1d(buckets, interval, rounding, seed=None, floor=0, fresh=None):
         win = _Window(mid, width, p_i, p_j)
         cd, shift = win.cd, win.shift
         mul, lim = win.cap(bn, bd)
+        below, above = win.zone(mul, lim, kb)
         # dev = max(|p-1|, displacement): minimize |E| by the classic
-        # two-pointer min-difference walk over both sorted H lists
+        # two-pointer min-difference walk over both sorted H lists; a
+        # packed difference outside the zone moves a pointer undecoded
         ii, jj, n_i, n_j = 0, 0, len(ents_i), len(ents_j)
         while ii < n_i and jj < n_j:
-            ei, ej = ents_i[ii], ents_j[jj]
-            e = (ei[0] - ej[0]) * cd + shift
+            vi, vj = ents_i[ii], ents_j[jj]
+            dv = vi - vj
+            if dv <= below:
+                ii += 1
+                continue
+            if dv >= above:
+                jj += 1
+                continue
+            e = ((vi >> kb) - (vj >> kb)) * cd + shift
             if abs(e) * mul < lim:
-                best = (max(Fraction(num, den), win.displacement(e)), ej[1], ei[1])
+                best = (max(Fraction(num, den), win.displacement(e)), vj & mask, vi & mask)
                 bn, bd = best[0].as_integer_ratio()
                 if num * bd >= bn * den:
                     break  # nothing in this pair can beat |p - 1| itself
                 mul, lim = win.cap(bn, bd)
+                below, above = win.zone(mul, lim, kb)
             if e < 0:
                 ii += 1
             else:
@@ -561,8 +644,9 @@ def wsp_check_1d(system: IfsSystem, depth: int, tol: float,
         graph = neighbour_graph(system, len(runs))
     except NotCertifiableError:
         graph = None
+    kb = _key_bits(len(system), depth)
     return _verdict(system, runs, depth, tol, "1d", lambda d, seed, floor, fresh: _scan_1d(
-        _buckets(runs, d), interval, rounding, seed, floor, fresh), graph)
+        _buckets(runs, d), kb, interval, rounding, seed, floor, fresh), graph)
 
 
 def wsp_check_2d(system: IfsSystem, depth: int, tol: float,

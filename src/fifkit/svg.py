@@ -24,6 +24,10 @@ _STYLE = (
     "  </style>\n"
 )
 
+# everything a document holds before its first element
+_OPEN = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W:.0f}" '
+         f'height="{_H:.0f}" viewBox="0 0 {_W:.0f} {_H:.0f}">\n' + _STYLE)
+
 
 def _fmt(v: float) -> str:
     out = f"{v:.3f}"
@@ -61,16 +65,25 @@ def _columns(points):
 
 
 def _polyline(frame, xs, ys, css):
-    # _Frame.px/py and _fmt inlined: the same float operations, and at
-    # three decimals "-0.000" can only be a whole coordinate.  Chunks of
-    # 4096 points keep a string per point from being held all at once
+    """The parts of a polyline element, to be joined with the document's.
+
+    _Frame.px/py and _fmt inlined: the same float operations, and at
+    three decimals "-0.000" can only be a whole coordinate, so it is
+    replaced chunk by chunk.  Chunks of 4096 points keep a string per
+    point from being held all at once.
+    """
     xlo, dx, wx = frame.xlo, frame.xhi - frame.xlo, _W - 2 * _MARGIN
     ylo, dy, hy, top = frame.ylo, frame.yhi - frame.ylo, _H - 2 * _MARGIN, _H - _MARGIN
-    coords = " ".join(" ".join([
-        f"{_MARGIN + (x - xlo) / dx * wx:.3f},{top - (y - ylo) / dy * hy:.3f}"
-        for x, y in zip(xs[k:k + 4096], ys[k:k + 4096])
-    ]) for k in range(0, len(xs), 4096)).replace("-0.000", "0.000")
-    return f'  <polyline class="{css}" points="{coords}"/>\n'
+    parts = [f'  <polyline class="{css}" points="']
+    for k in range(0, len(xs), 4096):
+        if k:
+            parts.append(" ")
+        parts.append(" ".join([
+            f"{_MARGIN + (x - xlo) / dx * wx:.3f},{top - (y - ylo) / dy * hy:.3f}"
+            for x, y in zip(xs[k:k + 4096], ys[k:k + 4096])
+        ]).replace("-0.000", "0.000"))
+    parts.append('"/>\n')
+    return parts
 
 
 def _axes(frame, xlo, xhi, ylo, yhi):
@@ -106,16 +119,6 @@ def _markers(frame, marked):
     return "".join(out)
 
 
-def _document(body: str) -> str:
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W:.0f}" '
-        f'height="{_H:.0f}" viewBox="0 0 {_W:.0f} {_H:.0f}">\n'
-        + _STYLE
-        + body
-        + "</svg>\n"
-    )
-
-
 def graph_svg(points, interval, marked=()) -> str:
     """Polyline of a graph sample with axes and optional marked points.
 
@@ -124,11 +127,11 @@ def graph_svg(points, interval, marked=()) -> str:
     """
     xs, ys = _columns(points)
     frame = _Frame(min(xs), max(xs), min(ys), max(ys))
-    body = _axes(frame, to_float(interval[0]), to_float(interval[1]),
-                 min(ys), max(ys))
-    body += _polyline(frame, xs, ys, "curve")
-    body += _markers(frame, marked)
-    return _document(body)
+    parts = [_OPEN, _axes(frame, to_float(interval[0]), to_float(interval[1]),
+                          min(ys), max(ys))]
+    parts += _polyline(frame, xs, ys, "curve")
+    parts += [_markers(frame, marked), "</svg>\n"]
+    return "".join(parts)
 
 
 def overlap_svg(points, interval, sub_a, sub_b, strip_x, marked=()) -> str:
@@ -143,14 +146,14 @@ def overlap_svg(points, interval, sub_a, sub_b, strip_x, marked=()) -> str:
     lo, hi = (to_float(strip_x[0]), to_float(strip_x[1]))
     x0, x1 = frame.px(lo), frame.px(hi)
     ytop, ybot = frame.py(frame.yhi), frame.py(frame.ylo)
-    body = (
+    parts = [
+        _OPEN,
         f'  <rect class="overlap" x="{_fmt(x0)}" y="{_fmt(ytop)}" '
-        f'width="{_fmt(x1 - x0)}" height="{_fmt(ybot - ytop)}"/>\n'
-    )
-    body += _axes(frame, to_float(interval[0]), to_float(interval[1]),
-                  min(ys), max(ys))
-    body += _polyline(frame, xs, ys, "curve")
-    body += _polyline(frame, *sub_a, "piece-a")
-    body += _polyline(frame, *sub_b, "piece-b")
-    body += _markers(frame, marked)
-    return _document(body)
+        f'width="{_fmt(x1 - x0)}" height="{_fmt(ybot - ytop)}"/>\n',
+        _axes(frame, to_float(interval[0]), to_float(interval[1]), min(ys), max(ys)),
+    ]
+    parts += _polyline(frame, xs, ys, "curve")
+    parts += _polyline(frame, *sub_a, "piece-a")
+    parts += _polyline(frame, *sub_b, "piece-b")
+    parts += [_markers(frame, marked), "</svg>\n"]
+    return "".join(parts)

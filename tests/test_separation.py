@@ -14,10 +14,12 @@ from fifkit import (
     DepthTooLargeError,
     FamilyElement,
     IfsSystem,
+    IndexOutOfRangeError,
     NotCertifiableError,
     OutOfDomainError,
     RoundingAmbiguityError,
     attractor_ybox,
+    compose,
     compose_word,
     conjugate_map,
     conjugate_system,
@@ -26,6 +28,7 @@ from fifkit import (
     dyadic_parabola_system,
     four_piece_overlap_system,
     graph_transport_check,
+    invert,
     mixed_ratio_parabola_system,
     projection,
     wsp_check_1d,
@@ -143,6 +146,36 @@ def test_family_element_from_words():
     assert el.j_word == (1,) and el.i_word == (1, 2)
     assert el.map1 == Affine1(Fraction(2, 3), Fraction(1, 3))
     assert projection(el.map2) == el.map1
+
+
+def test_family_element_from_words_matches_compose_word():
+    # maps folded over the integer generators equal compose(invert(G_j), G_i)
+    # of compose_word coefficient by coefficient, in value and in type:
+    # Fractions for exact systems and for a float system's empty words,
+    # floats from compose's own float operations otherwise
+    rng = random.Random(23)
+    bases = [four_piece_overlap_system(), mixed_ratio_parabola_system(),
+             dyadic_parabola_system(), random_lattice_system(rng)]
+    systems = bases + [float_twin(s) for s in bases]
+    systems += [conjugate_system(s, Fraction(-2), Fraction(1, 3)) for s in bases]
+    systems += [conjugate_system(float_twin(bases[0]), 3.0, -1.0)]
+    empties = 0
+    for system in systems:
+        m = len(system)
+        for _ in range(12):
+            j_word, i_word = (tuple(rng.randint(1, m) for _ in range(rng.randrange(6)))
+                              for _ in range(2))
+            empties += not j_word or not i_word
+            el = FamilyElement.from_words(system, j_word, i_word)
+            want = compose(invert(compose_word(system.maps, j_word)),
+                           compose_word(system.maps, i_word))
+            for name in ("p", "q", "r", "h", "s"):
+                got, exp = getattr(el.map2, name), getattr(want, name)
+                assert got == exp and type(got) is type(exp), (system, j_word, i_word, name)
+            assert el.map1 == projection(want)
+    assert empties > 0
+    with pytest.raises(IndexOutOfRangeError):
+        FamilyElement.from_words(bases[1], (1,), (3,))
 
 
 @pytest.mark.parametrize("depth", [2, 3, 4, 5])
@@ -310,28 +343,40 @@ def test_conjugated_system_same_delta_star():
             wsp_check_1d(system, depth, 1e-9).delta_star
 
 
-def _rows_by_length(runs):
-    """The rows of _word_runs read back out of the runs, by length, in key order."""
+def _unpack(rows, P, kb):
+    """Rows of a P bucket as tuples: a packed projected row (H << kb) + key
+    as (H, key, P), a planar row as it is."""
+    mask = (1 << kb) - 1
+    return [(row >> kb, row & mask, P) if isinstance(row, int) else row for row in rows]
+
+
+def _rows_by_length(runs, kb):
+    """The rows of _word_runs read back out of the runs, unpacked, by
+    length, in key order."""
     rows = []
-    for _, group in runs.values():
+    for P, (_, group) in runs.items():
         for length, run in group:
             rows += [[] for _ in range(length + 1 - len(rows))]
-            rows[length] += run
+            rows[length] += _unpack(run, P, kb)
     for level in rows:
         level.sort(key=lambda row: row[1])
     return rows
 
 
 def _retained_rows(system, depth, planar):
-    """(rows by length, tracemalloc bytes they retain, tracemalloc peak)
-    of a full word-row build."""
+    """(runs, tracemalloc bytes they retain, tracemalloc peak) of a full
+    word-row build."""
     tracemalloc.start()
     try:
         runs, _ = separation._word_runs(system, depth, 10 ** 7, planar)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return _rows_by_length(runs), retained, peak
+    return runs, retained, peak
+
+
+def _all_rows(runs):
+    return [row for _, group in runs.values() for _, run in group for row in run]
 
 
 def test_wsp_budget_error_states_memory():
@@ -347,22 +392,27 @@ def test_wsp_budget_error_states_memory():
             message = str(info.value)
             assert f"{words} words" in message
             mb = float(re.search(r"about ([\d,]+\.\d) MB", message).group(1).replace(",", ""))
-            rows, retained, _ = _retained_rows(system, depth, planar)
-            assert sum(map(len, rows)) == words
+            runs, retained, _ = _retained_rows(system, depth, planar)
+            assert len(_all_rows(runs)) == words
             assert retained / 1e6 <= mb <= 1.5 * retained / 1e6
 
 
 def test_word_rows_bytes_per_row():
     # mixed at depth 14 stored 433 B per row when every row held all five
-    # coefficients and a word tuple, and 180 B (213 B at the peak) when
-    # rows were built per length and rescaled in a second pass; the peak
-    # bound catches such a pass
+    # coefficients and a word tuple, 180 B (213 B at the peak) when rows
+    # were built per length and rescaled in a second pass, and 142 B
+    # (146 B) as (H, key, P) tuples; a packed projected row measures 54 B
+    # (58 B).  The peak bound catches a second pass
     system, depth = mixed_ratio_parabola_system(), 14
-    for planar, limit, peak_limit in ((False, 155, 160), (True, 310, 315)):
-        rows, retained, peak = _retained_rows(system, depth, planar)
-        assert {len(row) for level in rows for row in level} == {6 if planar else 3}
-        assert retained / sum(map(len, rows)) <= limit
-        assert peak / sum(map(len, rows)) <= peak_limit
+    for planar, limit, peak_limit in ((False, 58, 63), (True, 310, 315)):
+        runs, retained, peak = _retained_rows(system, depth, planar)
+        rows = _all_rows(runs)
+        if planar:
+            assert {len(row) for row in rows} == {6}
+        else:
+            assert {type(row) for row in rows} == {int}
+        assert retained / len(rows) <= limit
+        assert peak / len(rows) <= peak_limit
 
 
 def _m_map_system(m):
@@ -381,7 +431,7 @@ def test_word_keys_decode_and_sort_as_words(m):
     depth = 6
     system = _m_map_system(m)
     runs, scale = separation._word_runs(system, depth, 10 ** 6, False)
-    rows = _rows_by_length(runs)
+    rows = _rows_by_length(runs, separation._key_bits(m, depth))
     assert rows[0] == [(0, 0, scale)]
     pairs = []
     for length, level in enumerate(rows):
@@ -393,6 +443,92 @@ def test_word_keys_decode_and_sort_as_words(m):
                 assert (H, P) == (g.h * scale, g.p * scale)
             pairs.append((key, word))
     assert [word for _, word in sorted(pairs)] == sorted(word for _, word in pairs)
+
+
+def test_packed_rows_unpack_and_sort_as_h_then_key():
+    # a projected row (H << kb) + key unpacks by a shift and a mask and
+    # sorts as (H, key), for negative H (a conjugation with lam < 0, and
+    # reversing maps), a float twin's wide dyadic H and the largest key
+    f = Fraction
+    reversing = IfsSystem((Affine2(f(-1, 2), f(1, 2), f(0), f(1, 2), f(0)),
+                           Affine2(f(-1, 3), f(1, 3), f(1, 5), f(1), f(0))), (f(0), f(1)))
+    cases = [(conjugate_system(mixed_ratio_parabola_system(), f(-2), f(1, 3)), "negative"),
+             (conjugate_system(reversing, f(3), f(-1)), "negative"),
+             (float_twin(four_piece_overlap_system()), "wide"),
+             (_m_map_system(3), "")]
+    for system, kind in cases:
+        m, depth = len(system), 5
+        kb = separation._key_bits(m, depth)
+        runs, _ = separation._word_runs(system, depth, 10 ** 6, False)
+        rows, _ = oracle_word_rows(system, depth, False)
+        want = sorted(row for level in rows for row in level)
+        got = [row for P, (_, group) in runs.items() for _, run in group
+               for row in _unpack(run, P, kb)]
+        assert sorted(got) == want
+        packed = sorted(_all_rows(runs))
+        assert [row[:2] for row in _unpack(packed, None, kb)] == [row[:2] for row in want]
+        assert (m + 1) ** depth - 1 in {key for _, key, _ in got}
+        if kind == "negative":
+            assert min(H for H, _, _ in got) < 0
+        if kind == "wide":
+            assert max(abs(H) for H, _, _ in got).bit_length() > 200 > kb
+
+
+def test_window_zone_against_brute_force():
+    # a packed difference (H_i - H_j) 2^kb + dk at or below `below` must
+    # have E < 0, at or above `above` E >= 0, and neither |E| mul < lim,
+    # since the cross-bucket walk moves on without decoding it
+    rng = random.Random(41)
+    decoded = 0
+    for _ in range(150):
+        kb = rng.randrange(1, 4)
+        mid = Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)).as_integer_ratio()
+        width = Fraction(rng.randrange(1, 9), rng.randrange(1, 6)).as_integer_ratio()
+        p_i, p_j = (rng.choice((-1, 1)) * rng.randrange(1, 40) for _ in range(2))
+        win = separation._Window(mid, width, p_i, p_j)
+        bn, bd = rng.choice(((1, 0), (rng.randrange(20), rng.randrange(1, 20))))
+        mul, lim = win.cap(bn, bd)
+        below, above = win.zone(mul, lim, kb)
+        c = -(win.shift // win.cd)
+        for d_h in range(c - 30, c + 31):
+            e = d_h * win.cd + win.shift
+            for dk in range(1 - (1 << kb), 1 << kb):
+                dv = (d_h << kb) + dk
+                if dv <= below:
+                    assert e < 0 and abs(e) * mul >= lim
+                elif dv >= above:
+                    assert e >= 0 and abs(e) * mul >= lim
+                else:
+                    decoded += 1
+    assert decoded > 0
+
+
+def test_scan_1d_matches_brute_force_on_random_rows():
+    # rows with small H, so that differences land on and next to every
+    # threshold of both phases, against the least nonzero deviation and
+    # the zero ones over all ordered pairs
+    rng = random.Random(57)
+    for _ in range(200):
+        kb = rng.randrange(1, 5)
+        keys = rng.sample(range(1 << kb), min(1 << kb, rng.randrange(2, 12)))
+        rows = {key: (rng.randrange(-12, 13), rng.choice((1, 2, 3, -2, 5))) for key in keys}
+        interval = rng.choice(((0, 1), (Fraction(-1, 3), 2), (1, 4)))
+        buckets = {}
+        for H, key, P in sorted((H, key, P) for key, (H, P) in rows.items()):
+            buckets.setdefault(P, (P, str(P), []))[2].append((H << kb) + key)
+
+        def dev(j, i):
+            (h_j, p_j), (h_i, p_i) = rows[j], rows[i]
+            return deviation_1d(Affine1(Fraction(p_i, p_j), Fraction(h_i - h_j, p_j)), interval)
+
+        devs = [dev(j, i) for j in rows for i in rows if i != j]
+        nonzero = [d for d in devs if d]
+        best, _, count = separation._scan_1d(buckets, kb, interval, (0, 0, [0, 0, 0]))
+        assert count == (len(devs) - len(nonzero)) // 2
+        if nonzero:
+            assert best[0] == min(nonzero) == dev(*best[1:])
+        else:
+            assert best is None
 
 
 # (lam, mu) of x -> lam*x + mu: integer, negative and fractional scalings,
@@ -490,6 +626,9 @@ def test_word_runs_match_oracle():
     for system in systems + [float_twin(system) for system in systems]:
         for planar, depth in ((False, 7), (True, 4)):
             runs, scale = separation._word_runs(system, depth, 10 ** 6, planar)
+            kb = separation._key_bits(len(system), depth)
+            runs = {P: (label, [(n, _unpack(run, P, kb)) for n, run in group])
+                    for P, (label, group) in runs.items()}
             rows, want_scale = oracle_word_rows(system, depth, planar)
             want = oracle_runs(rows, want_scale)
             assert scale == want_scale
@@ -512,9 +651,11 @@ def test_buckets_match_oracle():
     for system in systems + [float_twin(system) for system in systems]:
         for planar, depth in ((False, 7), (True, 4)):
             runs, scale = separation._word_runs(system, depth, 10 ** 6, planar)
-            rows = _rows_by_length(runs)
+            kb = separation._key_bits(len(system), depth)
+            rows = _rows_by_length(runs, kb)
             for upto in range(depth + 1):
-                got = separation._buckets(runs, upto)
+                got = {P: (P, label, _unpack(entries, P, kb))
+                       for P, (_, label, entries) in separation._buckets(runs, upto).items()}
                 assert list(got.items()) == list(oracle_buckets(rows, upto, scale).items())
                 partial += sum(1 < sum(n <= upto for n, _ in runs[P][1]) < len(runs[P][1])
                                for P in got)
@@ -701,14 +842,15 @@ def _scan_every_depth(system, depth, mode):
     planar = mode == "2d"
     runs, scale = separation._word_runs(system, depth, separation.DEFAULT_WORD_BUDGET, planar)
     rounding, interval = separation._rounding(system, depth, scale), system.interval
+    kb = separation._key_bits(len(system), depth)
     if planar:
         dev2 = planar_scan._planar_deviation(interval, attractor_ybox(system))
-        rows = _rows_by_length(runs)
+        rows = _rows_by_length(runs, kb)
         scans = [planar_scan._scan_2d(rows[0] + rows[1], separation._buckets(runs, d), interval,
                                       rounding, dev2)
                  for d in range(2, depth + 1)]
     else:
-        scans = [separation._scan_1d(separation._buckets(runs, d), interval, rounding)
+        scans = [separation._scan_1d(separation._buckets(runs, d), kb, interval, rounding)
                  for d in range(2, depth + 1)]
 
     def word(key):
@@ -922,9 +1064,9 @@ def _recorded_scans(monkeypatch, system, depth):
     scan, bucket_pairs = separation._scan_1d, separation._bucket_pairs
     calls = []
 
-    def recorded(*args):
-        calls.append([args[4], 0])
-        return scan(*args)
+    def recorded(buckets, kb, interval, rounding, seed, floor, fresh):
+        calls.append([floor, 0])
+        return scan(buckets, kb, interval, rounding, seed, floor, fresh)
 
     def counted(*args):
         for pair in bucket_pairs(*args):

@@ -36,16 +36,20 @@ def test_polyline_matches_per_point_form(bounds):
     # frame corners, the padded data extremes, and the data's own corners
     xs = [frame.xlo, frame.xhi, frame.xlo, frame.xhi, xlo, xhi]
     ys = [frame.ylo, frame.yhi, frame.yhi, frame.ylo, ylo, yhi]
-    # pixels just below zero print 0.000; -10.0004 prints -10.000
-    for px in (-0.0004999, -0.0004, -0.0001, -1e-9, -0.0, 0.0, 0.0004, -0.0006,
-               -10.0004, -10.0006, -123.45649):
-        xs.append(x_at(frame, px))
-        ys.append(y_at(frame, px))
+    # pixels just below zero print 0.000; -10.0004 prints -10.000.  They
+    # come before and after 8,500 random points, so that they fall in
+    # the first 4096-point chunk and in the third
+    pixels = (-0.0004999, -0.0004, -0.0001, -1e-9, -0.0, 0.0, 0.0004, -0.0006,
+              -10.0004, -10.0006, -123.45649)
+    xs += [x_at(frame, px) for px in pixels]
+    ys += [y_at(frame, px) for px in pixels]
     rng = random.Random(1986)
-    for _ in range(500):
+    for _ in range(8500):
         xs.append(rng.uniform(frame.xlo - 1.0, frame.xhi + 1.0))
         ys.append(rng.uniform(frame.ylo - 1.0, frame.yhi + 1.0))
-    got = _polyline(frame, xs, ys, "curve")
+    xs += [x_at(frame, px) for px in pixels]
+    ys += [y_at(frame, px) for px in pixels]
+    got = "".join(_polyline(frame, xs, ys, "curve"))
     assert got == per_point_polyline(frame, xs, ys, "curve")
     # the cases above reach both a negative zero and a negative pixel
     raw = [f"{frame.px(x):.3f}" for x in xs] + [f"{frame.py(y):.3f}" for y in ys]
