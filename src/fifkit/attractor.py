@@ -32,7 +32,7 @@ from .systems import IfsSystem
 _DEDUP_QUANTUM = 1e-12
 
 
-def _select_branch(system, x, strips, slack, forced=None):
+def _select_branch(x, strips, slack, forced=None):
     if forced is not None:
         lo, hi = strips[forced - 1]
         if not (lo - slack <= x <= hi + slack):
@@ -71,7 +71,7 @@ def _evaluate(system, x, tol, first_branch=None):
     err = mfloat
     forced = first_branch
     for _ in range(nsteps):
-        i = _select_branch(system, cur, strips, slack, forced)
+        i = _select_branch(cur, strips, slack, forced)
         forced = None
         g = system.maps[i - 1]
         prev = (cur - g.h) / g.p
@@ -189,10 +189,14 @@ def anchor_points(system: IfsSystem):
     Returns (points, worst_error), the endpoints evaluated within 1e-12.
     In an exact system the endpoint evaluations terminate on projected
     fixed points for every bundled example, making the anchors exact.
+    Raises NotContractiveError when a generator has p = 1 or q = 1,
+    which has no fixed point to anchor at.
     """
     pts = []
     worst = 0.0
-    for g in system.maps:
+    for k, g in enumerate(system.maps, start=1):
+        if g.p == 1 or g.q == 1:
+            raise NotContractiveError(f"map {k} has p = {g.p}, q = {g.q}: not contractive")
         xstar = g.h / (1 - g.p)
         ystar = (g.r * xstar + g.s) / (1 - g.q)
         pts.append((xstar, ystar))

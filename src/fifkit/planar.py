@@ -7,10 +7,11 @@ from .separation import _COINCIDENCE_SAMPLE, _Window, _bucket_pairs
 
 
 def _planar_deviation(interval, ybox):
-    """dev(row_j, row_i, bn, bd): deviation_2d of G_j^-1 G_i from two rows.
+    """dev(Pj, row_j, Pi, row_i, bn, bd): deviation_2d of G_j^-1 G_i from two rows.
 
-    Returns the deviation when it is nonzero and below bn/bd (any
-    nonzero value for 1/0), else None.  With rows scaled by a common
+    A row (H, key, Q, R, S) comes with the P of its bucket.  Returns the
+    deviation when it is nonzero and below bn/bd (any nonzero value for
+    1/0), else None.  With rows scaled by a common
     factor, G_j^-1 G_i has p = Pi/Pj, q = Qi/Qj,
     r = (Ri Pj - Rj Pi)/(Pj Qj), h = (Hi - Hj)/Pj and
     s = ((Si - Sj) Pj - Rj (Hi - Hj))/(Pj Qj).  Every term is compared
@@ -22,9 +23,9 @@ def _planar_deviation(interval, ybox):
     w = x1 - x0
     hh = (y1 - y0) or w
 
-    def dev(rj, ri, bn, bd):
-        Hj, _, Pj, Qj, Rj, Sj = rj
-        Hi, _, Pi, Qi, Ri, Si = ri
+    def dev(Pj, rj, Pi, ri, bn, bd):
+        Hj, _, Qj, Rj, Sj = rj
+        Hi, _, Qi, Ri, Si = ri
         d_p, d_q, d_h = Pi - Pj, Qi - Qj, Hi - Hj
         n_p, n_q, den_p, den_q = abs(d_p), abs(d_q), abs(Pj), abs(Qj)
         if n_p * bd >= bn * den_p or n_q * bd >= bn * den_q:
@@ -60,8 +61,8 @@ def _scan_2d(short, buckets, interval, rounding, dev2, seed=None, floor=0, fresh
     dev2 from their rows.  Returns (best, coincidences, count) with
     best = (dev2, j_key, i_key); the coincidences are pairs of word keys.
     short holds the rows of the empty word and the generators in key
-    order; seed, floor and fresh act as in _scan_1d (a fresh set also
-    skips the generators against the empty word).
+    order, each as (P, row); seed, floor and fresh act as in _scan_1d (a
+    fresh set also skips the generators against the empty word).
     """
     a, b = map(Fraction, interval)
     mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
@@ -74,19 +75,20 @@ def _scan_2d(short, buckets, interval, rounding, dev2, seed=None, floor=0, fresh
 
     if fresh is None:  # all buckets, and the generators against the empty word both ways
         fresh = buckets
-        for rj, ri in [pair for gen in short[1:] for pair in ((short[0], gen), (gen, short[0]))]:
-            dev = dev2(rj, ri, bn, bd)
+        for (pj, rj), (pi, ri) in [pair for gen in short[1:]
+                                   for pair in ((short[0], gen), (gen, short[0]))]:
+            dev = dev2(pj, rj, pi, ri, bn, bd)
             if dev is not None:
                 best = (dev, rj[1], ri[1])
                 bn, bd = dev.as_integer_ratio()
-    same = [(p_val, entries) for p_val, _, entries in buckets.values() if p_val in fresh]
+    same = [(p_val, entries) for p_val, (_, entries) in buckets.items() if p_val in fresh]
 
     coinc, coinc_count = [], 0
 
     # groups of one P and an H chain (consecutive H within t_h): projected
     # identities; subgroups of Q, R, S within t_qrs are planar identities,
     # and pairs across subgroups are measured once, on their first rows
-    for _, entries in same:
+    for p_val, entries in same:
         groups = []  # [start, stop) of each maximal chain of ties
         for k in range(1, len(entries)):
             if entries[k][0] - entries[k - 1][0] <= t_h:
@@ -96,13 +98,13 @@ def _scan_2d(short, buckets, interval, rounding, dev2, seed=None, floor=0, fresh
                     groups.append([k - 1, k + 1])
         for k, k2 in groups:
             group = entries[k:k2]
-            if all(row[3:] == group[0][3:] for row in group):  # first fit's one subgroup
+            if all(row[2:] == group[0][2:] for row in group):  # first fit's one subgroup
                 subs, places = [group], [(0, rank) for rank in range(1, len(group) + 1)]
             else:  # first fit on Q, R, S within t_qrs; a row gets (subgroup, rank)
                 subs, places = [], []
                 for row in group:
                     n = next((n for n, sub in enumerate(subs) if all(abs(c - c0) <= t for c, c0, t
-                              in zip(row[3:], sub[0][3:], t_qrs))), len(subs))
+                              in zip(row[2:], sub[0][2:], t_qrs))), len(subs))
                     if n == len(subs):
                         subs.append([])
                     subs[n].append(row)
@@ -116,7 +118,7 @@ def _scan_2d(short, buckets, interval, rounding, dev2, seed=None, floor=0, fresh
             for rj in firsts:
                 for ri in firsts:
                     if rj is not ri:
-                        dev = dev2(rj, ri, bn, bd)
+                        dev = dev2(p_val, rj, p_val, ri, bn, bd)
                         if dev is not None:
                             best = (dev, rj[1], ri[1])
                             bn, bd = dev.as_integer_ratio()
@@ -133,7 +135,7 @@ def _scan_2d(short, buckets, interval, rounding, dev2, seed=None, floor=0, fresh
                 if d_h * wd * bd >= bn * den:
                     break
                 for rj, ri in ((ru, rv), (rv, ru)):
-                    dev = dev2(rj, ri, bn, bd)
+                    dev = dev2(p_val, rj, p_val, ri, bn, bd)
                     if dev is not None:
                         best = (dev, rj[1], ri[1])
                         bn, bd = dev.as_integer_ratio()
@@ -150,7 +152,7 @@ def _scan_2d(short, buckets, interval, rounding, dev2, seed=None, floor=0, fresh
             continue
         for p_val, ents in ((p_i, ents_i), (p_j, ents_j)):
             if p_val not in q_ranges:
-                q_ranges[p_val] = min(row[3] for row in ents), max(row[3] for row in ents)
+                q_ranges[p_val] = min(row[2] for row in ents), max(row[2] for row in ents)
         n_q, den_q = _q_bound(*q_ranges[p_i], *q_ranges[p_j])
         if n_q * bd >= bn * den_q:
             continue
@@ -167,7 +169,7 @@ def _scan_2d(short, buckets, interval, rounding, dev2, seed=None, floor=0, fresh
                     rj = ents_j[idx]
                     if abs((hi - rj[0]) * cd + shift) * mul >= lim:
                         break
-                    dev = dev2(rj, ri, bn, bd)
+                    dev = dev2(p_j, rj, p_i, ri, bn, bd)
                     if dev is not None:
                         best = (dev, rj[1], ri[1])
                         bn, bd = dev.as_integer_ratio()

@@ -16,8 +16,8 @@ the scans need is a ratio of integer polynomials in two rows.  A row
 holds only what its metric reads.  A projected row is one int,
 (H << kb) + key with 2^kb above every key: it decodes by a shift and a
 mask even for negative H, and ints sort as (H, key) does, so bucketing
-sorts plain ints.  A planar row is the tuple (H, key, P, Q, R, S).  The
-rows of a bucket share P, which the projected rows leave to the bucket;
+sorts plain ints.  A planar row is the tuple (H, key, Q, R, S).  The
+rows of a bucket share P, which both kinds of row leave to the bucket;
 words are decoded from their keys only for the witnesses and the
 reported coincidences.
 Floats enter as their exact dyadic values (55 bits wider a level on the
@@ -75,7 +75,7 @@ from fractions import Fraction
 from .affine import Affine1, Affine2, Word, compose, invert, projection
 from .attractor import evaluate_f, sample_attractor
 from .errors import (DepthTooLargeError, IndexOutOfRangeError, NotCertifiableError,
-                     OutOfDomainError, RoundingAmbiguityError)
+                     NotContractiveError, OutOfDomainError, RoundingAmbiguityError)
 from .scalars import Scalar, common_denominator, to_float
 from .systems import IfsSystem
 
@@ -86,12 +86,12 @@ _COINCIDENCE_SAMPLE = 16
 # tracemalloc bytes per stored word row besides the digits of its ints,
 # for (projected, planar) rows.  A projected row is a list slot and one
 # int header, its run's share of list slack and P; a planar row a list
-# slot, the row tuple, the headers of its own 5 ints (its run shares one
-# P), and freed temporaries the allocator keeps.  Projected rows measured
-# at 45 and 54 B on four-piece depth 7 and mixed depth 14 (93 and 142 B
-# for their float twins) are sized at 49 and 57 B (97 and 145 B); planar
-# rows measured at 264 and 282 B at 275 and 307 B
-_ROW_BYTES = (41, 255)
+# slot, the 5-tuple, the headers of its 5 ints (its run holds P), and
+# freed temporaries the allocator keeps.  Projected rows measured at 45
+# and 54 B on four-piece depth 7 and mixed depth 14 (93 and 142 B for
+# their float twins) are sized at 49 and 57 B (97 and 145 B); planar rows
+# measured at 249 and 272 B (426 and 633 B) at 260 and 292 B (452 and 660 B)
+_ROW_BYTES = (41, 240)
 
 
 class CollinearAttractorWarning(UserWarning):
@@ -250,8 +250,8 @@ def _word_runs(system: IfsSystem, depth: int, budget: int, planar: bool):
     ints, floats at their exact values, and a key standing for the word
     w: sum of w_i (m+1)^(depth-i), so keys sort as the words do, a
     proper prefix first, and _word decodes one.  A planar row is
-    (H, key, P, Q, R, S); a projected row is the int (H << kb) + key,
-    kb = _key_bits(m, depth), its P left to its run.  runs is
+    (H, key, Q, R, S) and a projected row the int (H << kb) + key,
+    kb = _key_bits(m, depth); both leave P to their run.  runs is
     {P: (label, [(length, run), ...])} in order of first appearance, so
     by the length, then the smallest key, of P's first row; each run
     holds the rows of one length sorted by (H, key), the runs by length.
@@ -278,7 +278,7 @@ def _word_runs(system: IfsSystem, depth: int, budget: int, planar: bool):
             f"(about {total * row / 1e6:,.1f} MB of word rows)"
         )
     scale = D ** depth
-    root = (0, 0, scale, scale, 0, 0) if planar else 0
+    root = (0, 0, scale, 0, 0) if planar else 0
     runs = {scale: ("1", [(0, [root])])}
     level = {scale: [root]}
     for length in range(1, depth + 1):
@@ -290,11 +290,11 @@ def _word_runs(system: IfsSystem, depth: int, budget: int, planar: bool):
         for P, run in level.items():
             Pd = P // D  # exact: P holds a word shorter than depth
             if planar:
-                parent = [(H, key, Q // D, R // D, S) for H, key, _, Q, R, S in run]
+                parent = [(H, key, Q // D, R // D, S) for H, key, Q, R, S in run]
             for k, (p, q, r, h, s) in enumerate(gens, start=1):
                 c, dk, P2 = Pd * h, k * step, Pd * p
                 if planar:
-                    kid = [(H + c, key + dk, P2, Q * q, Q * r + R * p, Q * s + R * h + S)
+                    kid = [(H + c, key + dk, Q * q, Q * r + R * p, Q * s + R * h + S)
                            for H, key, Q, R, S in parent]
                 else:
                     shift = (c << kb) + dk
@@ -341,7 +341,9 @@ def _rounding(system: IfsSystem, depth: int, scale: int):
     g (|P_i| + |P_j|), so |P_i/P_j - 1| <= 2 g / (1 - g) = gamma_2depth,
     the slack.  Exact systems have u = 0, so all are 0.
     """
-    u = Fraction(0 if system.exact else 1, 2 ** 53)
+    if system.exact:
+        return 0, 0, [0, 0, 0]
+    u = Fraction(1, 2 ** 53)
     g = depth * u / (1 - depth * u)
     p, q, r, h, s = (Fraction(max(map(abs, c))) for c in zip(*map(astuple, system.maps)))
     H, P, Q, R, S, bound = 0, 1, 1, 0, 0, [0] * 4
@@ -353,7 +355,7 @@ def _rounding(system: IfsSystem, depth: int, scale: int):
 
 
 def _buckets(runs, upto):
-    """The rows of length <= upto by P, from _word_runs: {P: (P, label, entries)}.
+    """The rows of length <= upto by P, from _word_runs: {P: (label, entries)}.
 
     In order of first appearance, entries sorted by (H, key).  A bucket
     of one run is that run's list; one of several runs is one sort of
@@ -372,7 +374,7 @@ def _buckets(runs, upto):
                     break
                 entries += run
             entries.sort()
-        buckets[P] = (P, label, entries)
+        buckets[P] = (label, entries)
     return buckets
 
 
@@ -386,31 +388,32 @@ def _bucket_pairs(buckets, slack=0):
     and merges the walks, so setup costs one pair per walk and each pair
     pulled O(log B) more.
 
-    Pairs are keyed on (float |p - 1|, exact key, label_i, label_j).
-    The exact key is floor(|p - 1| 2^k), with 2^k above every product
-    of two |P|: distinct values of |p - 1| get distinct keys and equal
-    values equal ones, so pairs come out by exact |p - 1|, then labels,
-    and the float decides almost every comparison.  Raises
-    RoundingAmbiguityError when the first pair has |p - 1| <= slack.
+    Pairs are keyed on (floor(|p - 1| 2^k), label_i, label_j), with 2^k
+    above every product of two |P|: distinct values of |p - 1| get
+    distinct keys and equal values equal ones, so pairs come out by
+    exact |p - 1|, then labels.  Raises RoundingAmbiguityError when the
+    first pair has |p - 1| <= slack.
     """
     import heapq  # here, not at the top: it adds 33 KB to every import
 
-    order = sorted(buckets.values(), key=lambda bucket: bucket[0])
-    k = 2 * max(abs(p).bit_length() for p, _, _ in order) + 1
+    order = sorted(buckets.items())
+    k = 2 * max(abs(p).bit_length() for p, _ in order) + 1
 
     def walk(i, j, step):
-        p_i, label_i, ents_i = order[i]
-        p_j, label_j, ents_j = order[j]
+        p_i, (label_i, ents_i) = order[i]
+        p_j, (label_j, ents_j) = order[j]
         num, den = abs(p_i - p_j), abs(p_j)
-        return (num / den, (num << k) // den, label_i, label_j,
+        return ((num << k) // den, label_i, label_j,
                 (num, den, (p_i, ents_i), (p_j, ents_j)), i, j, step)
 
     heap = [walk(j + step, j, step) for j in range(len(order))
             for step in (-1, 1) if 0 <= j + step < len(order)]
     heapq.heapify(heap)
-    if heap and Fraction(*heap[0][4][:2]) <= slack:
-        raise RoundingAmbiguityError(f"|p - 1| = {heap[0][0]:.3g} is within input "
-                                     f"rounding ({float(slack):.3g}) of a coincidence")
+    if heap:
+        num, den = heap[0][3][:2]
+        if Fraction(num, den) <= slack:
+            raise RoundingAmbiguityError(f"|p - 1| = {num / den:.3g} is within input "
+                                         f"rounding ({float(slack):.3g}) of a coincidence")
     while heap:
         *_, pair, i, j, step = heap[0]
         yield pair
@@ -501,7 +504,7 @@ def _scan_1d(buckets, kb, interval, rounding, seed=None, floor=0, fresh=None):
     # chain of H values each within t_h of the last is a coincidence run.
     # Adjacent rows further apart than near hold dH above t_h and above
     # the largest dH whose dev beats best
-    for p_val, _, entries in buckets.values():
+    for p_val, (_, entries) in buckets.items():
         if p_val not in fresh:
             continue
         den = abs(p_val) * wn
@@ -579,24 +582,28 @@ def _verdict(system, runs, depth, tol, mode, scan, graph=None):
     returned seed, which names no words, never is one; the coincidences
     are those at full depth.  The scans name words by their row keys,
     decoded here.  A float system reports its deviations as floats.
+    Raises NotContractiveError when depth 2 has no non-identity pair.
     """
     m = len(system)
     certified = graph and graph.bound
     lowest = certified or 0
     bests = dict.fromkeys(range(2, depth + 1))
     bests[2], coinc, coinc_count = scan(2, None, lowest, None)
+    if bests[2] is None:
+        raise NotContractiveError("every word up to length 2 is the identity, up to "
+                                  "input rounding: the generators are not contractive")
     if depth > 2:
-        bests[depth], coinc, coinc_count = scan(depth, bests[2] and bests[2][0], lowest, None)
-    floor = bests[depth] and bests[depth][0]
+        bests[depth], coinc, coinc_count = scan(depth, bests[2][0], lowest, None)
+    floor = bests[depth][0]
+    fresh = {}  # length: the P values with a run of that length
+    for P, (_, group) in runs.items():
+        for n, _ in group:
+            fresh.setdefault(n, set()).add(P)
     for d in range(3, depth):
-        seed = bests[d - 1] and bests[d - 1][0]
-        fresh = {P for P, (_, group) in runs.items() if any(n == d for n, _ in group)}
-        bests[d] = bests[d - 1] if seed == floor else scan(d, seed, floor, fresh)[0]
+        seed = bests[d - 1][0]
+        bests[d] = bests[d - 1] if seed == floor else scan(d, seed, floor, fresh[d])[0]
     gap, wits, devs = [], [], []
-    for d, best in bests.items():
-        if best is None:
-            continue
-        dev, j_key, i_key = best
+    for d, (dev, j_key, i_key) in bests.items():
         gap.append((d, dev))
         if not devs or dev < devs[-1]:
             wits.append(FamilyElement.from_words(
@@ -605,7 +612,7 @@ def _verdict(system, runs, depth, tol, mode, scan, graph=None):
     coinc = tuple((_word(u, m, depth), _word(v, m, depth)) for u, v in coinc)
     if not system.exact:
         gap, devs = [(d, to_float(v)) for d, v in gap], list(map(to_float, devs))
-    found = bool(gap) and to_float(gap[-1][1]) < tol
+    found = to_float(gap[-1][1]) < tol
     return WspVerdict(
         status="WitnessFound" if found else "NoWitnessUpToDepth",
         mode=mode,
@@ -671,8 +678,8 @@ def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
     # imported here, like neighbours in wsp_check_1d: only a 2d scan compiles it
     from .planar import _planar_deviation, _scan_2d
     dev2 = _planar_deviation(interval, attractor_ybox(system))
-    short = sorted((row for *_, rows in _buckets(runs, 1).values() for row in rows),
-                   key=lambda row: row[1])
+    short = sorted(((P, row) for P, (_, rows) in _buckets(runs, 1).items() for row in rows),
+                   key=lambda pair: pair[1][1])
     return _verdict(system, runs, depth, tol, "2d", lambda d, seed, floor, fresh: _scan_2d(
         short, _buckets(runs, d), interval, rounding, dev2, seed, floor, fresh))
 

@@ -88,6 +88,21 @@ def test_evaluate_f_branch_independence_on_overlap():
         assert abs(y2 - y3) <= 2 * tol
 
 
+def test_evaluate_f_float_forced_branches():
+    # the float pullback with its first branch forced: branches 2 and 3
+    # agree on the overlap strip, and a strip that misses x is refused
+    system = float_twin(four_piece_overlap_system())
+    tol = 1e-12
+    for k in range(61):
+        x = 7 / 15 + k / 900
+        y2 = evaluate_f(system, x, tol=tol, first_branch=2)
+        y3 = evaluate_f(system, x, tol=tol, first_branch=3)
+        assert type(y2) is float and abs(y2 - y3) <= 2 * tol
+    for x, branch in ((0.5, 1), (0.5, 4), (0.1, 3), (0.9, 2)):
+        with pytest.raises(OutOfDomainError, match=f"outside strip {branch}"):
+            evaluate_f(system, x, tol=tol, first_branch=branch)
+
+
 def test_evaluate_f_out_of_domain():
     system = dyadic_parabola_system()
     with pytest.raises(OutOfDomainError):
@@ -110,6 +125,21 @@ def test_anchor_points_lie_on_graph():
     pts, worst = anchor_points(system)
     assert worst <= 1e-12
     assert all(abs(y - x * x) <= 1e-9 for (x, y) in pts)
+
+
+@pytest.mark.parametrize("p, q", [(1, Fraction(1, 2)), (Fraction(1, 2), 1)])
+def test_anchor_points_refuse_p_or_q_one(p, q):
+    # such a map has no fixed point to anchor a sample at
+    system = IfsSystem(
+        (Affine2(p, q, Fraction(0), Fraction(0), Fraction(0)),
+         Affine2(Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0))),
+        (Fraction(0), Fraction(1)),
+    )
+    for scanned in (system, float_twin(system)):
+        with pytest.raises(NotContractiveError, match="map 1 has"):
+            anchor_points(scanned)
+        with pytest.raises(NotContractiveError):
+            sample_attractor(scanned, 3)
 
 
 def test_sample_attractor_dyadic_exact():

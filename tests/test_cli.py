@@ -16,6 +16,7 @@ from conftest import float_twin
 DYADIC = "interval 0 1\nmap 1/2 1/4 0 0 0\nmap 1/2 1/4 1/2 1/2 1/4\n"
 MIXED = "interval 0 1\nmap 1/2 1/4 0 0 0\nmap 2/3 4/9 4/9 1/3 1/9\n"
 BROKEN = "interval 0 1\nmap 2 0 0 0 0\n"
+IDENTITY = "interval 0 1\nmap 1 1/2 0 0 0\n"
 WITNESS_GJ = "1,2,2,1,2,2,1,2,1,2,2,1"
 WITNESS_GI = "2,1,1,1,1,1,2,2,2,2,2,2"
 
@@ -158,6 +159,18 @@ def test_wsp_witness_found_exit_3(sys_dir, capsys):
     assert "j=2,1,1 i=1,2,2,2" in out
 
 
+@pytest.mark.parametrize("args", [
+    ["wsp", "--depth", "3", "--tol", "1e-3", "--mode", "1d"],
+    ["wsp", "--depth", "3", "--tol", "1e-3", "--mode", "2d"],
+    ["render", "--depth", "3", "--out", "identity.csv"],
+], ids=["wsp-1d", "wsp-2d", "render"])
+def test_map_with_p_one_exits_1(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "identity.ifs").write_text(IDENTITY)
+    assert main([args[0], "identity.ifs", *args[1:]]) == 1
+    assert "not contractive" in capsys.readouterr().err
+
+
 def test_wsp_budget_env_var_exit_2(sys_dir, capsys, monkeypatch):
     monkeypatch.setenv("FIFKIT_WORD_BUDGET", "10")
     code, _, err = run(capsys, ["wsp", sys_dir / "mixed.ifs",
@@ -288,6 +301,16 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "fifkit 0.1.0" in capsys.readouterr().out
+
+
+def test_python_m_fifkit_runs_the_cli():
+    # the package runs from a source tree without being installed
+    src = str(Path(fifkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "fifkit", "--version"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "fifkit 0.1.0\n"
 
 
 @pytest.mark.parametrize("call", [

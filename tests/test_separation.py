@@ -16,6 +16,7 @@ from fifkit import (
     IfsSystem,
     IndexOutOfRangeError,
     NotCertifiableError,
+    NotContractiveError,
     OutOfDomainError,
     RoundingAmbiguityError,
     attractor_ybox,
@@ -80,7 +81,9 @@ MIXED_WITNESS_WORDS = [
 ]
 
 # every witness's (j_word, i_word), which the bucket-pair order decides
-# among equal deviations
+# among equal deviations: exact |p - 1| first, then labels.  Tied bucket
+# pairs taken in P order instead of label order change the dyadic 1d d7
+# and float mixed 1d d6 witnesses
 PINNED_WITNESS_WORDS = {
     ("2d", "mixed", 6): [
         ((), (2,)),
@@ -88,6 +91,12 @@ PINNED_WITNESS_WORDS = {
         ((2, 1, 1), (1, 2, 2, 2)),
     ],
     ("2d", "four_piece", 5): [((), (1,))],
+    ("1d", "dyadic", 7): [((), (1,))],
+    ("1d", "mixed_float", 6): [
+        ((2,), (2, 2)),
+        ((1, 2, 2), (2, 1, 1)),
+        ((2, 1, 1), (1, 2, 2, 2)),
+    ],
     ("1d", "mixed", 14): MIXED_WITNESS_WORDS + [
         ((2, 1, 1, 1, 2, 2, 2, 2, 2, 1, 2), (1, 2, 2, 2, 1, 2, 2, 2, 1, 2, 1)),
         ((1, 2, 2, 1, 2, 2, 1, 2, 1, 2, 2, 1), (2, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2)),
@@ -344,10 +353,17 @@ def test_conjugated_system_same_delta_star():
 
 
 def _unpack(rows, P, kb):
-    """Rows of a P bucket as tuples: a packed projected row (H << kb) + key
-    as (H, key, P), a planar row as it is."""
+    """Rows of a P bucket as tuples with their P: a packed projected row
+    (H << kb) + key as (H, key, P), a planar row (H, key, Q, R, S) as
+    (H, key, P, Q, R, S)."""
     mask = (1 << kb) - 1
-    return [(row >> kb, row & mask, P) if isinstance(row, int) else row for row in rows]
+    return [(row >> kb, row & mask, P) if isinstance(row, int) else (*row[:2], P, *row[2:])
+            for row in rows]
+
+
+def _keyed(buckets):
+    """Buckets {P: (label, entries)} as the oracles take them, {P: (P, label, entries)}."""
+    return {P: (P, label, entries) for P, (label, entries) in buckets.items()}
 
 
 def _rows_by_length(runs, kb):
@@ -402,13 +418,15 @@ def test_word_rows_bytes_per_row():
     # coefficients and a word tuple, 180 B (213 B at the peak) when rows
     # were built per length and rescaled in a second pass, and 142 B
     # (146 B) as (H, key, P) tuples; a packed projected row measures 54 B
-    # (58 B).  The peak bound catches a second pass
+    # (58 B).  A planar row measures 284 B (288 B) as (H, key, P, Q, R, S)
+    # and 272 B (277 B) as (H, key, Q, R, S).  The peak bound catches a
+    # second pass
     system, depth = mixed_ratio_parabola_system(), 14
-    for planar, limit, peak_limit in ((False, 58, 63), (True, 310, 315)):
+    for planar, limit, peak_limit in ((False, 58, 63), (True, 285, 290)):
         runs, retained, peak = _retained_rows(system, depth, planar)
         rows = _all_rows(runs)
         if planar:
-            assert {len(row) for row in rows} == {6}
+            assert {len(row) for row in rows} == {5}
         else:
             assert {type(row) for row in rows} == {int}
         assert retained / len(rows) <= limit
@@ -515,7 +533,7 @@ def test_scan_1d_matches_brute_force_on_random_rows():
         interval = rng.choice(((0, 1), (Fraction(-1, 3), 2), (1, 4)))
         buckets = {}
         for H, key, P in sorted((H, key, P) for key, (H, P) in rows.items()):
-            buckets.setdefault(P, (P, str(P), []))[2].append((H << kb) + key)
+            buckets.setdefault(P, (str(P), []))[1].append((H << kb) + key)
 
         def dev(j, i):
             (h_j, p_j), (h_i, p_i) = rows[j], rows[i]
@@ -606,7 +624,7 @@ def _check_bucket_pairs(system, depth):
     runs, _ = separation._word_runs(system, depth, 10 ** 6, False)
     for upto in range(depth + 1):
         buckets = separation._buckets(runs, upto)
-        want = oracle_bucket_pairs(buckets)
+        want = oracle_bucket_pairs(_keyed(buckets))
         if not system.exact:
             want.sort(key=lambda pair: Fraction(pair[0], pair[1]))
         _same_pairs(list(separation._bucket_pairs(buckets)), want)
@@ -655,7 +673,7 @@ def test_buckets_match_oracle():
             rows = _rows_by_length(runs, kb)
             for upto in range(depth + 1):
                 got = {P: (P, label, _unpack(entries, P, kb))
-                       for P, (_, label, entries) in separation._buckets(runs, upto).items()}
+                       for P, (label, entries) in separation._buckets(runs, upto).items()}
                 assert list(got.items()) == list(oracle_buckets(rows, upto, scale).items())
                 partial += sum(1 < sum(n <= upto for n, _ in runs[P][1]) < len(runs[P][1])
                                for P in got)
@@ -698,19 +716,19 @@ def test_bucket_pairs_follow_exact_order():
     values = [3, -3, big - 1, big, -(big - 1), -big]
     assert float(big - 1 - 3) / 3 == float(big - 3) / 3
     assert str(big - 1) > str(big)
-    buckets = {p: (p, str(p), [p]) for p in values}
+    buckets = {p: (str(p), [p]) for p in values}
     got = list(separation._bucket_pairs(buckets))
     exact = [Fraction(num, den) for num, den, _, _ in got]
     assert exact == sorted(exact)
     from_three = [bi[0] for _, _, bi, bj in got if bj[0] == 3]
     assert from_three == [-3, big - 1, big, -(big - 1), -big]
-    oracle = [bi[0] for _, _, bi, bj in oracle_bucket_pairs(buckets) if bj[0] == 3]
+    oracle = [bi[0] for _, _, bi, bj in oracle_bucket_pairs(_keyed(buckets)) if bj[0] == 3]
     assert oracle == [-3, -big, -(big - 1), big, big - 1]
 
 
 def test_bucket_pairs_exact_ties_follow_labels():
     # five pairs of five different walks share |p - 1| = 1/2
-    buckets = {p: (p, str(p), [p]) for p in (1, 2, 3, 4, 6)}
+    buckets = {p: (str(p), [p]) for p in (1, 2, 3, 4, 6)}
     got = list(separation._bucket_pairs(buckets))
     half = [(bi[0], bj[0]) for num, den, bi, bj in got
             if Fraction(num, den) == Fraction(1, 2)]
@@ -739,7 +757,7 @@ def test_bucket_pairs_lazy():
     # P-sorted walk and a few more, never a full build
     rng = random.Random(1)
     ps = rng.sample(range(1, 10 ** 6), 1000)
-    buckets = {p: (_CountingInt(p), str(p), [p]) for p in ps}
+    buckets = {_CountingInt(p): (str(p), [p]) for p in ps}
     _CountingInt.subtractions = 0
     first = list(itertools.islice(separation._bucket_pairs(buckets), 10))
     assert len(first) == 10
@@ -751,6 +769,8 @@ def test_bucket_pairs_lazy():
 @pytest.mark.parametrize("mode, name, depth", sorted(PINNED_WITNESS_WORDS))
 def test_witness_words_pinned(mode, name, depth):
     make = {"mixed": mixed_ratio_parabola_system,
+            "mixed_float": lambda: float_twin(mixed_ratio_parabola_system()),
+            "dyadic": dyadic_parabola_system,
             "four_piece": four_piece_overlap_system}[name]
     check = {"1d": wsp_check_1d, "2d": wsp_check_2d}[mode]
     verdict = check(make(), depth, 1e-3)
@@ -836,6 +856,24 @@ def test_rounding_ambiguity_raises(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_identity_generator_is_not_contractive():
+    # x -> x makes every projected pair up to depth 2 a coincidence, and
+    # a map with p = 1 has no fixed point to anchor the planar ybox at
+    f = Fraction
+    identity = Affine2(f(1), f(1, 2), f(0), f(0), f(0))
+    half = Affine2(f(1, 2), f(1, 2), f(0), f(1, 2), f(0))
+    alone = IfsSystem((identity,), (f(0), f(1)))
+    beside = IfsSystem((identity, half), (f(0), f(1)))
+    for system in (alone, float_twin(alone)):
+        with pytest.raises(NotContractiveError, match="identity"):
+            wsp_check_1d(system, 3, 1e-3)
+    for system in (alone, beside, float_twin(alone), float_twin(beside)):
+        with pytest.raises(NotContractiveError, match="map 1 has p = 1"):
+            wsp_check_2d(system, 3, 1e-3)
+    # beside a contraction the projected pairs are not all identities
+    assert wsp_check_1d(beside, 3, 1e-3).gap_by_depth
+
+
 def _scan_every_depth(system, depth, mode):
     """(profile, witness words, coincidence count, coincidence sample) from
     an unseeded, unfloored scan at every depth 2..depth."""
@@ -846,8 +884,8 @@ def _scan_every_depth(system, depth, mode):
     if planar:
         dev2 = planar_scan._planar_deviation(interval, attractor_ybox(system))
         rows = _rows_by_length(runs, kb)
-        scans = [planar_scan._scan_2d(rows[0] + rows[1], separation._buckets(runs, d), interval,
-                                      rounding, dev2)
+        short = [(row[2], (*row[:2], *row[3:])) for row in rows[0] + rows[1]]
+        scans = [planar_scan._scan_2d(short, separation._buckets(runs, d), interval, rounding, dev2)
                  for d in range(2, depth + 1)]
     else:
         scans = [separation._scan_1d(separation._buckets(runs, d), kb, interval, rounding)
