@@ -1,9 +1,97 @@
-"""The planar separation scan, compiled only when a planar check runs."""
+"""The planar separation scan, compiled only when a planar check runs.
 
+A planar scan reads its word rows in one of two formats.  A system
+whose generators all keep one parabola y = Ax^2 + Bx + C (A != 0)
+scans the packed projected rows (H << kb) + key of the 1d scan: its
+composites' Q, R and S are functions of (P, H) (see invariant_parabola),
+formed only for the pairs dev2 measures.  Every other system (a line or
+no invariant quadratic, and every float system) scans planar rows
+(H, key, Q, R, S).  One _scan_2d serves both; only its same-bucket
+phase differs.
+"""
+
+import math
 from fractions import Fraction
+from operator import itemgetter
 
 from .scalars import common_denominator
 from .separation import _COINCIDENCE_SAMPLE, _Window, _bucket_pairs
+
+
+def invariant_parabola(system):
+    """(A, B, C) of the parabola y = Ax^2 + Bx + C that every generator
+    maps into itself, or None.
+
+    S(x, y) = (px + h, qy + rx + s) maps the graph of
+    phi(x) = Ax^2 + Bx + C into itself exactly when
+    q phi(x) + rx + s = phi(px + h) as polynomials in x, that is when
+    (q - p^2) A = 0, (q - p) B - 2ph A = -r and
+    (q - 1) C - h B - h^2 A = -s.  With A != 0 the first equation asks
+    q = p^2 of every map, which is checked first; the other 2m linear
+    equations are solved exactly, and the result is returned when they
+    have one solution and its A != 0.  None for a float system, a line
+    (A = 0), inconsistent equations or more than one solution.
+
+    Every composite G = S_u S_v inherits the identity: G(x, phi(x)) =
+    S_u(x', phi(x')) = (x'', phi(x'')) for every x, so
+    Q phi(x) + Rx + S = phi(Px + H) as polynomials too, and comparing
+    coefficients with A != 0 gives Q = P^2, R = 2APH + BP(1 - P) and
+    S = AH^2 + BH + C(1 - P^2).  Only these identities are used, not
+    that the arc is the attractor, so no covering check is needed.
+    """
+    if not system.exact or any(g.q != g.p * g.p for g in system.maps):
+        return None
+    eqs = []
+    for g in system.maps:
+        p, q, r, h, s = g.p, g.q, g.r, g.h, g.s
+        eqs += [[-2 * p * h, q - p, 0, -r], [-h * h, -h, q - 1, -s]]
+    pivots = []
+    for col in range(3):  # Gauss-Jordan over Fractions
+        k = next((k for k, eq in enumerate(eqs) if eq[col]), None)
+        if k is None:
+            return None  # a free unknown: not one solution
+        pivot = eqs.pop(k)
+        for eq in eqs + pivots:
+            if eq[col]:
+                f = eq[col] / pivot[col]
+                eq[:] = [x - f * y for x, y in zip(eq, pivot)]
+        pivots.append(pivot)
+    if any(eq[3] for eq in eqs):
+        return None  # inconsistent: 0 = nonzero
+    A, B, C = (eq[3] / eq[col] for col, eq in enumerate(pivots))
+    return (A, B, C) if A else None
+
+
+def _packed_deviation(dev, curve, scale, kb):
+    """dev over packed rows (H << kb) + key of a system keeping curve = (A, B, C).
+
+    dev is a _planar_deviation.  A row's P (its bucket's) and H are the
+    composite's times scale.  With A, B, C as integers a, b, c over L,
+    the composite's five coefficients times scale^2 L are integers, in
+    row units: P scale L, H scale L, Q = P^2 L, R = (2aH + b(scale - P)) P
+    and S = aH^2 + bH scale + c(scale^2 - P^2).  dev's ratios are
+    unchanged by a common factor.
+    """
+    (a, b, c), L = common_denominator(curve)
+    k, sq = scale * L, scale * scale
+
+    def row(P, v):
+        H = v >> kb
+        R = (2 * a * H + b * (scale - P)) * P
+        return H * k, None, P * P * L, R, a * H * H + b * H * scale + c * (sq - P * P)
+
+    def packed(Pj, vj, Pi, vi, bn, bd):
+        return dev(Pj * k, row(Pj, vj), Pi * k, row(Pi, vi), bn, bd)
+
+    return packed
+
+
+def _row_key(kb):
+    """The key of a row: packed (kb an int) or planar (kb None)."""
+    if kb is None:
+        return itemgetter(1)
+    mask = (1 << kb) - 1
+    return lambda v: v & mask
 
 
 def _planar_deviation(interval, ybox):
@@ -52,7 +140,8 @@ def _q_bound(lo_i, hi_i, lo_j, hi_j):
     return max(lo_i - hi_j, lo_j - hi_i, 0), max(-lo_j, hi_j)
 
 
-def _scan_2d(short, buckets, interval, rounding, dev2, seed=None, floor=0, fresh=None):
+def _scan_2d(short, buckets, interval, rounding, dev2, kb=None, seed=None, floor=0,
+             fresh=None):
     """delta_2*(over the words in buckets) by pruning through the projected windows.
 
     Every candidate pair must satisfy projected deviation < current
@@ -62,12 +151,15 @@ def _scan_2d(short, buckets, interval, rounding, dev2, seed=None, floor=0, fresh
     best = (dev2, j_key, i_key); the coincidences are pairs of word keys.
     short holds the rows of the empty word and the generators in key
     order, each as (P, row); seed, floor and fresh act as in _scan_1d (a
-    fresh set also skips the generators against the empty word).
+    fresh set also skips the generators against the empty word).  The
+    rows are planar with kb None, or packed (H << kb) + key with dev2 a
+    _packed_deviation; the seed phase and the cross-bucket walk read
+    both, and each format has its own same-bucket phase.
     """
     a, b = map(Fraction, interval)
     mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
-    wn, wd = width
     slack, t_h, t_qrs = rounding
+    key = _row_key(kb)
     best = None if seed is None else (seed, None, None)
     # best as bn/bd, 1/0 while there is none; floor as fn/fd
     bn, bd = (1, 0) if seed is None else seed.as_integer_ratio()
@@ -79,10 +171,65 @@ def _scan_2d(short, buckets, interval, rounding, dev2, seed=None, floor=0, fresh
                                    for pair in ((short[0], gen), (gen, short[0]))]:
             dev = dev2(pj, rj, pi, ri, bn, bd)
             if dev is not None:
-                best = (dev, rj[1], ri[1])
+                best = (dev, key(rj), key(ri))
                 bn, bd = dev.as_integer_ratio()
     same = [(p_val, entries) for p_val, (_, entries) in buckets.items() if p_val in fresh]
+    if kb is None:
+        best, coinc, coinc_count = _same_planar(same, dev2, best, width, t_h, t_qrs)
+    else:
+        best, coinc, coinc_count = _same_packed(same, dev2, best, width, kb)
+    if best is not None:
+        bn, bd = best[0].as_integer_ratio()
 
+    # cross-bucket pairs, pruned by |p - 1|, by Q ranges that keep every
+    # |q - 1| at or above best, then by the projected window: every pair
+    # with displacement below best must be measured, so walk the whole
+    # band of shifted H_j values around each H_i
+    pulled = {}  # P: (H list, min Q, max Q) of a pulled bucket; Q = P^2 on packed rows
+    for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets, slack):
+        if num * bd >= bn * den or bn * fd <= fn * bd:
+            break
+        if p_i not in fresh and p_j not in fresh:
+            continue
+        for p_val, ents in ((p_i, ents_i), (p_j, ents_j)):
+            if p_val not in pulled:
+                if kb is None:
+                    qs = [row[2] for row in ents]
+                    pulled[p_val] = [row[0] for row in ents], min(qs), max(qs)
+                else:
+                    pulled[p_val] = [v >> kb for v in ents], p_val * p_val, p_val * p_val
+        hs_i, *q_i = pulled[p_i]
+        hs_j, *q_j = pulled[p_j]
+        n_q, den_q = _q_bound(*q_i, *q_j)
+        if n_q * bd >= bn * den_q:
+            continue
+        win = _Window(mid, width, p_i, p_j)
+        cd, shift = win.cd, win.shift
+        mul, lim = win.cap(bn, bd)
+        jj, n_j = 0, len(hs_j)
+        for ri, hi in zip(ents_i, hs_i):
+            while jj < n_j and (hi - hs_j[jj]) * cd + shift > 0:
+                jj += 1
+            for band in (range(jj - 1, -1, -1), range(jj, n_j)):
+                for idx in band:
+                    if abs((hi - hs_j[idx]) * cd + shift) * mul >= lim:
+                        break
+                    rj = ents_j[idx]
+                    dev = dev2(p_j, rj, p_i, ri, bn, bd)
+                    if dev is not None:
+                        best = (dev, key(rj), key(ri))
+                        bn, bd = dev.as_integer_ratio()
+                        mul, lim = win.cap(bn, bd)
+    return best, coinc, coinc_count
+
+
+def _same_planar(same, dev2, best, width, t_h, t_qrs):
+    """(best, coincidences, count) of the same-bucket pairs of planar rows.
+
+    same lists (P, entries) per bucket; best is as in _scan_2d.
+    """
+    wn, wd = width
+    bn, bd = (1, 0) if best is None else best[0].as_integer_ratio()
     coinc, coinc_count = [], 0
 
     # groups of one P and an H chain (consecutive H within t_h): projected
@@ -139,39 +286,51 @@ def _scan_2d(short, buckets, interval, rounding, dev2, seed=None, floor=0, fresh
                     if dev is not None:
                         best = (dev, rj[1], ri[1])
                         bn, bd = dev.as_integer_ratio()
+    return best, coinc, coinc_count
 
-    # cross-bucket pairs, pruned by |p - 1|, by Q ranges that keep every
-    # |q - 1| at or above best, then by the projected window: every pair
-    # with displacement below best must be measured, so walk the whole
-    # band of shifted H_j values around each H_i
-    q_ranges = {}  # P: (min Q, max Q) of a pulled bucket
-    for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets, slack):
-        if num * bd >= bn * den or bn * fd <= fn * bd:
-            break
-        if p_i not in fresh and p_j not in fresh:
-            continue
-        for p_val, ents in ((p_i, ents_i), (p_j, ents_j)):
-            if p_val not in q_ranges:
-                q_ranges[p_val] = min(row[2] for row in ents), max(row[2] for row in ents)
-        n_q, den_q = _q_bound(*q_ranges[p_i], *q_ranges[p_j])
-        if n_q * bd >= bn * den_q:
-            continue
-        win = _Window(mid, width, p_i, p_j)
-        cd, shift = win.cd, win.shift
-        mul, lim = win.cap(bn, bd)
-        jj, n_j = 0, len(ents_j)
-        for ri in ents_i:
-            hi = ri[0]
-            while jj < n_j and (hi - ents_j[jj][0]) * cd + shift > 0:
-                jj += 1
-            for band in (range(jj - 1, -1, -1), range(jj, n_j)):
-                for idx in band:
-                    rj = ents_j[idx]
-                    if abs((hi - rj[0]) * cd + shift) * mul >= lim:
-                        break
-                    dev = dev2(p_j, rj, p_i, ri, bn, bd)
+
+def _same_packed(same, dev2, best, width, kb):
+    """(best, coincidences, count) of the same-bucket pairs of packed rows.
+
+    Packed rows come only from exact systems, whose rows of equal
+    (P, H) hold one planar map: a chain of equal H is one subgroup of
+    _same_planar, and no pair inside it is measured.  One pass per
+    bucket reports each chain's pairs and measures the pairs H apart in
+    _same_planar's (u, v) order, the packed gap filtering them as in
+    _scan_1d: a gap above near holds a dH whose projected deviation
+    cannot beat best.
+    """
+    wn, wd = width
+    mask = (1 << kb) - 1
+    bn, bd = (1, 0) if best is None else best[0].as_integer_ratio()
+    coinc, coinc_count = [], 0
+    for p_val, entries in same:
+        den = abs(p_val) * wn
+        near = (((bn * den - 1) // (wd * bd)) << kb) + mask if bd else math.inf
+        n, end = len(entries), 0
+        # near >= mask, so a row further than near from the next has no
+        # pair ahead, in its chain or H apart; the last row has none either
+        for u, (vu, v_next) in enumerate(zip(entries, entries[1:])):
+            if v_next - vu > near:
+                continue
+            if u >= end:  # vu starts the chain of rows with its H, all at most vu | mask
+                top, end = vu | mask, u + 1
+                while end < n and entries[end] <= top:
+                    end += 1
+                coinc_count += (end - u) * (end - u - 1) // 2
+            if end > u + 1 and len(coinc) < _COINCIDENCE_SAMPLE:
+                room = _COINCIDENCE_SAMPLE - len(coinc)
+                coinc.extend((vu & mask, v & mask) for v in entries[u + 1:min(end, u + 1 + room)])
+            v = end
+            while v < n and entries[v] - vu <= near:
+                vv = entries[v]
+                if ((vv >> kb) - (vu >> kb)) * wd * bd >= bn * den:
+                    break
+                for rj, ri in ((vu, vv), (vv, vu)):
+                    dev = dev2(p_val, rj, p_val, ri, bn, bd)
                     if dev is not None:
-                        best = (dev, rj[1], ri[1])
+                        best = (dev, rj & mask, ri & mask)
                         bn, bd = dev.as_integer_ratio()
-                        mul, lim = win.cap(bn, bd)
+                        near = (((bn * den - 1) // (wd * bd)) << kb) + mask
+                v += 1
     return best, coinc, coinc_count

@@ -17,9 +17,11 @@ holds only what its metric reads.  A projected row is one int,
 (H << kb) + key with 2^kb above every key: it decodes by a shift and a
 mask even for negative H, and ints sort as (H, key) does, so bucketing
 sorts plain ints.  A planar row is the tuple (H, key, Q, R, S).  The
-rows of a bucket share P, which both kinds of row leave to the bucket;
-words are decoded from their keys only for the witnesses and the
-reported coincidences.
+planar check of an exact system whose generators all keep one parabola
+scans projected rows instead, since (P, H) then fixes Q, R and S (see
+planar.py).  The rows of a bucket share P, which both kinds of row
+leave to the bucket; words are decoded from their keys only for the
+witnesses and the reported coincidences.
 Floats enter as their exact dyadic values (55 bits wider a level on the
 bundled systems) and run the same scan; rows within a proven radius for
 input rounding are coincidences (see _rounding), and deviations are
@@ -90,7 +92,9 @@ _COINCIDENCE_SAMPLE = 16
 # freed temporaries the allocator keeps.  Projected rows measured at 45
 # and 54 B on four-piece depth 7 and mixed depth 14 (93 and 142 B for
 # their float twins) are sized at 49 and 57 B (97 and 145 B); planar rows
-# measured at 249 and 272 B (426 and 633 B) at 260 and 292 B (452 and 660 B)
+# measured at 249 and 272 B (426 and 633 B) at 260 and 292 B (452 and 660 B).
+# The 2d check of an exact system with an invariant parabola, such as
+# exact mixed, builds projected rows and states their size
 _ROW_BYTES = (41, 240)
 
 
@@ -664,7 +668,9 @@ def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
     a separation failure upstairs forces one downstairs and vice versa
     at matched depth, which the shared word pairs make checkable.
     Warns when the attractor is a straight line segment (the planar
-    verdict then carries no extra information).
+    verdict then carries no extra information).  An exact system whose
+    generators keep one parabola scans packed projected rows, the
+    planar coefficients formed from them per measured pair.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
@@ -673,15 +679,22 @@ def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
             "attractor sample is collinear; planar verdict adds nothing",
             CollinearAttractorWarning,
         )
-    runs, scale = _word_runs(system, depth, budget, planar=True)
-    rounding, interval = _rounding(system, depth, scale), system.interval
     # imported here, like neighbours in wsp_check_1d: only a 2d scan compiles it
-    from .planar import _planar_deviation, _scan_2d
+    from .planar import (_packed_deviation, _planar_deviation, _row_key, _scan_2d,
+                         invariant_parabola)
+    curve = invariant_parabola(system)
+    runs, scale = _word_runs(system, depth, budget, planar=curve is None)
+    rounding, interval = _rounding(system, depth, scale), system.interval
     dev2 = _planar_deviation(interval, attractor_ybox(system))
+    kb = None
+    if curve is not None:  # Q, R and S follow from (P, H): packed projected rows
+        kb = _key_bits(len(system), depth)
+        dev2 = _packed_deviation(dev2, curve, scale, kb)
+    key = _row_key(kb)
     short = sorted(((P, row) for P, (_, rows) in _buckets(runs, 1).items() for row in rows),
-                   key=lambda pair: pair[1][1])
+                   key=lambda pair: key(pair[1]))
     return _verdict(system, runs, depth, tol, "2d", lambda d, seed, floor, fresh: _scan_2d(
-        short, _buckets(runs, d), interval, rounding, dev2, seed, floor, fresh))
+        short, _buckets(runs, d), interval, rounding, dev2, kb, seed, floor, fresh))
 
 
 def graph_transport_check(system: IfsSystem, element, x: Scalar,

@@ -222,9 +222,9 @@ def vertical_bound(system: IfsSystem) -> Scalar:
     """
     a, b = system.interval
     best = None
-    for g in system.maps:
+    for k, g in enumerate(system.maps, start=1):
         if not abs(g.q) < 1:
-            raise NotContractiveError(f"|q| = {g.q} is not < 1")
+            raise NotContractiveError(f"map {k}: |q| = {abs(g.q)} is not < 1")
         drive = max(abs(g.r * a + g.s), abs(g.r * b + g.s))
         m = drive / (1 - abs(g.q))
         if best is None or m > best:

@@ -581,6 +581,22 @@ def random_overlapping_system(rng):
             return system
 
 
+def random_quadratic_system(rng):
+    """(system, (A, B, C)): a random_two_map_system's strips with maps
+    chosen to keep y = Ax^2 + Bx + C, A != 0: q = p^2,
+    r = 2phA - (q - p)B and s = hB + h^2 A - (q - 1)C."""
+    A = rng.choice((1, -1, 2, -3)) * Fraction(1, rng.choice((1, 2, 3, 5)))
+    B = Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3)))
+    C = Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 4)))
+    maps = []
+    for g in random_two_map_system(rng).maps:
+        p, h = g.p, g.h
+        q = p * p
+        maps.append(Affine2(p, q, 2 * p * h * A - (q - p) * B, h,
+                            h * B + h * h * A - (q - 1) * C))
+    return IfsSystem(tuple(maps), (Fraction(0), Fraction(1))), (A, B, C)
+
+
 def random_lattice_system(rng):
     """Exact system of finite type: two or three maps whose ratios are
     +-1/b^k (b in {2, 3}, one b per system, k in {1, 2}) and whose strips

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -348,6 +349,25 @@ def test_validate_flags_gaps_and_expansion():
     assert not report.valid and not report.contractive
     with pytest.raises(NotContractiveError):
         validate(expanding, strict=True)
+
+
+@pytest.mark.parametrize("p, q, problems", [
+    (Fraction(0), Fraction(1, 2), ("map 2: p == 0", "map 2: p == 0")),
+    (Fraction(1, 2), Fraction(-1), ("map 2: |q| = 1 not < 1", "map 2: |q| = 1.0 not < 1")),
+    (Fraction(1, 2), Fraction(3, 2), ("map 2: |q| = 3/2 not < 1", "map 2: |q| = 1.5 not < 1")),
+], ids=["p-zero", "q-minus-one", "q-above-one"])
+def test_validate_flags_p_zero_and_q_not_contracting(p, q, problems):
+    half = Fraction(1, 2)
+    system = IfsSystem((Affine2(half, half, Fraction(0), Fraction(0), Fraction(0)),
+                        Affine2(p, q, Fraction(0), half, Fraction(0))),
+                       (Fraction(0), Fraction(1)))
+    for checked, problem in zip((system, float_twin(system)), problems):
+        report = validate(checked)
+        assert not report.valid and not report.contractive
+        assert problem in report.problems
+        assert report.single_valued is None
+        with pytest.raises(NotContractiveError, match=re.escape(problem)):
+            validate(checked, strict=True)
 
 
 def test_validate_flags_multivalued_overlap():

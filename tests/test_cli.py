@@ -17,6 +17,7 @@ DYADIC = "interval 0 1\nmap 1/2 1/4 0 0 0\nmap 1/2 1/4 1/2 1/2 1/4\n"
 MIXED = "interval 0 1\nmap 1/2 1/4 0 0 0\nmap 2/3 4/9 4/9 1/3 1/9\n"
 BROKEN = "interval 0 1\nmap 2 0 0 0 0\n"
 IDENTITY = "interval 0 1\nmap 1 1/2 0 0 0\n"
+FLIPPED_Q = "interval 0 1\nmap 1/2 1/4 0 0 0\nmap 1/2 -1 0 1/2 0\n"
 WITNESS_GJ = "1,2,2,1,2,2,1,2,1,2,2,1"
 WITNESS_GI = "2,1,1,1,1,1,2,2,2,2,2,2"
 
@@ -169,6 +170,18 @@ def test_map_with_p_one_exits_1(tmp_path, monkeypatch, capsys, args):
     (tmp_path / "identity.ifs").write_text(IDENTITY)
     assert main([args[0], "identity.ifs", *args[1:]]) == 1
     assert "not contractive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["wsp", "--depth", "3", "--tol", "1e-3", "--mode", "2d"],
+    ["render", "--depth", "3", "--out", "flipped.csv"],
+    ["eval", "--x", "1/3"],
+], ids=["wsp-2d", "render", "eval"])
+def test_map_with_q_minus_one_names_the_map_and_abs_q(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "flipped.ifs").write_text(FLIPPED_Q)
+    assert main([args[0], "flipped.ifs", *args[1:]]) == 1
+    assert capsys.readouterr().err == "error: map 2: |q| = 1 is not < 1\n"
 
 
 def test_wsp_budget_env_var_exit_2(sys_dir, capsys, monkeypatch):
@@ -350,3 +363,23 @@ def test_cli_import_leaves_heapq_and_numpy_unloaded():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("call", [
+    "['render', D + 'mixed.ifs', '--depth', '4', '--out', D + 'mixed.csv']",
+    "['eval', D + 'mixed.ifs', '--x', '1/3']",
+    "['wsp', D + 'mixed.ifs', '--depth', '4', '--tol', '1e-3', '--mode', '1d']",
+], ids=["render", "eval", "wsp-1d"])
+def test_commands_without_a_planar_scan_leave_planar_unloaded(sys_dir, call):
+    # the graph side and the 1d scan never compile the planar scan
+    script = ("import sys\n"
+              "from fifkit.cli import main\n"
+              f"D = {str(sys_dir) + os.sep!r}\n"
+              f"code = main({call})\n"
+              "print(code, 'fifkit.planar' in sys.modules, file=sys.stderr)\n")
+    src = str(Path(fifkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "0 False"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -52,6 +53,7 @@ from conftest import (
     oracle_runs,
     oracle_word_rows,
     random_lattice_system,
+    random_quadratic_system,
     random_two_map_system,
 )
 
@@ -397,12 +399,15 @@ def _all_rows(runs):
 
 def test_wsp_budget_error_states_memory():
     # the stated size must cover the rows the budget would have let in,
-    # in the shape the check builds, by tracemalloc, and stay about right
+    # in the shape the check builds, by tracemalloc, and stay about right:
+    # packed rows for 1d and for the 2d check of an exact system with an
+    # invariant parabola (mixed), planar rows for any other 2d check
     cases = ((four_piece_overlap_system(), 7), (mixed_ratio_parabola_system(), 14))
     # float twins' rows hold their dyadic values, about 55 bits wider a level
     for system, depth in cases + tuple((float_twin(s), d) for s, d in cases):
         words = (len(system) ** (depth + 1) - 1) // (len(system) - 1)
-        for check, planar in ((wsp_check_1d, False), (wsp_check_2d, True)):
+        planar_rows = planar_scan.invariant_parabola(system) is None
+        for check, planar in ((wsp_check_1d, False), (wsp_check_2d, planar_rows)):
             with pytest.raises(DepthTooLargeError) as info:
                 check(system, depth, 1e-3, budget=words - 1)
             message = str(info.value)
@@ -411,6 +416,15 @@ def test_wsp_budget_error_states_memory():
             runs, retained, _ = _retained_rows(system, depth, planar)
             assert len(_all_rows(runs)) == words
             assert retained / 1e6 <= mb <= 1.5 * retained / 1e6
+    # mixed 2d at depth 20 states the packed rows' 128 MB, as 1d does,
+    # not the 654 MB of planar rows
+    messages = []
+    for check in (wsp_check_1d, wsp_check_2d):
+        with pytest.raises(DepthTooLargeError) as info:
+            check(mixed_ratio_parabola_system(), 20, 1e-3)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "(about 127.9 MB of word rows)" in messages[1]
 
 
 def test_word_rows_bytes_per_row():
@@ -573,6 +587,114 @@ def test_scanner_matches_oracle_conjugated(lam, mu):
             assert verdict.coincidence_count == coincidences
             assert wsp_check_2d(system, depth, 1e-9).delta_star == \
                 oracle_delta_2d(system, depth, ybox)
+
+
+def test_invariant_parabola_solves_the_generators_equations():
+    f = Fraction
+    rng = random.Random(2121)
+    for _ in range(40):
+        system, curve = random_quadratic_system(rng)
+        assert planar_scan.invariant_parabola(system) == curve
+        assert planar_scan.invariant_parabola(float_twin(system)) is None
+    for make in (mixed_ratio_parabola_system, dyadic_parabola_system):
+        assert planar_scan.invariant_parabola(make()) == (1, 0, 0)
+        assert planar_scan.invariant_parabola(float_twin(make())) is None
+    conj = conjugate_system(mixed_ratio_parabola_system(), f(3), f(-1))
+    assert planar_scan.invariant_parabola(conj) == (f(1, 9), f(2, 9), f(1, 9))
+    # no invariant quadratic, and the line y = x (A = 0)
+    diagonal = IfsSystem(tuple(Affine2(f(1, 2), f(1, 2), f(0), f(k, 2), f(k, 2))
+                               for k in range(2)), (f(0), f(1)))
+    for system in (four_piece_overlap_system(), diagonal):
+        assert planar_scan.invariant_parabola(system) is None
+
+
+def test_packed_planar_verdicts_match_planar_rows(monkeypatch):
+    # a system with an invariant parabola scans packed projected rows;
+    # the planar rows of the same words give the same verdict, field by field
+    f = Fraction
+    rng = random.Random(2121)
+    bundled = (mixed_ratio_parabola_system(), dyadic_parabola_system())
+    cases = [(bundled[0], 10), (bundled[1], 8)]
+    cases += [(conjugate_system(system, lam, mu), 7) for system in bundled
+              for lam, mu in ((f(3), f(-1)), (f(-2), f(1, 3)))]
+    cases += [(random_quadratic_system(rng)[0], rng.randrange(2, 7)) for _ in range(40)]
+    assert all(planar_scan.invariant_parabola(system) for system, _ in cases)
+    packed = [wsp_check_2d(system, depth, 1e-3) for system, depth in cases]
+    monkeypatch.setattr(planar_scan, "invariant_parabola", lambda system: None)
+    assert [wsp_check_2d(system, depth, 1e-3) for system, depth in cases] == packed
+
+
+def test_same_packed_matches_same_planar_on_ties_and_bounds():
+    # packed rows of one parabola with repeated H (coincidence chains) in
+    # a few buckets, against their planar twins: the two same-bucket
+    # phases return the same (best, coincidences, count).  A tall ybox
+    # makes the horizontal term win, so (u, v) and (v, u) tie, and seeds
+    # on a pair's projected bound put pairs exactly at the edge of near
+    f = Fraction
+    rng = random.Random(2157)
+    for _ in range(400):
+        kb, scale = rng.randrange(1, 5), rng.choice((4, 6, 12))
+        curve = (f(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3))),
+                 f(rng.randrange(-3, 4), rng.choice((1, 2))), f(rng.randrange(-3, 4), 3))
+        a, b = rng.choice(((0, 1), (f(-1, 3), 2), (1, 4)))
+        y0 = f(rng.randrange(-4, 4))
+        ybox = (y0, y0 + rng.choice((f(1, 2), 1, 8, 1000)))
+        dev = planar_scan._planar_deviation((a, b), ybox)
+        packed_dev = planar_scan._packed_deviation(dev, curve, scale, kb)
+        # twin coefficients from Q = P^2, R = 2APH + BP(1 - P) and
+        # S = AH^2 + BH + C(1 - P^2), all times one positive factor
+        A, B, C = curve
+        factor = scale * scale * math.lcm(*(c.denominator for c in curve))
+
+        def twin(P, H, key):
+            p, h = f(P, scale), f(H, scale)
+            q, r, s = p * p, 2 * A * p * h + B * p * (1 - p), A * h * h + B * h + C * (1 - p * p)
+            return int(h * factor), key, int(q * factor), int(r * factor), int(s * factor)
+
+        packed, planar, pairs = [], [], []
+        for P in rng.sample((1, 2, 3, -2, 5, -6), rng.randrange(1, 4)):
+            rows = sorted((rng.randrange(-3, 4), key)
+                          for key in rng.sample(range(1 << kb), rng.randrange(2, min(1 << kb, 12) + 1)))
+            packed.append((P, [(H << kb) + key for H, key in rows]))
+            planar.append((int(f(P, scale) * factor), [twin(P, H, key) for H, key in rows]))
+            pairs += [(P, u, v) for u, v in itertools.combinations(rows, 2) if v[0] > u[0]]
+        seeds = [None]
+        if pairs:
+            P, (h_u, k_u), (h_v, k_v) = rng.choice(pairs)
+            bound = f(h_v - h_u, abs(P)) / (b - a)
+            tp = int(f(P, scale) * factor)
+            seeds += [bound, bound + f(1, 10 ** 6), dev(tp, twin(P, h_u, k_u), tp, twin(P, h_v, k_v), 1, 0)]
+        width = (b - a).as_integer_ratio()
+        for seed in seeds:
+            best = None if seed is None else (seed, None, None)
+            assert (planar_scan._same_packed(packed, packed_dev, best, width, kb)
+                    == planar_scan._same_planar(planar, dev, best, width, 0, (0, 0, 0)))
+
+
+def test_flat_attractor_deviation_takes_the_width_as_height(rng):
+    # r = s = 0 keeps y = 0: the attractor is flat, its ybox has height
+    # 0, and both deviations divide the vertical term by the width
+    f = Fraction
+    system = IfsSystem((Affine2(f(1, 2), f(1, 3), f(0), f(0), f(0)),
+                        Affine2(f(2, 3), f(-1, 4), f(0), f(1, 3), f(0))), (f(0), f(1)))
+    interval, ybox = system.interval, attractor_ybox(system)
+    assert ybox == (0, 0) and planar_scan.invariant_parabola(system) is None
+    dev = planar_scan._planar_deviation(interval, ybox)
+    depth = 3
+    runs, _ = separation._word_runs(system, depth, 10 ** 6, True)
+    rows = [row for level in _rows_by_length(runs, separation._key_bits(2, depth))
+            for row in level]
+    for rj, ri in itertools.product(rows, repeat=2):
+        words = (separation._word(row[1], 2, depth) for row in (rj, ri))
+        want = deviation_2d(FamilyElement.from_words(system, *words).map2, interval, ybox)
+        assert dev(rj[2], (*rj[:2], *rj[3:]), ri[2], (*ri[:2], *ri[3:]), 1, 0) == (want or None)
+    # the family keeps y = 0, so its vertical terms are 0; maps that move
+    # the line, each as G_i over G_j = identity, rows scaled by 8
+    for _ in range(50):
+        g = Affine2(*(f(rng.randrange(-8, 9), 8) for _ in range(5)))
+        P, Q, R, H, S = (int(8 * c) for c in (g.p, g.q, g.r, g.h, g.s))
+        want = deviation_2d(g, interval, ybox)
+        assert dev(8, (0, 0, 8, 0, 0), P, (H, 0, Q, R, S), 1, 0) == (want or None)
 
 
 def test_planar_coincidences_in_large_groups_all_counted():
