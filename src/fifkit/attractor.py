@@ -189,14 +189,12 @@ def anchor_points(system: IfsSystem):
     Returns (points, worst_error), the endpoints evaluated within 1e-12.
     In an exact system the endpoint evaluations terminate on projected
     fixed points for every bundled example, making the anchors exact.
-    Raises NotContractiveError when a generator has p = 1 or q = 1,
-    which has no fixed point to anchor at.
+    Raises NotContractiveError for a system that is not contractive.
     """
+    system._contractive  # raises unless contractive
     pts = []
     worst = 0.0
-    for k, g in enumerate(system.maps, start=1):
-        if g.p == 1 or g.q == 1:
-            raise NotContractiveError(f"map {k} has p = {g.p}, q = {g.q}: not contractive")
+    for g in system.maps:
         xstar = g.h / (1 - g.p)
         ystar = (g.r * xstar + g.s) / (1 - g.q)
         pts.append((xstar, ystar))

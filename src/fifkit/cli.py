@@ -242,7 +242,42 @@ def _cmd_example_figure1(args):
     return 0
 
 
-def _build_parser():
+# subcommand: (help, handler, its arguments as (name, add_argument keywords))
+_REQUIRED = {"required": True}
+_COMMANDS = {
+    "validate": ("check a system file", _cmd_validate, (
+        ("system_file", {}), ("--tol", {"type": float, "default": 1e-9}))),
+    "render": ("sample the attractor to CSV/SVG", _cmd_render, (
+        ("system_file", {}), ("--depth", {"type": int, "required": True}),
+        ("--out", _REQUIRED), ("--svg", {}),
+        ("--max-points", {"type": int, "default": 2_000_000}))),
+    "eval": ("evaluate the interpolation function", _cmd_eval, (
+        ("system_file", {}), ("--x", _REQUIRED), ("--tol", {"type": float, "default": 1e-9}))),
+    "wsp": ("bounded-depth weak separation search", _cmd_wsp, (
+        ("system_file", {}), ("--depth", {"type": int, "required": True}),
+        ("--tol", {"type": float, "required": True}),
+        ("--mode", {"choices": ("1d", "2d", "both"), "default": "both"}))),
+    "orbit": ("eps-net orbit of a family element", _cmd_orbit, (
+        ("system_file", {}),
+        ("--gi", {"required": True, "help": "comma-separated word, 'e' for empty"}),
+        ("--gj", {"required": True, "help": "comma-separated word, 'e' for empty"}),
+        ("--eps", {"type": float, "required": True}), ("--out", _REQUIRED))),
+    "classify": ("closed-form curve of a map's orbit", _cmd_classify, tuple(
+        (flag, _REQUIRED)
+        for flag in ("--p", "--q", "--r", "--h", "--s", "--x0", "--y0", "--a", "--b"))),
+    "example-figure1": (
+        "render the bundled four-piece overlap system with its "
+        "two overlapping pieces highlighted", _cmd_example_figure1, (
+            ("--param", {"default": "1/5"}), ("--out", _REQUIRED))),
+}
+
+
+def _build_parser(names=_COMMANDS):
+    """The fifkit parser with the subparsers of names, every subcommand by default.
+
+    A parser for fewer subcommands parses theirs as the full one does,
+    and its usage lists every subcommand as the full one's does.
+    """
     ap = argparse.ArgumentParser(
         prog="fifkit",
         description="Affine fractal interpolation toolkit: validation, "
@@ -250,60 +285,23 @@ def _build_parser():
                     "classification.",
     )
     ap.add_argument("--version", action="version", version=f"fifkit {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a system file")
-    p.add_argument("system_file")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("render", help="sample the attractor to CSV/SVG")
-    p.add_argument("system_file")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--svg")
-    p.add_argument("--max-points", type=int, default=2_000_000)
-    p.set_defaults(func=_cmd_render)
-
-    p = sub.add_parser("eval", help="evaluate the interpolation function")
-    p.add_argument("system_file")
-    p.add_argument("--x", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("wsp", help="bounded-depth weak separation search")
-    p.add_argument("system_file")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--tol", type=float, required=True)
-    p.add_argument("--mode", choices=("1d", "2d", "both"), default="both")
-    p.set_defaults(func=_cmd_wsp)
-
-    p = sub.add_parser("orbit", help="eps-net orbit of a family element")
-    p.add_argument("system_file")
-    p.add_argument("--gi", required=True, help="comma-separated word, 'e' for empty")
-    p.add_argument("--gj", required=True, help="comma-separated word, 'e' for empty")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_orbit)
-
-    p = sub.add_parser("classify", help="closed-form curve of a map's orbit")
-    for flag in ("--p", "--q", "--r", "--h", "--s", "--x0", "--y0", "--a", "--b"):
-        p.add_argument(flag, required=True)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser(
-        "example-figure1",
-        help="render the bundled four-piece overlap system with its "
-             "two overlapping pieces highlighted",
-    )
-    p.add_argument("--param", default="1/5")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_example_figure1)
+    every = "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar=every if len(names) < len(_COMMANDS) else None)
+    for name in names:
+        help_text, func, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a call that names its subcommand first builds only that subparser
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    args = _build_parser(names).parse_args(argv)
     try:
         return args.func(args)
     except DepthTooLargeError as exc:

@@ -77,7 +77,7 @@ from fractions import Fraction
 from .affine import Affine1, Affine2, Word, compose, invert, projection
 from .attractor import evaluate_f, sample_attractor
 from .errors import (DepthTooLargeError, IndexOutOfRangeError, NotCertifiableError,
-                     NotContractiveError, OutOfDomainError, RoundingAmbiguityError)
+                     OutOfDomainError, RoundingAmbiguityError, SingularMapError)
 from .scalars import Scalar, common_denominator, to_float
 from .systems import IfsSystem
 
@@ -114,30 +114,42 @@ class FamilyElement:
 
     @classmethod
     def from_words(cls, system: IfsSystem, j_word, i_word) -> "FamilyElement":
-        g2 = compose(invert(_composite(system, j_word)), _composite(system, i_word))
-        return cls(tuple(j_word), tuple(i_word), g2, projection(g2))
+        """G_j^-1 G_i: for an exact system from the words' folds at one
+        scale by planar._planar_deviation's identities, for a float one
+        by compose and invert."""
+        j_word, i_word = tuple(j_word), tuple(i_word)
+        if system.exact:
+            D, n = system._scaled_maps[0], max(len(j_word), len(i_word))
+            Pj, Qj, Rj, Hj, Sj = _composite(system, j_word, D ** (n - len(j_word)))
+            if Pj == 0 or Qj == 0:
+                raise SingularMapError("p == 0 or q == 0 has no inverse")
+            Pi, Qi, Ri, Hi, Si = _composite(system, i_word, D ** (n - len(i_word)))
+            d_h, den = Hi - Hj, Pj * Qj
+            g2 = Affine2(Fraction(Pi, Pj), Fraction(Qi, Qj), Fraction(Ri * Pj - Rj * Pi, den),
+                         Fraction(d_h, Pj), Fraction((Si - Sj) * Pj - Rj * d_h, den))
+        else:  # an empty word's ints become Fractions, as in compose_word
+            g2 = compose(invert(Affine2(*_composite(system, j_word))),
+                         Affine2(*_composite(system, i_word)))
+        return cls(j_word, i_word, g2, projection(g2))
 
 
-def _composite(system: IfsSystem, word) -> Affine2:
-    """compose_word(system.maps, word), folded over IfsSystem._scaled_maps.
+def _composite(system: IfsSystem, word, start=1):
+    """compose_word(system.maps, word)'s (p, q, r, h, s) times start D^len(word),
+    folded over IfsSystem._scaled_maps.
 
     G_wk = G_w S_k on coefficients scaled by D^len(w): P' = P p,
-    Q' = Q q, R' = Q r + R p, H' = P h + H D and S' = Q s + R h + S D.
-    An exact system divides by D^len(w) once; a float system has D = 1
-    and does compose's float operations in compose's order.  The empty
-    word gives Fraction coefficients, as compose_word's identity does.
+    Q' = Q q, R' = Q r + R p, H' = P h + H D and S' = Q s + R h + S D,
+    linear in (P, Q, R, H, S).  Ints for an exact system; a float system
+    has D = 1 and does compose's float operations in compose's order.
     """
     D, gens = system._scaled_maps
-    P, Q, R, H, S = 1, 1, 0, 0, 0
+    P, Q, R, H, S = start, start, 0, 0, 0
     for k in word:
         if not 1 <= k <= len(gens):
             raise IndexOutOfRangeError(f"index {k} outside 1..{len(gens)}")
         p, q, r, h, s = gens[k - 1]
         P, Q, R, H, S = P * p, Q * q, Q * r + R * p, P * h + H * D, Q * s + R * h + S * D
-    if system.exact:
-        den = D ** len(word)
-        return Affine2(*(Fraction(c, den) for c in (P, Q, R, H, S)))
-    return Affine2(P, Q, R, H, S)
+    return P, Q, R, H, S
 
 
 @dataclass(frozen=True)
@@ -308,7 +320,8 @@ def _word_runs(system: IfsSystem, depth: int, budget: int, planar: bool):
         for P, parts in kids.items():
             run = parts[0]
             if len(parts) > 1:
-                run = [row for part in parts for row in part]
+                for part in parts[1:]:
+                    run += part
                 run.sort()
             level[P] = run
             group = runs.get(P)
@@ -586,16 +599,15 @@ def _verdict(system, runs, depth, tol, mode, scan, graph=None):
     returned seed, which names no words, never is one; the coincidences
     are those at full depth.  The scans name words by their row keys,
     decoded here.  A float system reports its deviations as floats.
-    Raises NotContractiveError when depth 2 has no non-identity pair.
+    Depth 2 has a best: a generator's 0 < |p| < 1 puts it in another
+    bucket than the empty word, and the first bucket pair is measured or
+    raises RoundingAmbiguityError.
     """
     m = len(system)
     certified = graph and graph.bound
     lowest = certified or 0
     bests = dict.fromkeys(range(2, depth + 1))
     bests[2], coinc, coinc_count = scan(2, None, lowest, None)
-    if bests[2] is None:
-        raise NotContractiveError("every word up to length 2 is the identity, up to "
-                                  "input rounding: the generators are not contractive")
     if depth > 2:
         bests[depth], coinc, coinc_count = scan(depth, bests[2][0], lowest, None)
     floor = bests[depth][0]
@@ -645,6 +657,7 @@ def wsp_check_1d(system: IfsSystem, depth: int, tol: float,
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
+    system._contractive  # raises unless contractive
     runs, scale = _word_runs(system, depth, budget, planar=False)
     rounding, interval = _rounding(system, depth, scale), system.interval
     # imported here, not at the top, so that only a 1d scan compiles it.
@@ -674,6 +687,7 @@ def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
+    system._contractive  # raises unless contractive
     if _is_collinear(system):
         warnings.warn(
             "attractor sample is collinear; planar verdict adds nothing",

@@ -89,12 +89,30 @@ class IfsSystem:
         return tuple(out)
 
     @cached_property
+    def _contractive(self) -> bool:
+        """True when every generator has 0 < |p| < 1 and |q| < 1.
+
+        The attractor exists, and weak separation is posed, only for
+        contractions.  Sampling, evaluation and the separation checks
+        read this; otherwise it raises NotContractiveError, which is never
+        cached, naming the first map that fails.  validate reports the
+        same conditions instead of raising.
+        """
+        for k, g in enumerate(self.maps, start=1):
+            if g.p == 0:
+                raise NotContractiveError(f"map {k}: p = 0")
+            for name, c in (("p", g.p), ("q", g.q)):
+                if not abs(c) < 1:
+                    raise NotContractiveError(f"map {k}: |{name}| = {abs(c)} is not < 1")
+        return True
+
+    @cached_property
     def _pullback_bounds(self) -> tuple[float, float]:
         """(vertical_bound floored at 1e-300, max |q|), as floats.
 
         The constants of backward iteration in attractor.evaluate_f.
-        Raises NotContractiveError, which is never cached, when some
-        |q| >= 1.
+        Raises NotContractiveError, through vertical_bound, for a system
+        that is not contractive.
         """
         return (max(to_float(vertical_bound(self)), 1e-300),
                 max(to_float(abs(g.q)) for g in self.maps))
@@ -218,13 +236,13 @@ def vertical_bound(system: IfsSystem) -> Scalar:
 
     [-M, M] is forward invariant for every y recurrence over x in
     [a, b], which is exactly what the backward-iteration error estimate
-    needs.
+    needs.  Raises NotContractiveError for a system that is not
+    contractive.
     """
+    system._contractive  # raises unless contractive
     a, b = system.interval
     best = None
-    for k, g in enumerate(system.maps, start=1):
-        if not abs(g.q) < 1:
-            raise NotContractiveError(f"map {k}: |q| = {abs(g.q)} is not < 1")
+    for g in system.maps:
         drive = max(abs(g.r * a + g.s), abs(g.r * b + g.s))
         m = drive / (1 - abs(g.q))
         if best is None or m > best:

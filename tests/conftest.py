@@ -548,6 +548,29 @@ def float_twin(system):
     )
 
 
+# (p, q) of a map that is no contraction, and the NotContractiveError
+# message naming it as map 2 of not_contractive_system, exact and float
+NOT_CONTRACTIVE = {
+    "p-two": ((Fraction(2), Fraction(1, 2)),
+              ("map 2: |p| = 2 is not < 1", "map 2: |p| = 2.0 is not < 1")),
+    "p-minus-one": ((Fraction(-1), Fraction(1, 2)),
+                    ("map 2: |p| = 1 is not < 1", "map 2: |p| = 1.0 is not < 1")),
+    "p-zero": ((Fraction(0), Fraction(1, 2)), ("map 2: p = 0", "map 2: p = 0")),
+    "q-minus-one": ((Fraction(1, 2), Fraction(-1)),
+                    ("map 2: |q| = 1 is not < 1", "map 2: |q| = 1.0 is not < 1")),
+    "q-one": ((Fraction(1, 2), Fraction(1)),
+              ("map 2: |q| = 1 is not < 1", "map 2: |q| = 1.0 is not < 1")),
+}
+
+
+def not_contractive_system(p, q):
+    """map 1/2 1/2 0 0 0 beside map p q 0 1/2 0 on [0, 1]."""
+    half = Fraction(1, 2)
+    return IfsSystem((Affine2(half, half, Fraction(0), Fraction(0), Fraction(0)),
+                      Affine2(p, q, Fraction(0), half, Fraction(0))),
+                     (Fraction(0), Fraction(1)))
+
+
 # ---------- random exact generators ----------
 
 _RATIO_POOL = [Fraction(n, d) for d in (2, 3, 4, 5) for n in range(1, d)]

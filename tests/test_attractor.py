@@ -25,10 +25,12 @@ from fifkit import (
     validate,
     vertical_bound,
 )
-from fifkit import attractor, separation
+from fifkit import attractor, separation, wsp_check_1d, wsp_check_2d
 
 from conftest import (
+    NOT_CONTRACTIVE,
     float_twin,
+    not_contractive_system,
     oracle_evaluate,
     oracle_levels,
     oracle_modulus,
@@ -137,7 +139,7 @@ def test_anchor_points_refuse_p_or_q_one(p, q):
         (Fraction(0), Fraction(1)),
     )
     for scanned in (system, float_twin(system)):
-        with pytest.raises(NotContractiveError, match="map 1 has"):
+        with pytest.raises(NotContractiveError, match=r"map 1: \|[pq]\| = 1(\.0)? is not < 1"):
             anchor_points(scanned)
         with pytest.raises(NotContractiveError):
             sample_attractor(scanned, 3)
@@ -504,6 +506,22 @@ def test_evaluate_f_not_contractive_on_every_call():
     for _ in range(2):
         with pytest.raises(NotContractiveError):
             evaluate_f(bad, Fraction(1, 3))
+
+
+@pytest.mark.parametrize("case", sorted(NOT_CONTRACTIVE))
+def test_every_entry_point_refuses_a_map_that_is_no_contraction(case):
+    # one check per system, naming the map; validate reports instead
+    (p, q), messages = NOT_CONTRACTIVE[case]
+    system = not_contractive_system(p, q)
+    for checked, message in zip((system, float_twin(system)), messages):
+        calls = (lambda: sample_attractor(checked, 3), lambda: evaluate_f(checked, 0.25),
+                 lambda: modulus_of_continuity(checked, 0.1), lambda: vertical_bound(checked),
+                 lambda: wsp_check_1d(checked, 3, 1e-3), lambda: wsp_check_2d(checked, 3, 1e-3))
+        for call in calls:
+            with pytest.raises(NotContractiveError, match=f"^{re.escape(message)}$"):
+                call()
+        report = validate(checked)
+        assert not report.contractive and not report.valid
 
 
 # ---------- exact evaluate_f against the Fraction recurrence ----------

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import subprocess
@@ -9,9 +10,10 @@ import pytest
 
 import fifkit
 from fifkit import emit_ifs_text, four_piece_overlap_system, parse_ifs_text, write_ifs_file
+from fifkit import cli
 from fifkit.cli import main
 
-from conftest import float_twin
+from conftest import NOT_CONTRACTIVE, float_twin, not_contractive_system
 
 DYADIC = "interval 0 1\nmap 1/2 1/4 0 0 0\nmap 1/2 1/4 1/2 1/2 1/4\n"
 MIXED = "interval 0 1\nmap 1/2 1/4 0 0 0\nmap 2/3 4/9 4/9 1/3 1/9\n"
@@ -169,7 +171,7 @@ def test_map_with_p_one_exits_1(tmp_path, monkeypatch, capsys, args):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "identity.ifs").write_text(IDENTITY)
     assert main([args[0], "identity.ifs", *args[1:]]) == 1
-    assert "not contractive" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: map 1: |p| = 1 is not < 1\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -182,6 +184,22 @@ def test_map_with_q_minus_one_names_the_map_and_abs_q(tmp_path, monkeypatch, cap
     (tmp_path / "flipped.ifs").write_text(FLIPPED_Q)
     assert main([args[0], "flipped.ifs", *args[1:]]) == 1
     assert capsys.readouterr().err == "error: map 2: |q| = 1 is not < 1\n"
+
+
+@pytest.mark.parametrize("case", sorted(NOT_CONTRACTIVE))
+def test_map_that_is_no_contraction_exits_1_at_every_command(tmp_path, monkeypatch, capsys,
+                                                             case):
+    monkeypatch.chdir(tmp_path)
+    (p, q), messages = NOT_CONTRACTIVE[case]
+    system = not_contractive_system(p, q)
+    for checked, message in zip((system, float_twin(system)), messages):
+        write_ifs_file(tmp_path / "bad.ifs", checked)
+        for args in (["wsp", "--depth", "3", "--tol", "1e-3", "--mode", "1d"],
+                     ["wsp", "--depth", "3", "--tol", "1e-3", "--mode", "2d"],
+                     ["render", "--depth", "3", "--out", "bad.csv"],
+                     ["eval", "--x", "1/3"]):
+            assert main([args[0], "bad.ifs", *args[1:]]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_wsp_budget_env_var_exit_2(sys_dir, capsys, monkeypatch):
@@ -314,6 +332,60 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "fifkit 0.1.0" in capsys.readouterr().out
+
+
+def _exit(capsys, call):
+    """(exit code, stdout, stderr) of a call that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        call()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["--version"], ["nope"],
+    *([name, "--help"] for name in cli._COMMANDS),
+    ["validate"], ["render", "f.ifs", "--depth", "3"], ["eval", "f.ifs"],
+    ["wsp", "f.ifs", "--depth", "3"], ["orbit", "f.ifs", "--gi", "1", "--gj", "2"],
+    ["classify", "--p", "1/2"], ["example-figure1"],
+    ["wsp", "f.ifs", "--depth", "3", "--tol", "1e-3", "extra"],
+    ["wsp", "f.ifs", "--depth", "3", "--tol", "1e-3", "--mode", "3d"],
+], ids=" ".join)
+def test_on_demand_parser_prints_what_the_full_parser_prints(capsys, argv):
+    # a call naming its subcommand builds only that subparser; help,
+    # usage and errors are the full parser's, and so is the top-level
+    # usage an unrecognized argument prints
+    got = _exit(capsys, lambda: main(argv))
+    want = _exit(capsys, lambda: cli._build_parser().parse_args(argv))
+    assert got == want
+
+
+def test_subcommand_call_builds_two_parsers(sys_dir, capsys, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out, _ = run(capsys, ["wsp", sys_dir / "mixed.ifs", "--depth", 3, "--tol", "1e-3"])
+    assert code == 0 and "status: NoWitnessUpToDepth" in out
+    assert built == ["fifkit", "fifkit wsp"]
+    _exit(capsys, lambda: main(["--version"]))
+    assert len(built) == 2 + 1 + len(cli._COMMANDS)
+
+
+def test_python_m_fifkit_prints_what_main_prints(sys_dir, capsys):
+    # with argv None, main reads its subcommand from sys.argv
+    args = ["wsp", str(sys_dir / "mixed.ifs"), "--depth", "8", "--tol", "1e-3",
+            "--mode", "both"]
+    src = str(Path(fifkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "fifkit", *args], env=env,
+                          capture_output=True, timeout=120)
+    code, out, err = run(capsys, args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+    assert "mode: 2d" in out
 
 
 def test_python_m_fifkit_runs_the_cli():

@@ -20,6 +20,7 @@ from fifkit import (
     NotContractiveError,
     OutOfDomainError,
     RoundingAmbiguityError,
+    SingularMapError,
     attractor_ybox,
     compose,
     compose_word,
@@ -160,31 +161,45 @@ def test_family_element_from_words():
 
 
 def test_family_element_from_words_matches_compose_word():
-    # maps folded over the integer generators equal compose(invert(G_j), G_i)
-    # of compose_word coefficient by coefficient, in value and in type:
-    # Fractions for exact systems and for a float system's empty words,
-    # floats from compose's own float operations otherwise
+    # G_j^-1 G_i, in closed form for exact systems and composed for float
+    # ones, equals compose(invert(G_j), G_i) of compose_word coefficient
+    # by coefficient, in value and in type: Fractions for exact systems
+    # and for a float system's empty words, floats from compose's own
+    # float operations otherwise.  Words reach 14 letters, as the scan's
+    # witnesses do, and a G_j with p = 0 or q = 0 raises in both forms
     rng = random.Random(23)
+    f = Fraction
     bases = [four_piece_overlap_system(), mixed_ratio_parabola_system(),
              dyadic_parabola_system(), random_lattice_system(rng)]
-    systems = bases + [float_twin(s) for s in bases]
+    singular = [IfsSystem((Affine2(f(0), f(1, 2), f(1, 3), f(1, 2), f(0)),
+                           Affine2(f(1, 2), f(-1, 3), f(0), f(1, 2), f(1, 4))), (f(0), f(1))),
+                IfsSystem((Affine2(f(1, 2), f(0), f(1, 3), f(0), f(1, 5)),
+                           Affine2(f(2, 3), f(1, 4), f(1, 2), f(1, 3), f(0))), (f(0), f(1)))]
+    systems = bases + singular + [float_twin(s) for s in bases + singular]
     systems += [conjugate_system(s, Fraction(-2), Fraction(1, 3)) for s in bases]
     systems += [conjugate_system(float_twin(bases[0]), 3.0, -1.0)]
-    empties = 0
+    empties, longest, singulars = 0, 0, 0
     for system in systems:
         m = len(system)
         for _ in range(12):
-            j_word, i_word = (tuple(rng.randint(1, m) for _ in range(rng.randrange(6)))
+            j_word, i_word = (tuple(rng.randint(1, m) for _ in range(rng.randrange(15)))
                               for _ in range(2))
             empties += not j_word or not i_word
+            longest = max(longest, len(j_word), len(i_word))
+            try:
+                want = compose(invert(compose_word(system.maps, j_word)),
+                               compose_word(system.maps, i_word))
+            except SingularMapError:
+                singulars += 1
+                with pytest.raises(SingularMapError):
+                    FamilyElement.from_words(system, j_word, i_word)
+                continue
             el = FamilyElement.from_words(system, j_word, i_word)
-            want = compose(invert(compose_word(system.maps, j_word)),
-                           compose_word(system.maps, i_word))
             for name in ("p", "q", "r", "h", "s"):
                 got, exp = getattr(el.map2, name), getattr(want, name)
                 assert got == exp and type(got) is type(exp), (system, j_word, i_word, name)
             assert el.map1 == projection(want)
-    assert empties > 0
+    assert empties > 0 and longest == 14 and singulars > 0
     with pytest.raises(IndexOutOfRangeError):
         FamilyElement.from_words(bases[1], (1,), (3,))
 
@@ -979,21 +994,17 @@ def test_rounding_ambiguity_raises(tmp_path, capsys):
 
 
 def test_identity_generator_is_not_contractive():
-    # x -> x makes every projected pair up to depth 2 a coincidence, and
-    # a map with p = 1 has no fixed point to anchor the planar ybox at
+    # x -> x is no contraction, alone or beside one, in either check:
+    # the contraction check runs before any word is built
     f = Fraction
     identity = Affine2(f(1), f(1, 2), f(0), f(0), f(0))
     half = Affine2(f(1, 2), f(1, 2), f(0), f(1, 2), f(0))
     alone = IfsSystem((identity,), (f(0), f(1)))
     beside = IfsSystem((identity, half), (f(0), f(1)))
-    for system in (alone, float_twin(alone)):
-        with pytest.raises(NotContractiveError, match="identity"):
-            wsp_check_1d(system, 3, 1e-3)
     for system in (alone, beside, float_twin(alone), float_twin(beside)):
-        with pytest.raises(NotContractiveError, match="map 1 has p = 1"):
-            wsp_check_2d(system, 3, 1e-3)
-    # beside a contraction the projected pairs are not all identities
-    assert wsp_check_1d(beside, 3, 1e-3).gap_by_depth
+        for check in (wsp_check_1d, wsp_check_2d):
+            with pytest.raises(NotContractiveError, match=r"map 1: \|p\| = 1(\.0)? is not < 1"):
+                check(system, 3, 1e-3)
 
 
 def _scan_every_depth(system, depth, mode):
