@@ -39,7 +39,7 @@ def main():
         print(f"  f({x}) = {y}")
 
     sample = sample_attractor(system, depth=7)
-    print(f"\nsampled {len(sample.numerators)} points, "
+    print(f"\nsampled {len(sample)} points, "
           f"resolution {to_float(sample.resolution):.3e}")
 
     os.makedirs(OUT_DIR, exist_ok=True)

@@ -23,7 +23,7 @@ def main():
         sample = sample_attractor(system, depth)
         fit = detect_parabola(sample, tol=1e-9)
         assert fit is not None
-        print(f"{name}: {len(sample.numerators)} points at depth {depth}")
+        print(f"{name}: {len(sample)} points at depth {depth}")
         print(f"  y = {fit.A} x^2 + {fit.B} x + {fit.C}")
         print(f"  max residual = {fit.max_residual} (exact zero: "
               f"{fit.max_residual == 0})")
@@ -33,7 +33,7 @@ def main():
     system = four_piece_overlap_system()
     sample = sample_attractor(system, 7)
     fit = detect_parabola(sample, tol=1e-3)
-    print(f"four-piece overlap: {len(sample.numerators)} points at depth 7")
+    print(f"four-piece overlap: {len(sample)} points at depth 7")
     print(f"  quadratic fit within 1e-3: {fit}")
 
 

@@ -104,12 +104,15 @@ def invert(g):
     if isinstance(g, Affine2):
         if g.p == 0 or g.q == 0:
             raise SingularMapError("p == 0 or q == 0 has no inverse")
+        pq = g.p * g.q
+        if pq == 0:
+            raise SingularMapError(f"p * q = {g.p!r} * {g.q!r} underflows to 0; no float inverse")
         return Affine2(
             1 / g.p,
             1 / g.q,
-            -g.r / (g.p * g.q),
+            -g.r / pq,
             -g.h / g.p,
-            (g.r * g.h - g.s * g.p) / (g.p * g.q),
+            (g.r * g.h - g.s * g.p) / pq,
         )
     raise TypeError("invert needs an Affine1 or Affine2")
 

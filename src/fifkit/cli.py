@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .affine import Affine2
-from .attractor import _image, evaluate_f, sample_attractor, validate
+from .attractor import _image_columns, evaluate_f, sample_attractor, validate
 from .errors import DepthTooLargeError, FifkitError
 from .orbits import classify_orbit_curve, epsilon_net, iterate_orbit, verify_orbit_on_curve
 from .scalars import format_scalar, is_exact, parse_scalar, to_float
@@ -114,7 +114,7 @@ def _cmd_render(args):
             fh.write(graph_svg(sample, system.interval))
     out = []
     _header(out, "render", args.system_file, depth=args.depth)
-    out.append(f"points: {len(sample.numerators)}")
+    out.append(f"points: {len(sample)}")
     out.append(f"resolution: {to_float(sample.resolution)!r}")
     out.append(f"csv: {args.out}")
     if args.svg:
@@ -222,12 +222,7 @@ def _cmd_example_figure1(args):
         seen.add(x)
         marks.append((x, evaluate_f(system, x, 1e-12)))
     # the images of the two middle pieces, formed on the sample's numerators
-    d, gens = system._scaled_maps
-    den = sample.den * d
-    pieces = []
-    for k in (1, 2):
-        image = list(_image(gens[k], sample.numerators, sample.den))
-        pieces.append(([x / den for x, _ in image], [y / den for _, y in image]))
+    pieces = [_image_columns(system, sample, i) for i in (1, 2)]
     lo = max(strip(system, 2)[0], strip(system, 3)[0])
     hi = min(strip(system, 2)[1], strip(system, 3)[1])
     doc = overlap_svg(sample, system.interval, *pieces, (lo, hi), marked=marks)

@@ -10,7 +10,6 @@ every such orbit lies on one of five closed-form curves, decided by
 whether p and q equal 1 and each other.
 """
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -20,7 +19,6 @@ from .affine import Affine2, fixed_point_1d, projection
 from .attractor import (
     GraphSample,
     _deepening_samples,
-    _numerators,
     evaluate_f,
     modulus_of_continuity,
 )
@@ -94,21 +92,27 @@ def _max_graph_step(g: Affine2, sample: GraphSample) -> float:
     The displacement is the image of (x, y) under the map with
     coefficients (p-1, q-1, r, h, s).  For an exact map on an exact
     sample it is integer numerators over D * den, D their common
-    denominator, and one division per coordinate; otherwise floats, the
-    sample's float columns over 1.
+    denominator, and one division per coordinate: each packed point z
+    gives X = z >> k and Y + off = z & mask, and q * off is folded into
+    the constant term.  Otherwise floats, the sample's float columns
+    over 1.
     """
     coeffs = (g.p - 1, g.q - 1, g.r, g.h, g.s)
-    if g.exact and sample.exact:
-        gen, d = common_denominator(coeffs)
-        pts, den = sample.numerators, sample.den
-    else:
-        gen, d, den = [to_float(c) for c in coeffs], 1, 1
-        pts = zip(*sample.columns)
-    (p, q, r, h, s), dd = gen, d * den
-    hl, sl = h * den, s * den
     max_step = 0.0
-    for x, y in pts:
-        step = math.hypot((p * x + hl) / dd, (q * y + r * x + sl) / dd)
+    hypot = math.hypot
+    if not (g.exact and sample.exact):
+        p, q, r, h, s = [to_float(c) for c in coeffs]
+        for x, y in zip(*sample.columns):
+            step = hypot(p * x + h, q * y + r * x + s)
+            if step > max_step:
+                max_step = step
+        return max_step
+    (p, q, r, h, s), d = common_denominator(coeffs)
+    den, k = sample.den, sample.k
+    dd, mask, hl, sl = d * den, (1 << k) - 1, h * den, s * den - q * sample.off
+    for z in sample.data:
+        x = z >> k
+        step = hypot((p * x + hl) / dd, (q * (z & mask) + r * x + sl) / dd)
         if step > max_step:
             max_step = step
     return max_step
@@ -156,6 +160,32 @@ def _dense_sample(system, target_resolution: float,
     )
 
 
+def _covering_radius(xs, ys, orbit) -> float:
+    """Largest distance from a sample point (xs sorted) to the orbit points.
+
+    Each sample point is measured against the five orbit points around
+    its insertion index in the x-sorted orbit, a pointer that only moves
+    forward.  The two nearest in x come first; when either lies within
+    the radius so far, the point cannot raise the maximum and the other
+    three are skipped.  Infinite sentinels, two before the orbit and
+    three after it, keep all five indices in range.
+    """
+    inf, hypot = math.inf, math.hypot
+    ordered = sorted((to_float(x), to_float(y)) for x, y in orbit)
+    ox = [-inf, -inf] + [x for x, _ in ordered] + [inf, inf, inf]
+    oy = [0.0, 0.0] + [y for _, y in ordered] + [0.0, 0.0, 0.0]
+    covering, k = 0.0, 2
+    for xf, yf in zip(xs, ys):
+        while ox[k] < xf:
+            k += 1
+        if (hypot(xf - ox[k], yf - oy[k]) > covering
+                and hypot(xf - ox[k - 1], yf - oy[k - 1]) > covering):
+            d = min(hypot(xf - ox[j], yf - oy[j]) for j in range(k - 2, k + 3))
+            if d > covering:
+                covering = d
+    return covering
+
+
 def epsilon_net(system, g: Affine2, eps: float,
                 max_points: int = 2_000_000) -> OrbitTrace:
     """Orbit of g across the attractor, verified to be an eps-net of it.
@@ -192,26 +222,13 @@ def epsilon_net(system, g: Affine2, eps: float,
     y_start = evaluate_f(system, x_start, tol0)
     trace = iterate_orbit(g, (x_start, y_start), system.interval, max_points)
 
-    orbit_xy = [(to_float(x), to_float(y)) for (x, y) in trace.points]
-    orbit_xy.sort()
-    xs_only = [p[0] for p in orbit_xy]
-    covering = 0.0
-    for xf, yf in zip(*sample.columns):
-        k = bisect.bisect_left(xs_only, xf)
-        dbest = math.inf
-        for idx in range(max(0, k - 2), min(len(orbit_xy), k + 3)):
-            ox, oy = orbit_xy[idx]
-            d = math.hypot(xf - ox, yf - oy)
-            if d < dbest:
-                dbest = d
-        if dbest > covering:
-            covering = dbest
+    covering = _covering_radius(*sample.columns, trace.points)
     if covering > eps:
         raise StepTooLargeError(
             f"orbit covering radius {covering:.3e} exceeds eps {eps}"
         )
     return replace(trace, eps=eps, delta=delta, covering_radius=covering,
-                   sample_depth=sample.depth, sample_size=len(sample.numerators),
+                   sample_depth=sample.depth, sample_size=len(sample),
                    max_step=max_step)
 
 
@@ -412,8 +429,8 @@ def _solve3(mat, rhs):
     return d1, d2, d3, det
 
 
-def _fit_exact(pairs, den, tol, exact):
-    """detect_parabola on numerator pairs over den.
+def _fit_exact(xs, ys, den, tol, exact):
+    """detect_parabola on the numerator columns xs, ys over den.
 
     The normal equations come from integer power sums and are solved in
     integers for (A, B den, C den^2); the worst residual is an integer
@@ -421,8 +438,8 @@ def _fit_exact(pairs, den, tol, exact):
     quadratic coefficient below 1e-12 of the data's scale as zero, and
     its fit comes back as floats.
     """
-    s0, s1, s2, s3, s4, t0, t1, t2 = len(pairs), 0, 0, 0, 0, 0, 0, 0
-    for x, y in pairs:
+    s0, s1, s2, s3, s4, t0, t1, t2 = len(xs), 0, 0, 0, 0, 0, 0, 0
+    for x, y in zip(xs, ys):
         x2 = x * x
         s1 += x
         s2 += x2
@@ -434,8 +451,8 @@ def _fit_exact(pairs, den, tol, exact):
     t0, t1, t2 = t0 * den, t1 * den, t2 * den
     sol = _solve3(((s4, s3, s2), (s3, s2, s1), (s2, s1, s0)), (t2, t1, t0))
     if sol is not None and not exact:
-        xmax = max(abs(x) for x, _ in pairs) / den
-        ymax = max(abs(y) for _, y in pairs) / den
+        xmax = max(map(abs, xs)) / den
+        ymax = max(map(abs, ys)) / den
         if abs(sol[0] / sol[3]) * xmax ** 2 < 1e-12 * max(1.0, ymax):
             sol = None
     # singular normal equations: fit a line, the quadratic coefficient pinned at 0
@@ -443,7 +460,7 @@ def _fit_exact(pairs, den, tol, exact):
     if sol is None:
         return None
     d1, d2, d3, det = sol
-    worst = max(abs(det * den * y - (d1 * x + d2) * x - d3) for x, y in pairs)
+    worst = max(abs(det * den * y - (d1 * x + d2) * x - d3) for x, y in zip(xs, ys))
     res = Fraction(worst, abs(det) * den * den)
     if to_float(res) > tol:
         return None
@@ -466,14 +483,16 @@ def detect_parabola(points, tol: float):
     |A| max|x|^2 < 1e-12 max(1, max|y|) is refit too, and the fit comes
     back as floats.
     """
-    if isinstance(points, GraphSample):
-        exact = points.exact
-        pts, den = ((points.numerators, points.den) if exact
-                    else _numerators(points.numerators))
+    if isinstance(points, GraphSample) and points.exact:
+        (xs, ys), den, exact = points.numerator_columns(), points.den, True
     else:
-        pts = [(coerce(x), coerce(y)) for (x, y) in points]
-        exact = all(is_exact(x) and is_exact(y) for (x, y) in pts)
-        pts, den = _numerators(pts)
-    if len(pts) < 3:
+        if isinstance(points, GraphSample):
+            pts, exact = points.data, False
+        else:
+            pts = [(coerce(x), coerce(y)) for (x, y) in points]
+            exact = all(is_exact(x) and is_exact(y) for (x, y) in pts)
+        nums, den = common_denominator([c for pt in pts for c in pt])
+        xs, ys = nums[::2], nums[1::2]
+    if len(xs) < 3:
         raise ValueError("need at least 3 points")
-    return _fit_exact(pts, den, tol, exact)
+    return _fit_exact(xs, ys, den, tol, exact)

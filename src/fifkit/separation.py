@@ -233,7 +233,7 @@ def attractor_ybox(system: IfsSystem):
     while (m ** (depth + 1)) * (m + 2) <= 4096 and depth < 8:
         depth += 1
     sample = sample_attractor(system, depth)
-    ys = [y for _, y in sample.numerators]
+    ys = sample.numerator_columns()[1]
     lo, hi = min(ys), max(ys)
     if sample.exact:
         return Fraction(lo, sample.den), Fraction(hi, sample.den)
@@ -242,12 +242,10 @@ def attractor_ybox(system: IfsSystem):
 
 def _is_collinear(system: IfsSystem) -> bool:
     # exact: cross products scaled by den^2, tolerance 0; float: relative
-    pts = sample_attractor(system, 3).numerators
-    (x0, y0) = pts[0]
-    (x1, y1) = pts[-1]
-    ys = [y for _, y in pts]
+    xs, ys = sample_attractor(system, 3).numerator_columns()
+    x0, y0, x1, y1 = xs[0], ys[0], xs[-1], ys[-1]
     tol = 0 if system.exact else 1e-12 * (x1 - x0) * (max(ys) - min(ys))
-    for (x, y) in pts:
+    for x, y in zip(xs, ys):
         cross = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)
         if abs(cross) > tol:
             return False

@@ -132,6 +132,12 @@ class IfsSystem:
         return d, tuple(tuple(nums[k:k + 5]) for k in range(0, len(nums), 5))
 
     @cached_property
+    def _exact_domain(self) -> tuple[int, int, int]:
+        """(A, B, den): the interval [a, b] as integer numerators over den."""
+        (lo, hi), den = common_denominator(self.interval)
+        return lo, hi, den
+
+    @cached_property
     def _exact_pullback(self):
         """(den, strips, steps) of exact backward iteration, in integers.
 

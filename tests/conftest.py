@@ -9,6 +9,7 @@ argument; tests feed the same box to both routes so the normalization
 matches by construction.
 """
 
+import bisect
 import collections
 import itertools
 import math
@@ -353,6 +354,30 @@ def oracle_evaluate(system, x, tol, first_branch=None):
         y = g.q * y + g.r * t + g.s
         err *= to_float(abs(g.q))
     return y, err
+
+
+def oracle_covering_radius(xs, ys, orbit):
+    """Largest distance from a sample point to its nearest of five orbit points.
+
+    The epsilon-net's covering sweep before it walked one forward
+    pointer, kept as written then: a bisection into the x-sorted orbit
+    for every sample point, and all five candidates around it measured.
+    """
+    orbit_xy = [(to_float(x), to_float(y)) for (x, y) in orbit]
+    orbit_xy.sort()
+    xs_only = [p[0] for p in orbit_xy]
+    covering = 0.0
+    for xf, yf in zip(xs, ys):
+        k = bisect.bisect_left(xs_only, xf)
+        dbest = math.inf
+        for idx in range(max(0, k - 2), min(len(orbit_xy), k + 3)):
+            ox, oy = orbit_xy[idx]
+            d = math.hypot(xf - ox, yf - oy)
+            if d < dbest:
+                dbest = d
+        if dbest > covering:
+            covering = dbest
+    return covering
 
 
 def oracle_parabola(points, tol):

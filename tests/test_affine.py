@@ -65,6 +65,12 @@ def test_invert_singular():
         invert(Affine2(0.5, 0.0, 0.0, 0.0, 0.0))
     with pytest.raises(SingularMapError):
         invert(Affine1(0.0, 1.0))
+    with pytest.raises(SingularMapError, match="underflows to 0"):
+        invert(Affine2(5e-324, 0.5, 0.0, 0.0, 0.0))
+    # a product that stays normal keeps the float operation order
+    g = Affine2(0.3, -0.7, 0.2, 0.1, 0.4)
+    assert invert(g) == Affine2(1 / 0.3, 1 / -0.7, -0.2 / (0.3 * -0.7), -0.1 / 0.3,
+                                (0.2 * 0.1 - 0.4 * 0.3) / (0.3 * -0.7))
 
 
 def test_compose_word_order():

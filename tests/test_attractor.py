@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from fifkit import (
     OutOfDomainError,
     ResolutionInsufficientError,
     anchor_points,
+    conjugate_system,
     dyadic_parabola_system,
     evaluate_f,
     four_piece_overlap_system,
@@ -35,7 +38,9 @@ from conftest import (
     oracle_levels,
     oracle_modulus,
     oracle_sample,
+    random_lattice_system,
     random_overlapping_system,
+    random_quadratic_system,
     random_two_map_system,
 )
 
@@ -182,10 +187,12 @@ def test_sample_attractor_checks_the_budget_before_anchors(cold_caches, monkeypa
     assert attractor._SAMPLES.key is None
 
 
-def seeded_overlapping_system(seed):
+def seeded_system(family, seed):
+    # random_quadratic_system returns (system, its parabola)
     def make():
-        return random_overlapping_system(random.Random(seed))
-    make.__name__ = f"random_overlapping_system_{seed}"
+        made = family(random.Random(seed))
+        return made[0] if isinstance(made, tuple) else made
+    make.__name__ = f"{family.__name__}_{seed}"
     return make
 
 
@@ -195,8 +202,25 @@ BUNDLED_SAMPLER_CASES = [
     (dyadic_parabola_system, range(1, 9)),
 ]
 # the bundled maps all have p > 0; these reverse x (p < 0) or y (q < 0)
-RANDOM_SAMPLER_SYSTEMS = [seeded_overlapping_system(seed) for seed in range(8)]
+RANDOM_SAMPLER_SYSTEMS = [seeded_system(random_overlapping_system, seed) for seed in range(8)]
 SAMPLER_CASES = BUNDLED_SAMPLER_CASES + [(make, range(1, 7)) for make in RANDOM_SAMPLER_SYSTEMS]
+
+
+def negative_interval_system():
+    # on [-2, -1/2]; both maps have q < 0, and the second reverses x
+    base = IfsSystem(
+        (Affine2(Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 3), Fraction(0), Fraction(-1, 5)),
+         Affine2(Fraction(-2, 3), Fraction(-1, 4), Fraction(-1, 2), Fraction(1), Fraction(-1, 3))),
+        (Fraction(0), Fraction(1)),
+    )
+    return conjugate_system(base, Fraction(3, 2), Fraction(-2))
+
+
+PACKED_CASES = ([make for make, _ in BUNDLED_SAMPLER_CASES] + [negative_interval_system]
+                + [seeded_system(family, seed)
+                   for family in (random_two_map_system, random_overlapping_system,
+                                  random_quadratic_system, random_lattice_system)
+                   for seed in range(4)])
 
 
 def test_random_sampler_cases_reverse():
@@ -262,8 +286,7 @@ def test_sample_cache_repeat_is_identical(cold_caches):
     assert sample_attractor(system, 4) is sample_attractor(system, 4)
 
 
-@pytest.mark.parametrize("make", [four_piece_overlap_system,
-                                  lambda: float_twin(mixed_ratio_parabola_system())])
+@pytest.mark.parametrize("make", PACKED_CASES + [lambda: float_twin(mixed_ratio_parabola_system())])
 def test_sample_cache_warm_equals_cold(cold_caches, make):
     system = make()
     sample_attractor(system, 3)
@@ -675,10 +698,70 @@ def test_float_sample_keeps_its_floats(cold_caches):
     assert sample.columns == ([x for x, _ in sample.points], [y for _, y in sample.points])
 
 
+# ---------- the packed form of an exact sample ----------
+
+def test_negative_interval_system_has_negative_ends_and_q():
+    system = negative_interval_system()
+    assert system.interval == (Fraction(-2), Fraction(-1, 2))
+    assert all(g.q < 0 for g in system.maps)
+
+
+@pytest.mark.parametrize("make", PACKED_CASES)
+def test_packed_sample_decodes_to_the_oracle(cold_caches, make):
+    system = make()
+    for depth in (1, 3, 5):
+        sample = sample_attractor(system, depth)
+        want, res = oracle_sample(system, depth)
+        den, data = sample.den, sample.data
+        assert sample.numerators == tuple((int(x * den), int(y * den)) for x, y in want)
+        assert list(sample.points) == want and sample.resolution == res
+        # |Y| <= off < 2^k / 2, so the ints rise strictly in (X, Y) order
+        assert all(type(z) is int for z in data) and len(sample) == len(want)
+        assert all(u < v for u, v in zip(data, data[1:]))
+        assert 2 * sample.off < 1 << sample.k
+        assert all(abs(y) <= sample.off for _, y in sample.numerators)
+
+
+def test_exact_sample_retains_one_int_per_point(cold_caches):
+    # four-piece d7 holds 35,504 points; as tuples of two ints they retained
+    # about 135 B a point and peaked at about 194 B a point while being built
+    system = four_piece_overlap_system()
+    sample_attractor(system, 1)  # anchors and scaled maps outside the trace
+    attractor._SAMPLES.samples.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sample = sample_attractor(system, 7)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sample) == 35_504
+    assert retained <= 60 * len(sample)
+    assert peak <= 100 * len(sample)
+
+
+def test_exact_domain_check_matches_the_fraction_comparison():
+    tiny = Fraction(1, 10 ** 30)
+    for system in (four_piece_overlap_system(), negative_interval_system()):
+        a, b = system.interval
+        xs = [a, b, a - tiny, b + tiny, a + tiny, float(a), float(b), int(math.floor(a)),
+              math.nextafter(float(a), -math.inf), math.nextafter(float(b), math.inf),
+              math.inf, -math.inf, math.nan]
+        for x in xs:
+            if a <= x <= b:
+                y, _ = attractor._evaluate(system, x, 1e-9)
+                assert y == oracle_evaluate(system, Fraction(x), 1e-9)[0]
+            else:
+                with pytest.raises(OutOfDomainError) as exc:
+                    attractor._evaluate(system, x, 1e-9)
+                assert str(exc.value) == f"x = {x} outside [{a}, {b}]"
+
+
 def test_columns_round_once():
     # (2^53 + 1) / 3 is a float; float(2^53 + 1) / 3 rounds twice and misses it
     big = 2 ** 53 + 1
-    sample = attractor.GraphSample(((big, -big),), 3, 1, 0, 0.0, True)
+    level, _, k, off = attractor._packed([(big, -big)])
+    sample = attractor.GraphSample(tuple(level), 3, 1, 0, 0.0, True, k, off)
     assert sample.columns == ([float(Fraction(big, 3))], [float(Fraction(-big, 3))])
     assert sample.columns[0][0] != float(big) / 3
 

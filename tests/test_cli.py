@@ -186,6 +186,22 @@ def test_map_with_q_minus_one_names_the_map_and_abs_q(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err == "error: map 2: |q| = 1 is not < 1\n"
 
 
+# neither p nor q of a depth-3 comparison map is 0, but p * q underflows
+UNDERFLOW = ("interval 0.0 1.0\n"
+             "map 5e-324 -0.9999999999999999 0.0 5e-324 0.0\n"
+             "map -0.9514977042412145 0.2409395119730029 0.0 5e-324 0.0\n")
+
+
+def test_underflowing_inverse_exits_1_without_traceback(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "under.ifs").write_text(UNDERFLOW)
+    assert main(["wsp", "under.ifs", "--depth", "3", "--tol", "1e-3", "--mode", "1d"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: p * q = 5e-324 * ")
+    assert captured.err.endswith(" underflows to 0; no float inverse\n")
+
+
 @pytest.mark.parametrize("case", sorted(NOT_CONTRACTIVE))
 def test_map_that_is_no_contraction_exits_1_at_every_command(tmp_path, monkeypatch, capsys,
                                                              case):

@@ -34,6 +34,7 @@ from fifkit import attractor, orbits
 from conftest import (
     confined_near_identity,
     float_twin,
+    oracle_covering_radius,
     oracle_modulus,
     oracle_parabola,
 )
@@ -321,6 +322,42 @@ def test_net_reuses_the_suggested_modulus(cold_caches, scans):
     assert trace.max_step == 0.03515709770028344 == eps / 4
 
 
+# the two net witnesses of mixed, their orbit length and covering radius
+NET_WITNESSES = [
+    ((1, 2, 2, 1, 2, 2, 1, 2, 1, 2, 2, 1), (2, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2),
+     64, "0x1.197e80e72e981p-6"),
+    ((2, 1, 1, 1, 2, 2, 2, 2, 2, 1, 2), (1, 2, 2, 2, 1, 2, 2, 2, 1, 2, 1),
+     32, "0x1.0c3c23b8244aap-5"),
+]
+
+
+@pytest.mark.parametrize("j_word,i_word,M,radius", NET_WITNESSES)
+def test_net_covering_radius_matches_the_bisect_sweep(cold_caches, j_word, i_word, M, radius):
+    system = mixed_ratio_parabola_system()
+    g = FamilyElement.from_words(system, j_word, i_word).map2
+    trace = epsilon_net(system, g, suggest_eps(system, g))
+    assert (trace.M, trace.covering_radius.hex()) == (M, radius)
+    sample = sample_attractor(system, trace.sample_depth)
+    assert trace.covering_radius == oracle_covering_radius(*sample.columns, trace.points)
+
+
+def test_covering_radius_matches_the_bisect_sweep():
+    # on a grid, sample and orbit abscissae tie and points coincide
+    rng = random.Random(23)
+    for case in range(300):
+        if case % 2:
+            xs = sorted(rng.uniform(-1, 2) for _ in range(rng.randrange(1, 60)))
+            orbit = [(F(rng.uniform(-1, 2)), F(rng.uniform(-1, 1)))
+                     for _ in range(rng.randrange(1, 15))]
+        else:
+            xs = sorted(rng.randrange(-8, 17) / 8 for _ in range(rng.randrange(1, 60)))
+            orbit = [(F(rng.randrange(-8, 17), 8), F(rng.randrange(-4, 5), 4))
+                     for _ in range(rng.randrange(1, 15))]
+        ys = [rng.randrange(-4, 5) / 4 for _ in xs]
+        want = oracle_covering_radius(xs, ys, orbit)
+        assert orbits._covering_radius(xs, ys, orbit).hex() == want.hex()
+
+
 def test_modulus_repeat_does_no_scan(cold_caches, scans):
     system = dyadic_parabola_system()
     delta = modulus_of_continuity(system, 0.1)
@@ -514,6 +551,7 @@ def test_detect_parabola_line_fits_match_the_oracle():
 def test_max_graph_step_round_once():
     # the displacement of (x, 0) under (2x, y) is x = (2^53 + 1) / 3, a float
     big = 2 ** 53 + 1
-    sample = attractor.GraphSample(((big, 0),), 3, 1, 0, 0.0, True)
+    level, _, k, off = attractor._packed([(big, 0)])
+    sample = attractor.GraphSample(tuple(level), 3, 1, 0, 0.0, True, k, off)
     double = Affine2(F(2), F(1), F(0), F(0), F(0))
     assert orbits._max_graph_step(double, sample) == float(F(big, 3)) != float(big) / 3
