@@ -20,6 +20,7 @@ from functools import cached_property
 
 from .errors import (
     DepthTooLargeError,
+    IndexOutOfRangeError,
     NotAFunctionGraphError,
     NotContractiveError,
     NotCoveringError,
@@ -46,6 +47,8 @@ def _select_branch(x, strips, slack, forced=None):
 
 def _evaluate(system, x, tol, first_branch=None):
     """Return (y, error_bound).  error_bound == 0 means exact."""
+    if first_branch is not None and not 1 <= first_branch <= len(system):
+        raise IndexOutOfRangeError(f"branch {first_branch} outside 1..{len(system)}")
     a, b = system.interval
     if system.exact:
         lo, hi, den = system._exact_domain
@@ -152,7 +155,7 @@ def evaluate_f(system: IfsSystem, x: Scalar, tol: float = 1e-9,
     in particular at every generator fixed point reachable by the
     lowest-index branch rule.  first_branch forces the branch used for
     the first pullback step only, which is how branch independence on
-    overlaps is tested.
+    overlaps is tested; one outside 1..m raises IndexOutOfRangeError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -169,10 +172,11 @@ class GraphSample:
     2^k > 2 off, so integer order is (X, Y) order.  Such a point retains
     about 48 B, against about 125 B as a tuple of two ints.  A float
     sample keeps its (x, y) float pairs, over den = 1 with k = off = 0.
-    `len(sample)` counts the points without decoding them.
-    `numerators` decodes the (X, Y) pairs on each call; `points` (as
-    scalars) and `columns` (x and y as float lists, X / den correctly
-    rounded) are decoded on first use.
+    Only this class reads that storage: every other reader takes
+    `numerator_columns()` (numerators over den, decoded on each call) or
+    `columns` (x and y as float lists, X / den correctly rounded,
+    decoded on first use).  `points` gives the scalars, decoded on first
+    use, and `len(sample)` counts the points without decoding them.
     """
 
     data: tuple[int, ...] | tuple[tuple[float, float], ...]
@@ -194,22 +198,20 @@ class GraphSample:
         k, off, mask = self.k, self.off, (1 << self.k) - 1
         return [z >> k for z in self.data], [(z & mask) - off for z in self.data]
 
-    @property
-    def numerators(self) -> tuple[tuple[int, int], ...] | tuple[tuple[float, float], ...]:
-        return tuple(zip(*self.numerator_columns())) if self.exact else self.data
-
     @cached_property
     def points(self) -> tuple[tuple[Scalar, Scalar], ...]:
         if not self.exact:
             return self.data
         den = self.den
-        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in self.numerators)
+        return tuple((Fraction(x, den), Fraction(y, den))
+                     for x, y in zip(*self.numerator_columns()))
 
     @cached_property
     def columns(self) -> tuple[list[float], list[float]]:
         if not self.exact:
             return self.numerator_columns()
-        return _columns(self.data, self.den, self.k, self.off)
+        k, off, mask, den = self.k, self.off, (1 << self.k) - 1, self.den
+        return [(z >> k) / den for z in self.data], [((z & mask) - off) / den for z in self.data]
 
 
 def anchor_points(system: IfsSystem):
@@ -271,12 +273,6 @@ def _packed(points):
     return sorted((x << k) + y + off for x, y in pairs), den, k, off
 
 
-def _columns(level, den, k, off):
-    """The x and the y floats of packed points over den, each correctly rounded."""
-    mask = (1 << k) - 1
-    return [(z >> k) / den for z in level], [((z & mask) - off) / den for z in level]
-
-
 def _image(gen, level, den):
     """The (X, Y) pairs over `den` mapped by one scaled generator, over den * D:
     X' = pD X + hD den,  Y' = qD Y + rD X + sD den."""
@@ -305,14 +301,12 @@ def _packed_image(gen, level, den, k, off, k2, off2):
 
 def _image_columns(system, sample, i):
     """x and y float columns of generator i's (0-based) image of a
-    sample, point for point in the sample's order."""
+    sample, point for point in the sample's order: `_image` of its
+    numerator columns, each coordinate over den * D."""
     d, gens = system._scaled_maps
-    level, den, k, off = sample.data, sample.den, sample.k, sample.off
-    if not sample.exact:
-        return [list(c) for c in zip(*_image(gens[i], level, den))]
-    k2, off2 = _next_shift(gens, level, den, k, off)
-    image = list(_packed_image(gens[i], level, den, k, off, k2, off2))
-    return _columns(image, den * d, k2, off2)
+    dd = sample.den * d
+    xs, ys = zip(*_image(gens[i], zip(*sample.numerator_columns()), sample.den))
+    return [x / dd for x in xs], [y / dd for y in ys]
 
 
 def _levels(system, level, den, k, off, levels):

@@ -91,28 +91,23 @@ def _max_graph_step(g: Affine2, sample: GraphSample) -> float:
 
     The displacement is the image of (x, y) under the map with
     coefficients (p-1, q-1, r, h, s).  For an exact map on an exact
-    sample it is integer numerators over D * den, D their common
-    denominator, and one division per coordinate: each packed point z
-    gives X = z >> k and Y + off = z & mask, and q * off is folded into
-    the constant term.  Otherwise floats, the sample's float columns
-    over 1.
+    sample it is formed on the sample's integer numerator columns over
+    D * den, D the coefficients' common denominator, with one division
+    per coordinate.  Otherwise the float coefficients act on the
+    sample's float columns over 1, which gives the same floats.
     """
     coeffs = (g.p - 1, g.q - 1, g.r, g.h, g.s)
+    if g.exact and sample.exact:
+        (p, q, r, h, s), d = common_denominator(coeffs)
+        (xs, ys), den = sample.numerator_columns(), sample.den
+    else:
+        (p, q, r, h, s), d = [to_float(c) for c in coeffs], 1
+        (xs, ys), den = sample.columns, 1
+    dd, hl, sl = d * den, h * den, s * den
     max_step = 0.0
     hypot = math.hypot
-    if not (g.exact and sample.exact):
-        p, q, r, h, s = [to_float(c) for c in coeffs]
-        for x, y in zip(*sample.columns):
-            step = hypot(p * x + h, q * y + r * x + s)
-            if step > max_step:
-                max_step = step
-        return max_step
-    (p, q, r, h, s), d = common_denominator(coeffs)
-    den, k = sample.den, sample.k
-    dd, mask, hl, sl = d * den, (1 << k) - 1, h * den, s * den - q * sample.off
-    for z in sample.data:
-        x = z >> k
-        step = hypot((p * x + hl) / dd, (q * (z & mask) + r * x + sl) / dd)
+    for x, y in zip(xs, ys):
+        step = hypot((p * x + hl) / dd, (q * y + r * x + sl) / dd)
         if step > max_step:
             max_step = step
     return max_step
@@ -483,16 +478,15 @@ def detect_parabola(points, tol: float):
     |A| max|x|^2 < 1e-12 max(1, max|y|) is refit too, and the fit comes
     back as floats.
     """
-    if isinstance(points, GraphSample) and points.exact:
-        (xs, ys), den, exact = points.numerator_columns(), points.den, True
+    if isinstance(points, GraphSample):
+        (xs, ys), den, exact = points.numerator_columns(), points.den, points.exact
     else:
-        if isinstance(points, GraphSample):
-            pts, exact = points.data, False
-        else:
-            pts = [(coerce(x), coerce(y)) for (x, y) in points]
-            exact = all(is_exact(x) and is_exact(y) for (x, y) in pts)
-        nums, den = common_denominator([c for pt in pts for c in pt])
-        xs, ys = nums[::2], nums[1::2]
+        pts = [(coerce(x), coerce(y)) for (x, y) in points]
+        xs, ys, den = [x for x, _ in pts], [y for _, y in pts], 1
+        exact = all(is_exact(c) for c in xs + ys)
+    if den == 1:  # values over 1: put them over one integer denominator
+        nums, den = common_denominator(xs + ys)
+        xs, ys = nums[:len(xs)], nums[len(xs):]
     if len(xs) < 3:
         raise ValueError("need at least 3 points")
     return _fit_exact(xs, ys, den, tol, exact)

@@ -655,7 +655,7 @@ def wsp_check_1d(system: IfsSystem, depth: int, tol: float,
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    system._contractive  # raises unless contractive
+    system._invertible  # raises unless contractive with every q != 0
     runs, scale = _word_runs(system, depth, budget, planar=False)
     rounding, interval = _rounding(system, depth, scale), system.interval
     # imported here, not at the top, so that only a 1d scan compiles it.
@@ -685,7 +685,7 @@ def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    system._contractive  # raises unless contractive
+    system._invertible  # raises unless contractive with every q != 0
     if _is_collinear(system):
         warnings.warn(
             "attractor sample is collinear; planar verdict adds nothing",

@@ -6,7 +6,6 @@ across environments.  Marker circles carry data-x / data-y attributes
 with the full-precision coordinates so figures stay machine-checkable.
 """
 
-from .attractor import GraphSample
 from .scalars import to_float
 
 _W, _H = 800.0, 500.0
@@ -55,13 +54,6 @@ class _Frame:
     def py(self, y):
         t = (y - self.ylo) / (self.yhi - self.ylo)
         return _H - _MARGIN - t * (_H - 2 * _MARGIN)
-
-
-def _columns(points):
-    """The x and the y values of a GraphSample or a point sequence as floats."""
-    if isinstance(points, GraphSample):
-        return points.columns
-    return [to_float(x) for (x, _) in points], [to_float(y) for (_, y) in points]
 
 
 def _polyline(frame, xs, ys, css):
@@ -119,13 +111,10 @@ def _markers(frame, marked):
     return "".join(out)
 
 
-def graph_svg(points, interval, marked=()) -> str:
-    """Polyline of a graph sample with axes and optional marked points.
-
-    points is a GraphSample, whose float columns are used as they are,
-    or a sequence of (x, y).
-    """
-    xs, ys = _columns(points)
+def graph_svg(sample, interval, marked=()) -> str:
+    """Polyline of a GraphSample's float columns with axes and optional
+    marked points."""
+    xs, ys = sample.columns
     frame = _Frame(min(xs), max(xs), min(ys), max(ys))
     parts = [_OPEN, _axes(frame, to_float(interval[0]), to_float(interval[1]),
                           min(ys), max(ys))]
@@ -134,14 +123,14 @@ def graph_svg(points, interval, marked=()) -> str:
     return "".join(parts)
 
 
-def overlap_svg(points, interval, sub_a, sub_b, strip_x, marked=()) -> str:
+def overlap_svg(sample, interval, sub_a, sub_b, strip_x, marked=()) -> str:
     """Attractor with two generator images overlaid and a shaded strip.
 
-    points is a GraphSample or a point sequence; sub_a and sub_b are
-    (xs, ys) float columns (the images of the sample under two chosen
-    maps); strip_x = (lo, hi) is shaded over the full height.
+    sample is a GraphSample, drawn from its float columns; sub_a and
+    sub_b are (xs, ys) float columns (the images of the sample under two
+    chosen maps); strip_x = (lo, hi) is shaded over the full height.
     """
-    xs, ys = _columns(points)
+    xs, ys = sample.columns
     frame = _Frame(min(xs), max(xs), min(ys), max(ys))
     lo, hi = (to_float(strip_x[0]), to_float(strip_x[1]))
     x0, x1 = frame.px(lo), frame.px(hi)

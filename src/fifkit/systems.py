@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .affine import Affine1, Affine2, projection
-from .errors import IndexOutOfRangeError, NotContractiveError
+from .errors import IndexOutOfRangeError, NotContractiveError, SingularMapError
 from .scalars import Scalar, coerce, common_denominator, is_exact, to_float
 
 
@@ -94,9 +94,10 @@ class IfsSystem:
 
         The attractor exists, and weak separation is posed, only for
         contractions.  Sampling, evaluation and the separation checks
-        read this; otherwise it raises NotContractiveError, which is never
-        cached, naming the first map that fails.  validate reports the
-        same conditions instead of raising.
+        (through _invertible) read this; otherwise it raises
+        NotContractiveError, which is never cached, naming the first map
+        that fails.  validate reports the same conditions instead of
+        raising.
         """
         for k, g in enumerate(self.maps, start=1):
             if g.p == 0:
@@ -104,6 +105,20 @@ class IfsSystem:
             for name, c in (("p", g.p), ("q", g.q)):
                 if not abs(c) < 1:
                     raise NotContractiveError(f"map {k}: |{name}| = {abs(c)} is not < 1")
+        return True
+
+    @cached_property
+    def _invertible(self) -> bool:
+        """True when the system is contractive and every generator has q != 0.
+
+        The separation checks read this: G_j^-1 G_i is undefined for any
+        j word holding a letter with q = 0.  Otherwise it raises, never
+        cached, NotContractiveError or SingularMapError naming the map.
+        """
+        self._contractive  # raises unless contractive
+        for k, g in enumerate(self.maps, start=1):
+            if g.q == 0:
+                raise SingularMapError(f"map {k}: q = 0 has no inverse")
         return True
 
     @cached_property

@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import math
@@ -5,6 +6,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from fifkit import (
     Affine2,
     DepthTooLargeError,
     IfsSystem,
+    IndexOutOfRangeError,
     NotAFunctionGraphError,
     NotContractiveError,
     NotCoveringError,
@@ -109,6 +112,18 @@ def test_evaluate_f_float_forced_branches():
     for x, branch in ((0.5, 1), (0.5, 4), (0.1, 3), (0.9, 2)):
         with pytest.raises(OutOfDomainError, match=f"outside strip {branch}"):
             evaluate_f(system, x, tol=tol, first_branch=branch)
+
+
+def test_evaluate_f_refuses_a_branch_outside_the_maps():
+    # a branch outside 1..m is refused by name, not read as a list index
+    # (branch 0 would be branch 4, whose value at 9/10 is 1/10)
+    exact = four_piece_overlap_system()
+    for system in (exact, float_twin(exact)):
+        for branch in (-1, 0, 5):
+            with pytest.raises(IndexOutOfRangeError) as exc:
+                evaluate_f(system, Fraction(9, 10), first_branch=branch)
+            assert str(exc.value) == f"branch {branch} outside 1..4"
+        assert abs(evaluate_f(system, Fraction(9, 10), first_branch=4) - Fraction(1, 10)) <= 1e-9
 
 
 def test_evaluate_f_out_of_domain():
@@ -258,8 +273,12 @@ def test_sample_attractor_matches_oracle_float(cold_caches, make, depths):
         assert abs(sample.resolution - res) <= 1e-12
 
 
+def _numerator_pairs(sample):
+    return tuple(zip(*sample.numerator_columns()))
+
+
 def _sample_parts(sample):
-    return repr((sample.numerators, sample.den, sample.resolution))
+    return repr((_numerator_pairs(sample), sample.den, sample.resolution))
 
 
 @pytest.mark.parametrize("make", RANDOM_SAMPLER_SYSTEMS)
@@ -654,7 +673,7 @@ def test_evaluate_errors_match_oracle():
             assert str(exc.value) == message
 
 
-# ---------- GraphSample: numerators, columns, points ----------
+# ---------- GraphSample: numerator columns, columns, points ----------
 
 COLUMN_CASES = [(four_piece_overlap_system, 7), (mixed_ratio_parabola_system, 12),
                 (dyadic_parabola_system, 8)]
@@ -673,7 +692,7 @@ def test_sample_points_are_built_on_demand(cold_caches):
     system = mixed_ratio_parabola_system()
     sample = sample_attractor(system, 6)
     assert sample.exact and "points" not in vars(sample)
-    assert all(type(c) is int for pt in sample.numerators for c in pt)
+    assert all(type(c) is int for pt in _numerator_pairs(sample) for c in pt)
     want, res = oracle_sample(system, 6)
     assert list(sample.points) == want
     assert sample.points is sample.points
@@ -687,15 +706,28 @@ def test_warm_sample_continues_from_numerators(cold_caches):
     attractor._SAMPLES.clear()
     cold = sample_attractor(system, 5)
     assert warm == cold
-    assert (warm.numerators, warm.den) == (cold.numerators, cold.den)
+    assert (_numerator_pairs(warm), warm.den) == (_numerator_pairs(cold), cold.den)
     assert warm.points == cold.points
 
 
 def test_float_sample_keeps_its_floats(cold_caches):
     sample = sample_attractor(float_twin(mixed_ratio_parabola_system()), 5)
     assert not sample.exact and sample.den == 1
-    assert sample.points is sample.numerators
+    assert sample.points is sample.data
     assert sample.columns == ([x for x, _ in sample.points], [y for _, y in sample.points])
+
+
+def test_only_graph_sample_reads_the_sample_storage():
+    # a sample's stored points (data) and their packing (k, off) are read in
+    # attractor.py alone; every other module reads numerator_columns() or
+    # columns, so a change of storage stays inside GraphSample
+    reads = []
+    for path in sorted(Path(attractor.__file__).parent.glob("*.py")):
+        if path.name != "attractor.py":
+            reads += [f"{path.name}:{node.lineno} .{node.attr}"
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.Attribute) and node.attr in ("data", "k", "off")]
+    assert reads == []
 
 
 # ---------- the packed form of an exact sample ----------
@@ -713,13 +745,13 @@ def test_packed_sample_decodes_to_the_oracle(cold_caches, make):
         sample = sample_attractor(system, depth)
         want, res = oracle_sample(system, depth)
         den, data = sample.den, sample.data
-        assert sample.numerators == tuple((int(x * den), int(y * den)) for x, y in want)
+        assert _numerator_pairs(sample) == tuple((int(x * den), int(y * den)) for x, y in want)
         assert list(sample.points) == want and sample.resolution == res
         # |Y| <= off < 2^k / 2, so the ints rise strictly in (X, Y) order
         assert all(type(z) is int for z in data) and len(sample) == len(want)
         assert all(u < v for u, v in zip(data, data[1:]))
         assert 2 * sample.off < 1 << sample.k
-        assert all(abs(y) <= sample.off for _, y in sample.numerators)
+        assert all(abs(y) <= sample.off for _, y in _numerator_pairs(sample))
 
 
 def test_exact_sample_retains_one_int_per_point(cold_caches):
@@ -768,7 +800,7 @@ def test_columns_round_once():
 
 def _sample_digest(sample):
     xs, ys = sample.columns
-    parts = (repr(sample.numerators), repr(sample.den),
+    parts = (repr(_numerator_pairs(sample)), repr(sample.den),
              type(sample.resolution).__name__, repr(sample.resolution),
              ",".join(v.hex() for v in xs), ",".join(v.hex() for v in ys))
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()

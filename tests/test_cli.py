@@ -24,10 +24,13 @@ WITNESS_GJ = "1,2,2,1,2,2,1,2,1,2,2,1"
 WITNESS_GI = "2,1,1,1,1,1,2,2,2,2,2,2"
 
 # sha256 of the SVG `fifkit example-figure1 --param P` wrote when it
-# still mapped every sample point through Affine2 as a Fraction pair
+# still mapped every sample point through Affine2 as a Fraction pair;
+# 0.2 demotes the system to floats, pinned while float images had a
+# path of their own
 FIGURE1_SVG_SHA256 = {
     "1/5": "fc38a57fbe277d7221284fcc151f13bdb113b464bfc3ce81814fd328469eeb3d",
     "1/3": "b02656e5f3ab4dc2343ffbbc1117a9584b3ed705254a90da6f1820063b0f9709",
+    "0.2": "b34e2015eca347e15958f6ef24979c5c9fb93233c264559a1f4ff474f4363302",
 }
 
 # sha256 of the CSV and the SVG `fifkit render four.ifs --depth 5` wrote
@@ -218,6 +221,15 @@ def test_map_that_is_no_contraction_exits_1_at_every_command(tmp_path, monkeypat
             assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_q_zero_generator_exits_1_in_both_wsp_modes(tmp_path, capsys):
+    path = tmp_path / "q0.ifs"
+    path.write_text("interval 0 1\nmap 1/2 0 0 0 0\nmap 2/3 1/2 0 1/3 0\n")
+    for mode in ("1d", "2d"):
+        code, _, err = run(capsys, ["wsp", path, "--depth", 4, "--tol", "1e-3", "--mode", mode])
+        assert code == 1
+        assert err == "error: map 1: q = 0 has no inverse\n"
+
+
 def test_wsp_budget_env_var_exit_2(sys_dir, capsys, monkeypatch):
     monkeypatch.setenv("FIFKIT_WORD_BUDGET", "10")
     code, _, err = run(capsys, ["wsp", sys_dir / "mixed.ifs",
@@ -336,10 +348,17 @@ def test_example_figure(tmp_path, capsys):
 @pytest.mark.parametrize("param", sorted(FIGURE1_SVG_SHA256))
 def test_example_figure_bytes_unchanged(tmp_path, capsys, param):
     out_svg = tmp_path / "fig.svg"
-    code, out, _ = run(capsys, ["example-figure1", "--param", param, "--out", out_svg])
+    argv = ["example-figure1", "--param", param, "--out", out_svg]
+    if "/" in param:
+        code, out, _ = run(capsys, argv)
+        strip = "7/15, 8/15"
+    else:
+        with pytest.warns(fifkit.MixedScalarWarning):
+            code, out, _ = run(capsys, argv)
+        strip = "0.4666666666666667, 0.5333333333333333"
     assert code == 0
     assert out == (f"fifkit example-figure1 report\nversion: 0.1.0\nparam: {param}\n"
-                   f"marked-points: 6\noverlap-strip: [7/15, 8/15]\nsvg: {out_svg}\n")
+                   f"marked-points: 6\noverlap-strip: [{strip}]\nsvg: {out_svg}\n")
     assert hashlib.sha256(out_svg.read_bytes()).hexdigest() == FIGURE1_SVG_SHA256[param]
 
 

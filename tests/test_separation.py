@@ -1007,6 +1007,21 @@ def test_identity_generator_is_not_contractive():
                 check(system, 3, 1e-3)
 
 
+def test_q_zero_generator_is_refused_by_both_checks():
+    # the system is contractive, but G_j^-1 G_i is undefined for a j word
+    # holding the q = 0 letter, so both checks refuse it before any scan
+    # rather than skip or fail on those pairs
+    f = Fraction
+    exact = IfsSystem((Affine2(f(1, 2), f(0), f(0), f(0), f(0)),
+                       Affine2(f(2, 3), f(1, 2), f(0), f(1, 3), f(0))), (f(0), f(1)))
+    for system in (exact, float_twin(exact)):
+        assert system._contractive
+        for check in (wsp_check_1d, wsp_check_2d):
+            with pytest.raises(SingularMapError) as exc:
+                check(system, 4, 1e-3)
+            assert str(exc.value) == "map 1: q = 0 has no inverse"
+
+
 def _scan_every_depth(system, depth, mode):
     """(profile, witness words, coincidence count, coincidence sample) from
     an unseeded, unfloored scan at every depth 2..depth."""
