@@ -437,26 +437,20 @@ def validate(system: IfsSystem, tol: float = 1e-9, *,
              strict: bool = False) -> ValidationReport:
     """Check contraction, strip coverage, and branch agreement on overlaps.
 
-    Branch agreement is certified numerically: on every shared strip
-    (positive-width overlap or single touch point) the two branch
-    evaluations must agree within tol, at nine evenly spaced abscissae
-    of an overlap and at a touch point; the report carries the worst
-    discrepancy found.  strict=True turns the first failure into the
-    matching typed exception.
+    The contraction problems are system._contraction_faults, one line
+    each.  Coverage sweeps the strips sorted as values, so an exact
+    system's gaps are exact.  Branch agreement is certified
+    numerically: on every shared strip (positive-width overlap or
+    single touch point) the two branch evaluations must agree within
+    tol, at nine evenly spaced abscissae of an overlap and at a touch
+    point; the report carries the worst discrepancy found.  strict=True
+    turns the first failure into the matching typed exception.
     """
     a, b = system.interval
-    problems = []
-    contractive = True
-    for i, g in enumerate(system.maps, start=1):
-        if g.p == 0:
-            contractive = False
-            problems.append(f"map {i}: p == 0")
-        elif not abs(g.p) < 1:
-            contractive = False
-            problems.append(f"map {i}: |p| = {abs(g.p)} not < 1")
-        if not abs(g.q) < 1:
-            contractive = False
-            problems.append(f"map {i}: |q| = {abs(g.q)} not < 1")
+    faults = system._contraction_faults
+    contractive = not faults
+    problems = [f"map {k}: " + ("p == 0" if value == 0 else f"|{name}| = {value} not < 1")
+                for k, name, value in faults]
 
     strips = system.strips
     contained = True
@@ -465,12 +459,9 @@ def validate(system: IfsSystem, tol: float = 1e-9, *,
             contained = False
             problems.append(f"map {i}: strip [{lo}, {hi}] escapes [{a}, {b}]")
 
-    order = sorted(range(len(strips)), key=lambda k: (to_float(strips[k][0]),
-                                                      to_float(strips[k][1])))
     gaps = []
     cover = a
-    for k in order:
-        lo, hi = strips[k]
+    for lo, hi in sorted(strips):
         if lo > cover:
             gaps.append((cover, lo))
         if hi > cover:

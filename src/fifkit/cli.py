@@ -210,17 +210,8 @@ def _cmd_classify(args):
 def _cmd_example_figure1(args):
     system = four_piece_overlap_system(parse_scalar(args.param))
     sample = sample_attractor(system, 7)
-    marked_x = []
-    for i in range(1, len(system) + 1):
-        marked_x.extend(strip(system, i))
-    marked_x.sort(key=to_float)
-    seen = set()
-    marks = []
-    for x in marked_x:
-        if x in seen:
-            continue
-        seen.add(x)
-        marks.append((x, evaluate_f(system, x, 1e-12)))
+    marks = [(x, evaluate_f(system, x, 1e-12))
+             for x in sorted({x for st in system.strips for x in st})]
     # the images of the two middle pieces, formed on the sample's numerators
     pieces = [_image_columns(system, sample, i) for i in (1, 2)]
     lo = max(strip(system, 2)[0], strip(system, 3)[0])

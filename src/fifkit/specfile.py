@@ -1,9 +1,10 @@
 """Plain-text system files.
 
-The format keeps exactness on disk: "1/5" parses to a rational, "0.2"
-to a float, and a file mixing the two styles downgrades the whole
-system to floating (the usual MixedScalarWarning fires through the
-IfsSystem constructor).
+The format keeps exactness on disk: "1/5" and "3" parse to rationals,
+"0.2" to a float.  The parsed scalars go to IfsSystem as they are, so
+its rule decides the system's kind: any float makes the whole system
+floating, with a MixedScalarWarning only when a non-integer rational
+such as "1/5" is rounded.
 
     # four-piece example
     param a = 1/5
@@ -12,12 +13,14 @@ IfsSystem constructor).
     map 1/3 -1/5 -1/5 1/5 1/5
 
 `param NAME = VALUE` defines a named value usable in any later scalar
-slot.  Either `#` or `;` starts a comment, full-line or trailing.
+slot; a name that reads as a number or holds a "/" is refused, so no
+parameter shadows a number.  Either `#` or `;` starts a comment,
+full-line or trailing.
 """
 
 from .affine import Affine2
 from .errors import SpecFormatError
-from .scalars import format_scalar, parse_scalar, to_float
+from .scalars import format_scalar, parse_scalar
 from .systems import IfsSystem
 
 _KEYWORDS = ("param", "interval", "map")
@@ -37,22 +40,14 @@ def parse_ifs_text(text: str, name: str = "<string>") -> IfsSystem:
     params = {}
     interval = None
     maps = []
-    # notation seen in the file: "n/d" is exact, a decimal is float, a
-    # bare integer is neutral and adopts whichever mode the file uses
-    notations = set()
 
     def scalar(token, lineno):
         if token in params:
             return params[token]
         try:
-            value = parse_scalar(token)
+            return parse_scalar(token)
         except ValueError as exc:
             raise SpecFormatError(f"{name}:{lineno}: {exc}") from None
-        if "/" in token:
-            notations.add("exact")
-        elif isinstance(value, float):
-            notations.add("float")
-        return value
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
@@ -74,8 +69,10 @@ def parse_ifs_text(text: str, name: str = "<string>") -> IfsSystem:
             try:
                 float(pname)
             except ValueError:
-                pass
+                looks_numeric = "/" in pname
             else:
+                looks_numeric = True
+            if looks_numeric:
                 raise SpecFormatError(
                     f"{name}:{lineno}: parameter name {pname!r} looks like a number"
                 )
@@ -98,11 +95,6 @@ def parse_ifs_text(text: str, name: str = "<string>") -> IfsSystem:
         raise SpecFormatError(f"{name}: missing 'interval A B' line")
     if not maps:
         raise SpecFormatError(f"{name}: no 'map' lines")
-    if notations == {"float"}:
-        # integers in an otherwise decimal file are floats, not a mix
-        interval = tuple(to_float(v) for v in interval)
-        maps = [Affine2(*(to_float(c) for c in (g.p, g.q, g.r, g.h, g.s)))
-                for g in maps]
     try:
         return IfsSystem(tuple(maps), interval)
     except ValueError as exc:

@@ -1,14 +1,17 @@
 """Interpolation systems: a tuple of planar maps over a base interval.
 
 An IfsSystem holds lower-triangular affine contractions S_1..S_m over a
-closed interval [a, b].  Whether the attractor really is the graph of a
-continuous function is decided by attractor.validate, not here; the
-constructor only normalizes scalars.  Mixing exact and floating
-coefficients anywhere in one system downgrades the whole system to
-floats (with a warning), so a system is either exact or floating as a
-whole.
+closed interval [a, b].  The constructor decides what kind of system it
+holds: a system is exact or floating as a whole, so a float anywhere
+demotes every coefficient to float.  That demotion warns
+(MixedScalarWarning) only when it rounds a non-integer rational; an
+integer converts to a float exactly.  A float that is not finite is
+refused.  Whether the attractor really is the graph of a continuous
+function is decided by attractor.validate, which reads the contraction
+faults listed here.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +23,7 @@ from .scalars import Scalar, coerce, common_denominator, is_exact, to_float
 
 
 class MixedScalarWarning(UserWarning):
-    """Exact and floating coefficients were mixed; all demoted to float."""
+    """A non-integer rational met a float; all demoted to float."""
 
 
 @dataclass(frozen=True)
@@ -33,13 +36,16 @@ class IfsSystem:
         if not maps:
             raise ValueError("a system needs at least one map")
         a, b = (coerce(v) for v in self.interval)
+        named = [("interval: a", a), ("interval: b", b)]
+        named += [(f"map {k}: {n}", getattr(g, n))
+                  for k, g in enumerate(maps, start=1) for n in "pqrhs"]
+        for where, c in named:
+            if isinstance(c, float) and not math.isfinite(c):
+                raise ValueError(f"{where} = {c} is not finite")
         if not a < b:
             raise ValueError("interval must satisfy a < b")
-        exact = all(g.exact for g in maps) and is_exact(a) and is_exact(b)
-        if not exact:
-            scalars = [c for g in maps for c in (g.p, g.q, g.r, g.h, g.s)]
-            scalars += [a, b]
-            if any(is_exact(c) for c in scalars):
+        if not all(is_exact(c) for _, c in named):
+            if any(is_exact(c) and c.denominator != 1 for _, c in named):
                 warnings.warn(
                     "mixed exact/floating coefficients; demoting system to floats",
                     MixedScalarWarning,
@@ -89,22 +95,36 @@ class IfsSystem:
         return tuple(out)
 
     @cached_property
-    def _contractive(self) -> bool:
-        """True when every generator has 0 < |p| < 1 and |q| < 1.
+    def _contraction_faults(self) -> tuple[tuple[int, str, Scalar], ...]:
+        """(k, name, |value|) for each fault of map k, in map order.
 
-        The attractor exists, and weak separation is posed, only for
-        contractions.  Sampling, evaluation and the separation checks
-        (through _invertible) read this; otherwise it raises
-        NotContractiveError, which is never cached, naming the first map
-        that fails.  validate reports the same conditions instead of
-        raising.
+        The attractor exists, and weak separation is posed, only when
+        every generator has 0 < |p| < 1 and |q| < 1.  The faults are
+        p = 0 (as ("p", 0)), |p| >= 1 and |q| >= 1.  _contractive raises
+        the first; attractor.validate reports them all.
         """
+        faults = []
         for k, g in enumerate(self.maps, start=1):
-            if g.p == 0:
+            if not 0 < abs(g.p) < 1:
+                faults.append((k, "p", abs(g.p)))
+            if not abs(g.q) < 1:
+                faults.append((k, "q", abs(g.q)))
+        return tuple(faults)
+
+    @cached_property
+    def _contractive(self) -> bool:
+        """True when _contraction_faults is empty.
+
+        Sampling, evaluation and the separation checks (through
+        _invertible) read this; otherwise it raises NotContractiveError,
+        which is never cached, naming the first fault: "map k: p = 0" or
+        "map k: |p| = v is not < 1" (likewise q).
+        """
+        if self._contraction_faults:
+            k, name, value = self._contraction_faults[0]
+            if value == 0:
                 raise NotContractiveError(f"map {k}: p = 0")
-            for name, c in (("p", g.p), ("q", g.q)):
-                if not abs(c) < 1:
-                    raise NotContractiveError(f"map {k}: |{name}| = {abs(c)} is not < 1")
+            raise NotContractiveError(f"map {k}: |{name}| = {value} is not < 1")
         return True
 
     @cached_property

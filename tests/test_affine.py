@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from fifkit import (
     Affine1,
@@ -13,19 +12,7 @@ from fifkit import (
     fixed_point_1d,
     four_piece_overlap_system,
     invert,
-    projection,
 )
-
-fractions = st.fractions(min_value=-2, max_value=2, max_denominator=32)
-nonzero = fractions.filter(lambda v: v != 0)
-
-
-def map2(p, q, r, h, s):
-    return Affine2(p, q, r, h, s)
-
-
-maps2 = st.builds(map2, nonzero, nonzero, fractions, fractions, fractions)
-points = st.tuples(fractions, fractions)
 
 
 def test_call_semantics():
@@ -37,25 +24,6 @@ def test_call_semantics():
     assert g1(x) == Fraction(5, 4)
     assert Affine2.identity()((x, y)) == (x, y)
     assert Affine1.identity()(x) == x
-
-
-@given(maps2, maps2, points)
-@settings(max_examples=200)
-def test_compose_matches_pointwise(g1, g2, pt):
-    assert compose(g1, g2)(pt) == g1(g2(pt))
-
-
-@given(maps2, maps2)
-@settings(max_examples=200)
-def test_projection_homomorphism(g1, g2):
-    assert projection(compose(g1, g2)) == compose(projection(g1), projection(g2))
-
-
-@given(maps2)
-@settings(max_examples=200)
-def test_inverse_law(g):
-    assert compose(g, invert(g)) == Affine2.identity()
-    assert compose(invert(g), g) == Affine2.identity()
 
 
 def test_invert_singular():

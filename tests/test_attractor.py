@@ -395,6 +395,23 @@ def test_validate_flags_gaps_and_expansion():
         validate(expanding, strict=True)
 
 
+def test_validate_sweeps_exact_strips_in_exact_order():
+    # strip 2 starts 10^-20 above strip 3 and ends first; both starts
+    # round to the same float, so a float-keyed sweep meets strip 2 first
+    # and reports a gap [1/3, 1/3 + 10^-20] that strip 3 covers
+    third, quarter, zero = Fraction(1, 3), Fraction(1, 4), Fraction(0)
+    system = IfsSystem(
+        (Affine2(third, quarter, zero, zero, zero),
+         Affine2(Fraction(1, 2), quarter, zero, third + Fraction(1, 10**20), zero),
+         Affine2(Fraction(2, 3), quarter, zero, third, zero)),
+        (zero, Fraction(1)),
+    )
+    report = validate(system)
+    assert report.covering
+    assert report.coverage_gaps == ()
+    assert not any("coverage" in problem for problem in report.problems)
+
+
 @pytest.mark.parametrize("p, q, problems", [
     (Fraction(0), Fraction(1, 2), ("map 2: p == 0", "map 2: p == 0")),
     (Fraction(1, 2), Fraction(-1), ("map 2: |q| = 1 not < 1", "map 2: |q| = 1.0 not < 1")),

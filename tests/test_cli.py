@@ -221,6 +221,22 @@ def test_map_that_is_no_contraction_exits_1_at_every_command(tmp_path, monkeypat
             assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_coefficient_exits_1_at_every_command(tmp_path, monkeypatch, capsys,
+                                                         value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.ifs").write_text(
+        f"interval 0 1\nmap 0.5 0.5 0 0 0\nmap 0.5 0.5 0 {value} 0\n")
+    for args in (["wsp", "--depth", "3", "--tol", "1e-3"],
+                 ["render", "--depth", "2", "--out", "bad.csv"],
+                 ["eval", "--x", "0.5"],
+                 ["validate"]):
+        assert main([args[0], "bad.ifs", *args[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad.ifs: map 2: h = {value} is not finite\n"
+
+
 def test_q_zero_generator_exits_1_in_both_wsp_modes(tmp_path, capsys):
     path = tmp_path / "q0.ifs"
     path.write_text("interval 0 1\nmap 1/2 0 0 0 0\nmap 2/3 1/2 0 1/3 0\n")

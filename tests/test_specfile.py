@@ -85,6 +85,9 @@ def test_file_round_trip(tmp_path):
     ("param x = 1\nparam x = 2\ninterval 0 1\nmap x 1/4 0 0 0\n", "duplicate"),
     ("param map = 1\ninterval 0 1\nmap 1/2 1/4 0 0 0\n", "map"),
     ("param 12 = 1\ninterval 0 1\nmap 1/2 1/4 0 0 0\n", "12"),
+    ("param 1/2 = 1/3\ninterval 0 1\nmap 1/2 1/4 0 0 0\n", "1/2"),
+    ("interval 0 1\nmap 0.5 0.5 0 0 0\nmap 0.5 0.5 0 inf 0\n", "map 2: h = inf"),
+    ("interval 0 nan\nmap 0.5 0.5 0 0 0\n", "interval: b = nan"),
 ])
 def test_format_errors(text, fragment):
     with pytest.raises(SpecFormatError) as err:

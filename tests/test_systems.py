@@ -43,7 +43,12 @@ def test_mixed_scalars_demote_with_warning():
 
 def test_all_float_no_warning(recwarn):
     IfsSystem((Affine2(0.5, 0.5, 0.0, 0.0, 0.0),), (0.0, 1.0))
+    # an integer converts to a float exactly, so literal ints are no mix
+    ints = IfsSystem((Affine2(0.5, 0.25, 0, 0, 0),), (0, 1))
     assert not [w for w in recwarn if issubclass(w.category, MixedScalarWarning)]
+    assert not ints.exact
+    assert ints.interval == (0.0, 1.0) and ints.maps == (Affine2(0.5, 0.25, 0.0, 0.0, 0.0),)
+    assert all(isinstance(c, float) for c in (*ints.interval, ints.maps[0].r))
 
 
 def test_bundled_systems_are_valid():
