@@ -157,7 +157,7 @@ def evaluate_f(system: IfsSystem, x: Scalar, tol: float = 1e-9,
     the first pullback step only, which is how branch independence on
     overlaps is tested; one outside 1..m raises IndexOutOfRangeError.
     """
-    if tol <= 0:
+    if not tol > 0:  # nan too
         raise ValueError("tol must be positive")
     y, _ = _evaluate(system, x, tol, first_branch)
     return y
@@ -591,7 +591,7 @@ def modulus_of_continuity(system: IfsSystem, eps: float,
     modulus stays in the sample cache, keyed on (eps, max_points), for
     as long as the cache holds this system's samples.
     """
-    if eps <= 0:
+    if not eps > 0:  # nan too
         raise ValueError("eps must be positive")
     cache = _SAMPLES
     memo_key = (eps, max_points)

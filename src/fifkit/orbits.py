@@ -195,7 +195,7 @@ def epsilon_net(system, g: Affine2, eps: float,
     measured at the sample's points only, so it is no proven bound on
     the distance from every point of the attractor.
     """
-    if eps <= 0:
+    if not eps > 0:  # nan too
         raise ValueError("eps must be positive")
     a, b = system.interval
     gp = _moving_projection(g, system.interval,

@@ -1,18 +1,17 @@
 """The planar separation scan, compiled only when a planar check runs.
 
-A planar scan reads its word rows in one of two formats.  A system
-whose generators all keep one parabola y = Ax^2 + Bx + C (A != 0)
-scans the packed projected rows (H << kb) + key of the 1d scan: its
-composites' Q, R and S are functions of (P, H) (see invariant_parabola),
-formed only for the pairs dev2 measures.  Every other system (a line or
-no invariant quadratic, and every float system) scans planar rows
-(H, key, Q, R, S).  One _scan_2d serves both; only its same-bucket
+A planar scan reads its word rows in one of the two formats of
+separation._Rows.  A system whose generators all keep one parabola
+y = Ax^2 + Bx + C (A != 0) scans the packed projected rows of the 1d
+scan: its composites' Q, R and S are functions of (P, H) (see
+invariant_parabola), formed only for the pairs dev2 measures.  Every
+other system (a line or no invariant quadratic, and every float system)
+scans planar rows.  One _scan_2d serves both; only its same-bucket
 phase differs.
 """
 
 import math
 from fractions import Fraction
-from operator import itemgetter
 
 from .scalars import common_denominator
 from .separation import _COINCIDENCE_SAMPLE, _Window, _bucket_pairs
@@ -62,17 +61,18 @@ def invariant_parabola(system):
     return (A, B, C) if A else None
 
 
-def _packed_deviation(dev, curve, scale, kb):
-    """dev over packed rows (H << kb) + key of a system keeping curve = (A, B, C).
+def _packed_deviation(dev, curve, rows):
+    """dev over the packed rows of rows, a _Rows, of a system keeping curve = (A, B, C).
 
     dev is a _planar_deviation.  A row's P (its bucket's) and H are the
-    composite's times scale.  With A, B, C as integers a, b, c over L,
-    the composite's five coefficients times scale^2 L are integers, in
-    row units: P scale L, H scale L, Q = P^2 L, R = (2aH + b(scale - P)) P
-    and S = aH^2 + bH scale + c(scale^2 - P^2).  dev's ratios are
-    unchanged by a common factor.
+    composite's times scale = rows.scale.  With A, B, C as integers a, b,
+    c over L, the composite's five coefficients times scale^2 L are
+    integers, in row units: P scale L, H scale L, Q = P^2 L,
+    R = (2aH + b(scale - P)) P and S = aH^2 + bH scale + c(scale^2 - P^2).
+    dev's ratios are unchanged by a common factor.
     """
     (a, b, c), L = common_denominator(curve)
+    scale, kb = rows.scale, rows.kb
     k, sq = scale * L, scale * scale
 
     def row(P, v):
@@ -84,14 +84,6 @@ def _packed_deviation(dev, curve, scale, kb):
         return dev(Pj * k, row(Pj, vj), Pi * k, row(Pi, vi), bn, bd)
 
     return packed
-
-
-def _row_key(kb):
-    """The key of a row: packed (kb an int) or planar (kb None)."""
-    if kb is None:
-        return itemgetter(1)
-    mask = (1 << kb) - 1
-    return lambda v: v & mask
 
 
 def _planar_deviation(interval, ybox):
@@ -140,8 +132,7 @@ def _q_bound(lo_i, hi_i, lo_j, hi_j):
     return max(lo_i - hi_j, lo_j - hi_i, 0), max(-lo_j, hi_j)
 
 
-def _scan_2d(short, buckets, interval, rounding, dev2, kb=None, seed=None, floor=0,
-             fresh=None):
+def _scan_2d(short, buckets, rows, interval, rounding, dev2, seed=None, floor=0, fresh=None):
     """delta_2*(over the words in buckets) by pruning through the projected windows.
 
     Every candidate pair must satisfy projected deviation < current
@@ -152,14 +143,14 @@ def _scan_2d(short, buckets, interval, rounding, dev2, kb=None, seed=None, floor
     short holds the rows of the empty word and the generators in key
     order, each as (P, row); seed, floor and fresh act as in _scan_1d (a
     fresh set also skips the generators against the empty word).  The
-    rows are planar with kb None, or packed (H << kb) + key with dev2 a
-    _packed_deviation; the seed phase and the cross-bucket walk read
+    rows are those of rows, a _Rows: planar, or packed with dev2 a
+    _packed_deviation.  The seed phase and the cross-bucket walk read
     both, and each format has its own same-bucket phase.
     """
     a, b = map(Fraction, interval)
     mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
     slack, t_h, t_qrs = rounding
-    key = _row_key(kb)
+    key = rows.key
     best = None if seed is None else (seed, None, None)
     # best as bn/bd, 1/0 while there is none; floor as fn/fd
     bn, bd = (1, 0) if seed is None else seed.as_integer_ratio()
@@ -174,10 +165,10 @@ def _scan_2d(short, buckets, interval, rounding, dev2, kb=None, seed=None, floor
                 best = (dev, key(rj), key(ri))
                 bn, bd = dev.as_integer_ratio()
     same = [(p_val, entries) for p_val, (_, entries) in buckets.items() if p_val in fresh]
-    if kb is None:
+    if rows.planar:
         best, coinc, coinc_count = _same_planar(same, dev2, best, width, t_h, t_qrs)
     else:
-        best, coinc, coinc_count = _same_packed(same, dev2, best, width, kb)
+        best, coinc, coinc_count = _same_packed(same, dev2, best, width, rows)
     if best is not None:
         bn, bd = best[0].as_integer_ratio()
 
@@ -185,7 +176,7 @@ def _scan_2d(short, buckets, interval, rounding, dev2, kb=None, seed=None, floor
     # |q - 1| at or above best, then by the projected window: every pair
     # with displacement below best must be measured, so walk the whole
     # band of shifted H_j values around each H_i
-    pulled = {}  # P: (H list, min Q, max Q) of a pulled bucket; Q = P^2 on packed rows
+    pulled = {}  # P: (H list, min Q, max Q) of a pulled bucket
     for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets, slack):
         if num * bd >= bn * den or bn * fd <= fn * bd:
             break
@@ -193,11 +184,7 @@ def _scan_2d(short, buckets, interval, rounding, dev2, kb=None, seed=None, floor
             continue
         for p_val, ents in ((p_i, ents_i), (p_j, ents_j)):
             if p_val not in pulled:
-                if kb is None:
-                    qs = [row[2] for row in ents]
-                    pulled[p_val] = [row[0] for row in ents], min(qs), max(qs)
-                else:
-                    pulled[p_val] = [v >> kb for v in ents], p_val * p_val, p_val * p_val
+                pulled[p_val] = rows.pull(p_val, ents)
         hs_i, *q_i = pulled[p_i]
         hs_j, *q_j = pulled[p_j]
         n_q, den_q = _q_bound(*q_i, *q_j)
@@ -289,7 +276,7 @@ def _same_planar(same, dev2, best, width, t_h, t_qrs):
     return best, coinc, coinc_count
 
 
-def _same_packed(same, dev2, best, width, kb):
+def _same_packed(same, dev2, best, width, rows):
     """(best, coincidences, count) of the same-bucket pairs of packed rows.
 
     Packed rows come only from exact systems, whose rows of equal
@@ -297,16 +284,16 @@ def _same_packed(same, dev2, best, width, kb):
     _same_planar, and no pair inside it is measured.  One pass per
     bucket reports each chain's pairs and measures the pairs H apart in
     _same_planar's (u, v) order, the packed gap filtering them as in
-    _scan_1d: a gap above near holds a dH whose projected deviation
-    cannot beat best.
+    _scan_1d: a gap above near (widened by rows, their _Rows) holds a dH
+    whose projected deviation cannot beat best.
     """
     wn, wd = width
-    mask = (1 << kb) - 1
+    kb, mask, widen = rows.kb, rows.mask, rows.widen
     bn, bd = (1, 0) if best is None else best[0].as_integer_ratio()
     coinc, coinc_count = [], 0
     for p_val, entries in same:
         den = abs(p_val) * wn
-        near = (((bn * den - 1) // (wd * bd)) << kb) + mask if bd else math.inf
+        near = widen((bn * den - 1) // (wd * bd)) if bd else math.inf
         n, end = len(entries), 0
         # near >= mask, so a row further than near from the next has no
         # pair ahead, in its chain or H apart; the last row has none either
@@ -331,6 +318,6 @@ def _same_packed(same, dev2, best, width, kb):
                     if dev is not None:
                         best = (dev, rj & mask, ri & mask)
                         bn, bd = dev.as_integer_ratio()
-                        near = (((bn * den - 1) // (wd * bd)) << kb) + mask
+                        near = widen((bn * den - 1) // (wd * bd))
                 v += 1
     return best, coinc, coinc_count

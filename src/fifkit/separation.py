@@ -7,21 +7,11 @@ depth d, the smallest deviation-from-identity over all non-identity
 elements with |i|, |j| <= d (empty word included).
 
 Every word of length <= N, the scan depth, is composed once and stored
-as a row: the word's integer key (its letters 1..m as base-(m+1) digits,
-padded with 0s to N digits, so keys sort as the words do) and the
-composite's coefficients, ints scaled by D^N, D the lcm of the
-generators' coefficient denominators.  A length-L composite has
-denominators dividing D^L, so the scaling is exact, and every quantity
-the scans need is a ratio of integer polynomials in two rows.  A row
-holds only what its metric reads.  A projected row is one int,
-(H << kb) + key with 2^kb above every key: it decodes by a shift and a
-mask even for negative H, and ints sort as (H, key) does, so bucketing
-sorts plain ints.  A planar row is the tuple (H, key, Q, R, S).  The
-planar check of an exact system whose generators all keep one parabola
-scans projected rows instead, since (P, H) then fixes Q, R and S (see
-planar.py).  The rows of a bucket share P, which both kinds of row
-leave to the bucket; words are decoded from their keys only for the
-witnesses and the reported coincidences.
+as a row in the format of _Rows: ints scaled by D^N, D the lcm of the
+generators' coefficient denominators, so every quantity the scans need
+is a ratio of integer polynomials in two rows.  The planar check of an
+exact system whose generators all keep one parabola scans projected
+rows, since (P, H) then fixes Q, R and S (see planar.py).
 Floats enter as their exact dyadic values (55 bits wider a level on the
 bundled systems) and run the same scan; rows within a proven radius for
 input rounding are coincidences (see _rounding), and deviations are
@@ -39,14 +29,13 @@ only those the scan pulls before |p - 1| stops it.
 Whether a pair beats the current best is decided by cross-multiplying
 integers against a cap derived from the best, in the filter-then-certify
 manner of adaptive predicates; a Fraction is built only for a pair that
-does beat it.  The projected scan filters one step earlier: the
-difference of two packed rows is (H_i - H_j) 2^kb plus a key difference
-below 2^kb in size, so it fixes H_i - H_j to within one; the scan
-compares it against its thresholds scaled by 2^kb and decodes H only
-for a pair within one of a decision.  The planar scan (planar.py) reads
-G_j^-1 G_i off the two rows in closed form instead of composing words,
-and drops a bucket pair whose Q ranges keep every |q - 1| at or above
-the best.
+does beat it.  The projected scan filters one step earlier: it
+compares the difference of two packed rows, which fixes H_i - H_j to
+within one, against thresholds widened by _Rows.widen, and decodes H
+only for a pair within one of a decision.  The planar scan (planar.py)
+reads G_j^-1 G_i off the two rows in closed form instead of composing
+words, and drops a bucket pair whose Q ranges keep every |q - 1| at or
+above the best.
 
 delta*(d) never rises with d, so a scan starts from a known bound: the
 full depth N is scanned right after depth 2, and each shallower depth
@@ -54,12 +43,6 @@ from delta*(d-1) down to delta*(N), with a flat tail left unscanned.
 Such a seeded scan measures only pairs with a row in a bucket that
 gained rows at depth d: any other pair was there at d-1, at or above
 delta*(d-1), and a scan keeps only a pair that beats its best.
-The rows are born grouped by P, as per-length runs sorted by (H, key):
-the rows of one run share P_w, so appending a letter on the right
-shifts every H by one constant (every packed row by one int) and keeps
-the run's order, and the children of one P at a length merge by one
-sort of presorted runs.
-The buckets of a depth are the runs of length <= d.
 
 A projected system of finite type also has a floor that holds at every
 depth: the bound of a closed neighbours.neighbour_graph, proven there.
@@ -85,17 +68,6 @@ DEFAULT_WORD_BUDGET = 2_000_000
 
 # cap on reported coincidence pairs (the count itself is complete)
 _COINCIDENCE_SAMPLE = 16
-# tracemalloc bytes per stored word row besides the digits of its ints,
-# for (projected, planar) rows.  A projected row is a list slot and one
-# int header, its run's share of list slack and P; a planar row a list
-# slot, the 5-tuple, the headers of its 5 ints (its run holds P), and
-# freed temporaries the allocator keeps.  Projected rows measured at 45
-# and 54 B on four-piece depth 7 and mixed depth 14 (93 and 142 B for
-# their float twins) are sized at 49 and 57 B (97 and 145 B); planar rows
-# measured at 249 and 272 B (426 and 633 B) at 260 and 292 B (452 and 660 B).
-# The 2d check of an exact system with an invariant parabola, such as
-# exact mixed, builds projected rows and states their size
-_ROW_BYTES = (41, 240)
 
 
 class CollinearAttractorWarning(UserWarning):
@@ -252,92 +224,149 @@ def _is_collinear(system: IfsSystem) -> bool:
     return True
 
 
-def _key_bits(m: int, depth: int) -> int:
-    """kb of a packed projected row (H << kb) + key: 2^kb exceeds every key."""
-    return ((m + 1) ** depth).bit_length()
+class _Rows:
+    """Every word of length <= depth as a row, grouped by P: the row format.
 
+    A row stands for a word w by its key, sum of w_i (m+1)^(depth-i), so
+    keys sort as the words do, a proper prefix first (word decodes one).
+    It holds the composite's coefficients times scale = D^depth as ints
+    (exact: a length-L composite's denominators divide D^L), floats at
+    their exact values, less P, which its run and bucket share.  A
+    planar row is the tuple (H, key, Q, R, S), a projected row the int
+    (H << kb) + key, 2^kb above every key: it decodes by a shift and a
+    mask even for negative H, ints sort as (H, key) does, and two rows
+    differ by (H_i - H_j) 2^kb plus less than 2^kb, which fixes
+    H_i - H_j to within one (see widen).
 
-def _word_runs(system: IfsSystem, depth: int, budget: int, planar: bool):
-    """Every word of length <= depth as a row, grouped by P: (runs, scale).
-
-    A row holds the composite's coefficients times scale = D^depth as
-    ints, floats at their exact values, and a key standing for the word
-    w: sum of w_i (m+1)^(depth-i), so keys sort as the words do, a
-    proper prefix first, and _word decodes one.  A planar row is
-    (H, key, Q, R, S) and a projected row the int (H << kb) + key,
-    kb = _key_bits(m, depth); both leave P to their run.  runs is
-    {P: (label, [(length, run), ...])} in order of first appearance, so
-    by the length, then the smallest key, of P's first row; each run
-    holds the rows of one length sorted by (H, key), the runs by length.
-    label is the decimal string of the unscaled P and breaks ties
-    between bucket pairs.  Total word count (m^(depth+1) - 1)/(m - 1)
-    within budget.
+    runs is {P: (label, [(length, run), ...])} in order of first
+    appearance, so by the length, then the smallest key, of P's first
+    row; each run holds the rows of one length sorted by (H, key).
+    label, the decimal string of the unscaled P, breaks ties between
+    bucket pairs.  fresh[d] is the set of P with a run of length d.
     """
-    m = len(system)
-    total = sum(m ** k for k in range(depth + 1))
-    nums, D = common_denominator([c for g in system.maps for c in astuple(g)])
-    gens = [nums[k:k + 5] for k in range(0, len(nums), 5)]
-    kb = _key_bits(m, depth)
-    if total > budget:
-        # every coefficient is about as wide as the scale D^depth, and
-        # the rows of a run share one P
-        def size(n):
-            return sys.int_info.sizeof_digit * -(-n.bit_length() // sys.int_info.bits_per_digit)
-        if planar:
-            row = _ROW_BYTES[1] + size((m + 1) ** depth) + 4 * size(D ** depth)
-        else:
-            row = _ROW_BYTES[0] + size(D ** depth << kb)
-        raise DepthTooLargeError(
-            f"{total} words at depth {depth} exceeds budget {budget} "
-            f"(about {total * row / 1e6:,.1f} MB of word rows)"
-        )
-    scale = D ** depth
-    root = (0, 0, scale, 0, 0) if planar else 0
-    runs = {scale: ("1", [(0, [root])])}
-    level = {scale: [root]}
-    for length in range(1, depth + 1):
-        # a child run is its parent run with H shifted by c = P_w h_k.  A
-        # level is in order of smallest key, so walking it letter by
-        # letter meets each new P at its smallest key first
-        step = (m + 1) ** (depth - length)
-        kids = {}
-        for P, run in level.items():
-            Pd = P // D  # exact: P holds a word shorter than depth
-            if planar:
-                parent = [(H, key, Q // D, R // D, S) for H, key, Q, R, S in run]
-            for k, (p, q, r, h, s) in enumerate(gens, start=1):
-                c, dk, P2 = Pd * h, k * step, Pd * p
+
+    # tracemalloc bytes per stored word row besides the digits of its ints,
+    # for (projected, planar) rows.  A projected row is a list slot and one
+    # int header, its run's share of list slack and P; a planar row a list
+    # slot, the 5-tuple, the headers of its 5 ints (its run holds P), and
+    # freed temporaries the allocator keeps.  Projected rows measured at 45
+    # and 54 B on four-piece depth 7 and mixed depth 14 (93 and 142 B for
+    # their float twins) are sized at 49 and 57 B (97 and 145 B); planar rows
+    # measured at 249 and 272 B (426 and 633 B) at 260 and 292 B (452 and 660 B).
+    # The 2d check of an exact system with an invariant parabola, such as
+    # exact mixed, builds projected rows and states their size
+    ROW_BYTES = (41, 240)
+
+    def __init__(self, system, depth, budget, planar):
+        """The rows of system's words, planar or projected; raises
+        DepthTooLargeError, stating their size, when the
+        (m^(depth+1) - 1)/(m - 1) words exceed budget."""
+        self.m = m = len(system)
+        self.depth, self.planar = depth, planar
+        self.kb = kb = ((m + 1) ** depth).bit_length()
+        self.mask = (1 << kb) - 1
+        total = sum(m ** k for k in range(depth + 1))
+        nums, D = common_denominator([c for g in system.maps for c in astuple(g)])
+        gens = [nums[k:k + 5] for k in range(0, len(nums), 5)]
+        self.scale = scale = D ** depth
+        if total > budget:
+            # every coefficient is about as wide as the scale, and the
+            # rows of a run share one P
+            ints = [(m + 1) ** depth] + 4 * [scale] if planar else [scale << kb]
+            digits = sum(-(-n.bit_length() // sys.int_info.bits_per_digit) for n in ints)
+            row = self.ROW_BYTES[planar] + digits * sys.int_info.sizeof_digit
+            raise DepthTooLargeError(
+                f"{total} words at depth {depth} exceeds budget {budget} "
+                f"(about {total * row / 1e6:,.1f} MB of word rows)"
+            )
+        root = (0, 0, scale, 0, 0) if planar else 0
+        self.runs = runs = {scale: ("1", [(0, [root])])}
+        level = {scale: [root]}
+        self.fresh = [set(level)]
+        for length in range(1, depth + 1):
+            # a child run is its parent run with H shifted by c = P_w h_k
+            # (a packed run by one int), in the parent's order.  A level
+            # is in order of smallest key, so walking it letter by letter
+            # meets each new P at its smallest key first
+            step = (m + 1) ** (depth - length)
+            kids = {}
+            for P, run in level.items():
+                Pd = P // D  # exact: P holds a word shorter than depth
                 if planar:
-                    kid = [(H + c, key + dk, Q * q, Q * r + R * p, Q * s + R * h + S)
-                           for H, key, Q, R, S in parent]
+                    parent = [(H, key, Q // D, R // D, S) for H, key, Q, R, S in run]
+                for k, (p, q, r, h, s) in enumerate(gens, start=1):
+                    c, dk, P2 = Pd * h, k * step, Pd * p
+                    if planar:
+                        kid = [(H + c, key + dk, Q * q, Q * r + R * p, Q * s + R * h + S)
+                               for H, key, Q, R, S in parent]
+                    else:
+                        shift = (c << kb) + dk
+                        kid = [row + shift for row in run]
+                    kids.setdefault(P2, []).append(kid)
+            level = {}
+            for P, parts in kids.items():
+                # the children of one P merge by one sort of presorted runs
+                run = parts[0]
+                if len(parts) > 1:
+                    for part in parts[1:]:
+                        run += part
+                    run.sort()
+                level[P] = run
+                group = runs.get(P)
+                if group is None:
+                    runs[P] = (str(Fraction(P, scale)), [(length, run)])
                 else:
-                    shift = (c << kb) + dk
-                    kid = [row + shift for row in run]
-                kids.setdefault(P2, []).append(kid)
-        level = {}
-        for P, parts in kids.items():
-            run = parts[0]
-            if len(parts) > 1:
-                for part in parts[1:]:
-                    run += part
-                run.sort()
-            level[P] = run
-            group = runs.get(P)
-            if group is None:
-                runs[P] = (str(Fraction(P, scale)), [(length, run)])
+                    group[1].append((length, run))
+            self.fresh.append(set(level))
+
+    def key(self, row):
+        """The key of a row."""
+        return row[1] if self.planar else row & self.mask
+
+    def word(self, key):
+        """The word of a row key: its depth base-(m+1) digits, padding dropped."""
+        letters = []
+        for _ in range(self.depth):
+            key, k = divmod(key, self.m + 1)
+            if k or letters:
+                letters.append(k)
+        return tuple(reversed(letters))
+
+    def buckets(self, upto):
+        """The rows of length <= upto by P: {P: (label, entries)}.
+
+        In order of first appearance, entries sorted by (H, key).  A bucket
+        of one run is that run's list; one of several runs is one sort of
+        the presorted runs, which merges them.
+        """
+        buckets = {}
+        for P, (label, group) in self.runs.items():
+            if group[0][0] > upto:
+                break  # every later P first appears deeper still
+            if len(group) == 1 or group[1][0] > upto:
+                entries = group[0][1]
             else:
-                group[1].append((length, run))
-    return runs, scale
+                entries = []
+                for length, run in group:
+                    if length > upto:
+                        break
+                    entries += run
+                entries.sort()
+            buckets[P] = (label, entries)
+        return buckets
 
+    def pull(self, P, entries):
+        """(H list, min Q, max Q) of the rows of bucket P; a packed row's
+        Q is P^2, as in planar._packed_deviation."""
+        if self.planar:
+            qs = [row[2] for row in entries]
+            return [row[0] for row in entries], min(qs), max(qs)
+        kb = self.kb
+        return [v >> kb for v in entries], P * P, P * P
 
-def _word(key: int, m: int, depth: int) -> Word:
-    """The word of a row key: its depth base-(m+1) digits, padding dropped."""
-    letters = []
-    for _ in range(depth):
-        key, k = divmod(key, m + 1)
-        if k or letters:
-            letters.append(k)
-    return tuple(reversed(letters))
+    def widen(self, h):
+        """The largest difference of two packed rows whose H differ by at most h."""
+        return (h << self.kb) + self.mask
 
 
 def _rounding(system: IfsSystem, depth: int, scale: int):
@@ -349,7 +378,7 @@ def _rounding(system: IfsSystem, depth: int, scale: int):
     Algorithms, ch. 3), with powers -1, each intended product is the
     dyadic one times 1 + theta, |theta| <= g = depth u / (1 - depth u).
     So a row is within g A of the intended one, A being the same sum over
-    |inputs|, at most the row recurrence of _word_runs (a letter appended
+    |inputs|, at most the row recurrence of _Rows (a letter appended
     on the right) on the generators' largest |coefficient| per column.
     Rows of equal intended composites are within 2 g A, rounded up in row
     units: the column's radius T.  Their P, single products, are within
@@ -367,30 +396,6 @@ def _rounding(system: IfsSystem, depth: int, scale: int):
         bound = [max(b, c) for b, c in zip(bound, (H, Q, R, S))]
     t_h, *t_qrs = (math.ceil(2 * g * b * scale) for b in bound)
     return 2 * g / (1 - g), t_h, t_qrs
-
-
-def _buckets(runs, upto):
-    """The rows of length <= upto by P, from _word_runs: {P: (label, entries)}.
-
-    In order of first appearance, entries sorted by (H, key).  A bucket
-    of one run is that run's list; one of several runs is one sort of
-    the presorted runs, which merges them.
-    """
-    buckets = {}
-    for P, (label, group) in runs.items():
-        if group[0][0] > upto:
-            break  # every later P first appears deeper still
-        if len(group) == 1 or group[1][0] > upto:
-            entries = group[0][1]
-        else:
-            entries = []
-            for length, run in group:
-                if length > upto:
-                    break
-                entries += run
-            entries.sort()
-        buckets[P] = (label, entries)
-    return buckets
 
 
 def _bucket_pairs(buckets, slack=0):
@@ -466,18 +471,15 @@ class _Window:
     def displacement(self, e):
         return Fraction(2 * self.wd * abs(e) + self.gamma, self.den)
 
-    def zone(self, mul, lim, kb):
-        """(below, above): bounds on the differences of packed rows.
+    def zone(self, mul, lim, rows):
+        """(below, above): bounds on differences of the packed rows of rows, a _Rows.
 
-        Rows i and j packed as (H << kb) + key differ by
-        (H_i - H_j) 2^kb + (key_i - key_j), |key_i - key_j| < 2^kb.  A
-        difference at or below `below` has E < 0, one at or above
+        A difference at or below `below` has E < 0, one at or above
         `above` has E >= 0, and neither has |E| mul < lim, so only one
         strictly between needs its H decoded.  E < 0 iff H_i - H_j < c
         = ceil(-shift/cd), and |E| mul < lim iff lo <= H_i - H_j <= hi;
-        the bounds enclose min(lo, c) to max(hi, c - 1), widened by the
-        largest key difference.  With no best yet (mul = 0) every pair
-        is in the window.
+        the bounds enclose min(lo, c) to max(hi, c - 1), by rows.widen.
+        With no best yet (mul = 0) every pair is in the window.
         """
         if not mul:
             return -math.inf, math.inf
@@ -485,14 +487,13 @@ class _Window:
         c = -(self.shift // self.cd)
         lo = min((-lim - b) // a + 1, c)
         hi = max(-((b - lim) // a) - 1, c - 1)
-        mask = (1 << kb) - 1
-        return (lo << kb) - mask - 1, (hi << kb) + mask + 1
+        return -rows.widen(-lo) - 1, rows.widen(hi) + 1
 
 
-def _scan_1d(buckets, kb, interval, rounding, seed=None, floor=0, fresh=None):
+def _scan_1d(buckets, rows, interval, rounding, seed=None, floor=0, fresh=None):
     """delta*(at this word set) with its minimizing pair and coincidences.
 
-    buckets hold packed rows (H << kb) + key.  Returns
+    buckets hold packed rows of rows, a _Rows.  Returns
     (best, coincidence_pairs, count) with best = (dev, j_key, i_key) or
     None; the pairs are of word keys.  A seed, an upper bound on delta*,
     starts best as (seed, None, None), returned as is when no pair beats
@@ -507,7 +508,7 @@ def _scan_1d(buckets, kb, interval, rounding, seed=None, floor=0, fresh=None):
     mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
     wn, wd = width
     slack, t_h, _ = rounding
-    mask = (1 << kb) - 1
+    kb, mask, widen = rows.kb, rows.mask, rows.widen
     best = None if seed is None else (seed, None, None)
     # best as bn/bd, 1/0 while there is none; floor as fn/fd
     bn, bd = (1, 0) if seed is None else seed.as_integer_ratio()
@@ -523,7 +524,7 @@ def _scan_1d(buckets, kb, interval, rounding, seed=None, floor=0, fresh=None):
         if p_val not in fresh:
             continue
         den = abs(p_val) * wn
-        near = (max(t_h, (bn * den - 1) // (wd * bd)) << kb) + mask if bd else math.inf
+        near = widen(max(t_h, (bn * den - 1) // (wd * bd))) if bd else math.inf
         run = 0
         for v1, v2 in zip(entries, entries[1:]):
             if v2 - v1 > near:
@@ -541,7 +542,7 @@ def _scan_1d(buckets, kb, interval, rounding, seed=None, floor=0, fresh=None):
             if num * bd < bn * den:
                 best = (Fraction(num, den), v1 & mask, v2 & mask)
                 bn, bd = best[0].as_integer_ratio()
-                near = (max(t_h, (bn * den - 1) // (wd * bd)) << kb) + mask
+                near = widen(max(t_h, (bn * den - 1) // (wd * bd)))
 
     for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets, slack):
         if num * bd >= bn * den or bn * fd <= fn * bd:
@@ -551,7 +552,7 @@ def _scan_1d(buckets, kb, interval, rounding, seed=None, floor=0, fresh=None):
         win = _Window(mid, width, p_i, p_j)
         cd, shift = win.cd, win.shift
         mul, lim = win.cap(bn, bd)
-        below, above = win.zone(mul, lim, kb)
+        below, above = win.zone(mul, lim, rows)
         # dev = max(|p-1|, displacement): minimize |E| by the classic
         # two-pointer min-difference walk over both sorted H lists; a
         # packed difference outside the zone moves a pointer undecoded
@@ -572,7 +573,7 @@ def _scan_1d(buckets, kb, interval, rounding, seed=None, floor=0, fresh=None):
                 if num * bd >= bn * den:
                     break  # nothing in this pair can beat |p - 1| itself
                 mul, lim = win.cap(bn, bd)
-                below, above = win.zone(mul, lim, kb)
+                below, above = win.zone(mul, lim, rows)
             if e < 0:
                 ii += 1
             else:
@@ -580,7 +581,7 @@ def _scan_1d(buckets, kb, interval, rounding, seed=None, floor=0, fresh=None):
     return best, coinc, coinc_count
 
 
-def _verdict(system, runs, depth, tol, mode, scan, graph=None):
+def _verdict(system, rows, tol, mode, scan, graph=None):
     """The WspVerdict of scan(d, seed, floor, fresh) -> (best, coincidence_pairs, count).
 
     delta*(d) is a minimum over pairs that only grow with d, so it never
@@ -601,7 +602,7 @@ def _verdict(system, runs, depth, tol, mode, scan, graph=None):
     bucket than the empty word, and the first bucket pair is measured or
     raises RoundingAmbiguityError.
     """
-    m = len(system)
+    depth = rows.depth
     certified = graph and graph.bound
     lowest = certified or 0
     bests = dict.fromkeys(range(2, depth + 1))
@@ -609,21 +610,16 @@ def _verdict(system, runs, depth, tol, mode, scan, graph=None):
     if depth > 2:
         bests[depth], coinc, coinc_count = scan(depth, bests[2][0], lowest, None)
     floor = bests[depth][0]
-    fresh = {}  # length: the P values with a run of that length
-    for P, (_, group) in runs.items():
-        for n, _ in group:
-            fresh.setdefault(n, set()).add(P)
     for d in range(3, depth):
         seed = bests[d - 1][0]
-        bests[d] = bests[d - 1] if seed == floor else scan(d, seed, floor, fresh[d])[0]
+        bests[d] = bests[d - 1] if seed == floor else scan(d, seed, floor, rows.fresh[d])[0]
     gap, wits, devs = [], [], []
     for d, (dev, j_key, i_key) in bests.items():
         gap.append((d, dev))
         if not devs or dev < devs[-1]:
-            wits.append(FamilyElement.from_words(
-                system, _word(j_key, m, depth), _word(i_key, m, depth)))
+            wits.append(FamilyElement.from_words(system, rows.word(j_key), rows.word(i_key)))
             devs.append(dev)
-    coinc = tuple((_word(u, m, depth), _word(v, m, depth)) for u, v in coinc)
+    coinc = tuple((rows.word(u), rows.word(v)) for u, v in coinc)
     if not system.exact:
         gap, devs = [(d, to_float(v)) for d, v in gap], list(map(to_float, devs))
     found = to_float(gap[-1][1]) < tol
@@ -651,24 +647,26 @@ def wsp_check_1d(system: IfsSystem, depth: int, tol: float,
     empty word included.  WitnessFound when delta*(depth) < tol; the
     witnesses are the strictly-improving per-depth minimizers.
     Identities from distinct words, up to input rounding for a float
-    system, are reported as coincidences only.
+    system, are reported as coincidences only.  depth < 2 and a nan tol
+    raise ValueError.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
+    if math.isnan(tol):
+        raise ValueError("tol must not be nan")
     system._invertible  # raises unless contractive with every q != 0
-    runs, scale = _word_runs(system, depth, budget, planar=False)
-    rounding, interval = _rounding(system, depth, scale), system.interval
+    rows = _Rows(system, depth, budget, planar=False)
+    rounding, interval = _rounding(system, depth, rows.scale), system.interval
     # imported here, not at the top, so that only a 1d scan compiles it.
     # Capped at the full-depth bucket count, an attempt that does not
     # close costs about what one pass over the buckets does
     from .neighbours import neighbour_graph
     try:
-        graph = neighbour_graph(system, len(runs))
+        graph = neighbour_graph(system, len(rows.runs))
     except NotCertifiableError:
         graph = None
-    kb = _key_bits(len(system), depth)
-    return _verdict(system, runs, depth, tol, "1d", lambda d, seed, floor, fresh: _scan_1d(
-        _buckets(runs, d), kb, interval, rounding, seed, floor, fresh), graph)
+    return _verdict(system, rows, tol, "1d", lambda d, seed, floor, fresh: _scan_1d(
+        rows.buckets(d), rows, interval, rounding, seed, floor, fresh), graph)
 
 
 def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
@@ -685,6 +683,8 @@ def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
+    if math.isnan(tol):
+        raise ValueError("tol must not be nan")
     system._invertible  # raises unless contractive with every q != 0
     if _is_collinear(system):
         warnings.warn(
@@ -692,21 +692,17 @@ def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
             CollinearAttractorWarning,
         )
     # imported here, like neighbours in wsp_check_1d: only a 2d scan compiles it
-    from .planar import (_packed_deviation, _planar_deviation, _row_key, _scan_2d,
-                         invariant_parabola)
+    from .planar import _packed_deviation, _planar_deviation, _scan_2d, invariant_parabola
     curve = invariant_parabola(system)
-    runs, scale = _word_runs(system, depth, budget, planar=curve is None)
-    rounding, interval = _rounding(system, depth, scale), system.interval
+    rows = _Rows(system, depth, budget, planar=curve is None)
+    rounding, interval = _rounding(system, depth, rows.scale), system.interval
     dev2 = _planar_deviation(interval, attractor_ybox(system))
-    kb = None
     if curve is not None:  # Q, R and S follow from (P, H): packed projected rows
-        kb = _key_bits(len(system), depth)
-        dev2 = _packed_deviation(dev2, curve, scale, kb)
-    key = _row_key(kb)
-    short = sorted(((P, row) for P, (_, rows) in _buckets(runs, 1).items() for row in rows),
-                   key=lambda pair: key(pair[1]))
-    return _verdict(system, runs, depth, tol, "2d", lambda d, seed, floor, fresh: _scan_2d(
-        short, _buckets(runs, d), interval, rounding, dev2, kb, seed, floor, fresh))
+        dev2 = _packed_deviation(dev2, curve, rows)
+    short = sorted(((P, row) for P, (_, ents) in rows.buckets(1).items() for row in ents),
+                   key=lambda pair: rows.key(pair[1]))
+    return _verdict(system, rows, tol, "2d", lambda d, seed, floor, fresh: _scan_2d(
+        short, rows.buckets(d), rows, interval, rounding, dev2, seed, floor, fresh))
 
 
 def graph_transport_check(system: IfsSystem, element, x: Scalar,

@@ -5,10 +5,10 @@ closed interval [a, b].  The constructor decides what kind of system it
 holds: a system is exact or floating as a whole, so a float anywhere
 demotes every coefficient to float.  That demotion warns
 (MixedScalarWarning) only when it rounds a non-integer rational; an
-integer converts to a float exactly.  A float that is not finite is
-refused.  Whether the attractor really is the graph of a continuous
-function is decided by attractor.validate, which reads the contraction
-faults listed here.
+integer converts to a float exactly.  A float that is not finite, and
+a value too large to demote, are refused.  Whether the attractor really
+is the graph of a continuous function is decided by attractor.validate,
+which reads the contraction faults listed here.
 """
 
 import math
@@ -51,11 +51,14 @@ class IfsSystem:
                     MixedScalarWarning,
                     stacklevel=2,
                 )
-            maps = tuple(
-                Affine2(*(to_float(c) for c in (g.p, g.q, g.r, g.h, g.s)))
-                for g in maps
-            )
-            a, b = to_float(a), to_float(b)
+            floats = []
+            for where, c in named:
+                try:
+                    floats.append(to_float(c))
+                except OverflowError:
+                    raise ValueError(f"{where} is too large for a float") from None
+            a, b, *coeffs = floats
+            maps = tuple(Affine2(*coeffs[k:k + 5]) for k in range(0, len(coeffs), 5))
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "interval", (a, b))
 

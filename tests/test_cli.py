@@ -221,9 +221,11 @@ def test_map_that_is_no_contraction_exits_1_at_every_command(tmp_path, monkeypat
             assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
+# an int too large for a float, which the floats beside it demote
+@pytest.mark.parametrize("value", ["inf", "nan", pytest.param("1" * 400, id="huge")])
 def test_non_finite_coefficient_exits_1_at_every_command(tmp_path, monkeypatch, capsys,
                                                          value):
+    fault = "is too large for a float" if value.isdigit() else f"= {value} is not finite"
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.ifs").write_text(
         f"interval 0 1\nmap 0.5 0.5 0 0 0\nmap 0.5 0.5 0 {value} 0\n")
@@ -234,7 +236,7 @@ def test_non_finite_coefficient_exits_1_at_every_command(tmp_path, monkeypatch, 
         assert main([args[0], "bad.ifs", *args[1:]]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: bad.ifs: map 2: h = {value} is not finite\n"
+        assert captured.err == f"error: bad.ifs: map 2: h {fault}\n"
 
 
 def test_q_zero_generator_exits_1_in_both_wsp_modes(tmp_path, capsys):
@@ -323,6 +325,23 @@ def test_orbit_bad_word_exits_1(sys_dir, capsys):
                                 "--eps", "0.5", "--out", sys_dir / "t.csv"])
     assert code == 1
     assert "bad word" in err
+
+
+def test_nan_tolerance_exits_1_at_every_command(sys_dir, capsys):
+    # a nan tol or eps is refused rather than compared: orbit's bisection
+    # never ended on one, and wsp printed a verdict.  orbit runs in a
+    # process of its own, so that a hang fails at the timeout
+    mixed = sys_dir / "mixed.ifs"
+    src = str(Path(fifkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "fifkit", "orbit", str(mixed), "--gj", WITNESS_GJ,
+                           "--gi", WITNESS_GI, "--eps", "nan", "--out", str(sys_dir / "t.csv")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: eps must be positive\n")
+    for args, message in ((["wsp", mixed, "--depth", 4], "tol must not be nan"),
+                          (["eval", mixed, "--x", "1/3"], "tol must be positive"),
+                          (["validate", mixed], "tol must be positive")):
+        assert run(capsys, [*args, "--tol", "nan"]) == (1, "", f"error: {message}\n")
 
 
 def test_classify_report(capsys):

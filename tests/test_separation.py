@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ import re
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -369,13 +371,25 @@ def test_conjugated_system_same_delta_star():
             wsp_check_1d(system, depth, 1e-9).delta_star
 
 
-def _unpack(rows, P, kb):
-    """Rows of a P bucket as tuples with their P: a packed projected row
-    (H << kb) + key as (H, key, P), a planar row (H, key, Q, R, S) as
-    (H, key, P, Q, R, S)."""
-    mask = (1 << kb) - 1
-    return [(row >> kb, row & mask, P) if isinstance(row, int) else (*row[:2], P, *row[2:])
-            for row in rows]
+def _decoded(word_rows, P, rows):
+    """Rows of a P bucket, read through word_rows (a _Rows), as the
+    oracle's tuples: (H, key, P) for projected rows, and
+    (H, key, P, Q, R, S) for planar ones."""
+    hs = word_rows.pull(P, rows)[0]
+    return [(H, word_rows.key(row), P, *(row[2:] if word_rows.planar else ()))
+            for H, row in zip(hs, rows)]
+
+
+def _packed_format(kb, scale=1):
+    """A projected _Rows whose keys take kb bits, for scans of made-up
+    rows at scale: a one-map system's, at depth kb - 1, with its scale
+    set to theirs."""
+    f = Fraction
+    one = IfsSystem((Affine2(f(1, 2), f(1, 2), f(0), f(0), f(0)),), (f(0), f(1)))
+    word_rows = separation._Rows(one, kb - 1, 10, False)
+    assert word_rows.kb == kb
+    word_rows.scale = scale
+    return word_rows
 
 
 def _keyed(buckets):
@@ -383,14 +397,14 @@ def _keyed(buckets):
     return {P: (P, label, entries) for P, (label, entries) in buckets.items()}
 
 
-def _rows_by_length(runs, kb):
-    """The rows of _word_runs read back out of the runs, unpacked, by
+def _rows_by_length(word_rows):
+    """The rows of a _Rows read back out of its runs, decoded, by
     length, in key order."""
     rows = []
-    for P, (_, group) in runs.items():
+    for P, (_, group) in word_rows.runs.items():
         for length, run in group:
             rows += [[] for _ in range(length + 1 - len(rows))]
-            rows[length] += _unpack(run, P, kb)
+            rows[length] += _decoded(word_rows, P, run)
     for level in rows:
         level.sort(key=lambda row: row[1])
     return rows
@@ -401,7 +415,7 @@ def _retained_rows(system, depth, planar):
     word-row build."""
     tracemalloc.start()
     try:
-        runs, _ = separation._word_runs(system, depth, 10 ** 7, planar)
+        runs = separation._Rows(system, depth, 10 ** 7, planar).runs
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -477,12 +491,13 @@ def test_word_keys_decode_and_sort_as_words(m):
     # first; up to length 3, each to the word whose composite its row holds
     depth = 6
     system = _m_map_system(m)
-    runs, scale = separation._word_runs(system, depth, 10 ** 6, False)
-    rows = _rows_by_length(runs, separation._key_bits(m, depth))
+    word_rows = separation._Rows(system, depth, 10 ** 6, False)
+    scale = word_rows.scale
+    rows = _rows_by_length(word_rows)
     assert rows[0] == [(0, 0, scale)]
     pairs = []
     for length, level in enumerate(rows):
-        words = [separation._word(key, m, depth) for _, key, _ in level]
+        words = [word_rows.word(key) for _, key, _ in level]
         assert sorted(words) == list(itertools.product(range(1, m + 1), repeat=length))
         for (H, key, P), word in zip(level, words):
             if length <= 3:
@@ -493,9 +508,10 @@ def test_word_keys_decode_and_sort_as_words(m):
 
 
 def test_packed_rows_unpack_and_sort_as_h_then_key():
-    # a projected row (H << kb) + key unpacks by a shift and a mask and
-    # sorts as (H, key), for negative H (a conjugation with lam < 0, and
-    # reversing maps), a float twin's wide dyadic H and the largest key
+    # a projected row decodes through its _Rows and sorts as (H, key),
+    # for negative H (a conjugation with lam < 0, and reversing maps), a
+    # float twin's wide dyadic H and the largest key; P 0 stands in for
+    # the P of rows from several buckets
     f = Fraction
     reversing = IfsSystem((Affine2(f(-1, 2), f(1, 2), f(0), f(1, 2), f(0)),
                            Affine2(f(-1, 3), f(1, 3), f(1, 5), f(1), f(0))), (f(0), f(1)))
@@ -505,20 +521,33 @@ def test_packed_rows_unpack_and_sort_as_h_then_key():
              (_m_map_system(3), "")]
     for system, kind in cases:
         m, depth = len(system), 5
-        kb = separation._key_bits(m, depth)
-        runs, _ = separation._word_runs(system, depth, 10 ** 6, False)
+        word_rows = separation._Rows(system, depth, 10 ** 6, False)
         rows, _ = oracle_word_rows(system, depth, False)
         want = sorted(row for level in rows for row in level)
-        got = [row for P, (_, group) in runs.items() for _, run in group
-               for row in _unpack(run, P, kb)]
+        got = [row for P, (_, group) in word_rows.runs.items() for _, run in group
+               for row in _decoded(word_rows, P, run)]
         assert sorted(got) == want
-        packed = sorted(_all_rows(runs))
-        assert [row[:2] for row in _unpack(packed, None, kb)] == [row[:2] for row in want]
+        packed = sorted(_all_rows(word_rows.runs))
+        assert [row[:2] for row in _decoded(word_rows, 0, packed)] == [row[:2] for row in want]
         assert (m + 1) ** depth - 1 in {key for _, key, _ in got}
         if kind == "negative":
             assert min(H for H, _, _ in got) < 0
         if kind == "wide":
-            assert max(abs(H) for H, _, _ in got).bit_length() > 200 > kb
+            assert max(abs(H) for H, _, _ in got).bit_length() > 200 > word_rows.kb
+
+
+def test_only_rows_takes_the_key_bits():
+    # the packed row format is decided by _Rows alone: every other
+    # function reads kb off a _Rows, so no parameter is named kb
+    takers = []
+    for path in sorted(Path(separation.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node) for cls in ast.walk(tree) if getattr(cls, "name", "") == "_Rows"
+                  for node in ast.walk(cls)}
+        takers += [f"{path.name}:{getattr(node, 'name', node.lineno)}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.Lambda)) and id(node) not in inside
+                   and "kb" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
+    assert takers == []
 
 
 def test_window_zone_against_brute_force():
@@ -535,7 +564,7 @@ def test_window_zone_against_brute_force():
         win = separation._Window(mid, width, p_i, p_j)
         bn, bd = rng.choice(((1, 0), (rng.randrange(20), rng.randrange(1, 20))))
         mul, lim = win.cap(bn, bd)
-        below, above = win.zone(mul, lim, kb)
+        below, above = win.zone(mul, lim, _packed_format(kb))
         c = -(win.shift // win.cd)
         for d_h in range(c - 30, c + 31):
             e = d_h * win.cd + win.shift
@@ -570,7 +599,8 @@ def test_scan_1d_matches_brute_force_on_random_rows():
 
         devs = [dev(j, i) for j in rows for i in rows if i != j]
         nonzero = [d for d in devs if d]
-        best, _, count = separation._scan_1d(buckets, kb, interval, (0, 0, [0, 0, 0]))
+        best, _, count = separation._scan_1d(buckets, _packed_format(kb), interval,
+                                             (0, 0, [0, 0, 0]))
         assert count == (len(devs) - len(nonzero)) // 2
         if nonzero:
             assert best[0] == min(nonzero) == dev(*best[1:])
@@ -655,7 +685,8 @@ def test_same_packed_matches_same_planar_on_ties_and_bounds():
         y0 = f(rng.randrange(-4, 4))
         ybox = (y0, y0 + rng.choice((f(1, 2), 1, 8, 1000)))
         dev = planar_scan._planar_deviation((a, b), ybox)
-        packed_dev = planar_scan._packed_deviation(dev, curve, scale, kb)
+        word_rows = _packed_format(kb, scale)
+        packed_dev = planar_scan._packed_deviation(dev, curve, word_rows)
         # twin coefficients from Q = P^2, R = 2APH + BP(1 - P) and
         # S = AH^2 + BH + C(1 - P^2), all times one positive factor
         A, B, C = curve
@@ -682,7 +713,7 @@ def test_same_packed_matches_same_planar_on_ties_and_bounds():
         width = (b - a).as_integer_ratio()
         for seed in seeds:
             best = None if seed is None else (seed, None, None)
-            assert (planar_scan._same_packed(packed, packed_dev, best, width, kb)
+            assert (planar_scan._same_packed(packed, packed_dev, best, width, word_rows)
                     == planar_scan._same_planar(planar, dev, best, width, 0, (0, 0, 0)))
 
 
@@ -696,11 +727,10 @@ def test_flat_attractor_deviation_takes_the_width_as_height(rng):
     assert ybox == (0, 0) and planar_scan.invariant_parabola(system) is None
     dev = planar_scan._planar_deviation(interval, ybox)
     depth = 3
-    runs, _ = separation._word_runs(system, depth, 10 ** 6, True)
-    rows = [row for level in _rows_by_length(runs, separation._key_bits(2, depth))
-            for row in level]
+    word_rows = separation._Rows(system, depth, 10 ** 6, True)
+    rows = [row for level in _rows_by_length(word_rows) for row in level]
     for rj, ri in itertools.product(rows, repeat=2):
-        words = (separation._word(row[1], 2, depth) for row in (rj, ri))
+        words = (word_rows.word(row[1]) for row in (rj, ri))
         want = deviation_2d(FamilyElement.from_words(system, *words).map2, interval, ybox)
         assert dev(rj[2], (*rj[:2], *rj[3:]), ri[2], (*ri[:2], *ri[3:]), 1, 0) == (want or None)
     # the family keeps y = 0, so its vertical terms are 0; maps that move
@@ -758,9 +788,9 @@ def _check_bucket_pairs(system, depth):
     # rounding splits values its exact twin has equal (1 + 4/fl(2/7)
     # against 15), and the halves may share a float: its oracle pairs
     # are put in exact order, a stable sort that keeps label ties
-    runs, _ = separation._word_runs(system, depth, 10 ** 6, False)
+    word_rows = separation._Rows(system, depth, 10 ** 6, False)
     for upto in range(depth + 1):
-        buckets = separation._buckets(runs, upto)
+        buckets = word_rows.buckets(upto)
         want = oracle_bucket_pairs(_keyed(buckets))
         if not system.exact:
             want.sort(key=lambda pair: Fraction(pair[0], pair[1]))
@@ -780,13 +810,12 @@ def test_word_runs_match_oracle():
     merged = 0
     for system in systems + [float_twin(system) for system in systems]:
         for planar, depth in ((False, 7), (True, 4)):
-            runs, scale = separation._word_runs(system, depth, 10 ** 6, planar)
-            kb = separation._key_bits(len(system), depth)
-            runs = {P: (label, [(n, _unpack(run, P, kb)) for n, run in group])
-                    for P, (label, group) in runs.items()}
+            word_rows = separation._Rows(system, depth, 10 ** 6, planar)
+            runs = {P: (label, [(n, _decoded(word_rows, P, run)) for n, run in group])
+                    for P, (label, group) in word_rows.runs.items()}
             rows, want_scale = oracle_word_rows(system, depth, planar)
             want = oracle_runs(rows, want_scale)
-            assert scale == want_scale
+            assert word_rows.scale == want_scale
             assert list(runs.items()) == list(want.items())
             # a run whose rows end in different letters merged several children
             base = len(system) + 1
@@ -805,13 +834,13 @@ def test_buckets_match_oracle():
     partial = 0
     for system in systems + [float_twin(system) for system in systems]:
         for planar, depth in ((False, 7), (True, 4)):
-            runs, scale = separation._word_runs(system, depth, 10 ** 6, planar)
-            kb = separation._key_bits(len(system), depth)
-            rows = _rows_by_length(runs, kb)
+            word_rows = separation._Rows(system, depth, 10 ** 6, planar)
+            runs, rows = word_rows.runs, _rows_by_length(word_rows)
             for upto in range(depth + 1):
-                got = {P: (P, label, _unpack(entries, P, kb))
-                       for P, (label, entries) in separation._buckets(runs, upto).items()}
-                assert list(got.items()) == list(oracle_buckets(rows, upto, scale).items())
+                got = {P: (P, label, _decoded(word_rows, P, entries))
+                       for P, (label, entries) in word_rows.buckets(upto).items()}
+                want = oracle_buckets(rows, upto, word_rows.scale)
+                assert list(got.items()) == list(want.items())
                 partial += sum(1 < sum(n <= upto for n, _ in runs[P][1]) < len(runs[P][1])
                                for P in got)
     assert partial > 0
@@ -1026,21 +1055,18 @@ def _scan_every_depth(system, depth, mode):
     """(profile, witness words, coincidence count, coincidence sample) from
     an unseeded, unfloored scan at every depth 2..depth."""
     planar = mode == "2d"
-    runs, scale = separation._word_runs(system, depth, separation.DEFAULT_WORD_BUDGET, planar)
-    rounding, interval = separation._rounding(system, depth, scale), system.interval
-    kb = separation._key_bits(len(system), depth)
+    word_rows = separation._Rows(system, depth, separation.DEFAULT_WORD_BUDGET, planar)
+    rounding, interval = separation._rounding(system, depth, word_rows.scale), system.interval
     if planar:
         dev2 = planar_scan._planar_deviation(interval, attractor_ybox(system))
-        rows = _rows_by_length(runs, kb)
+        rows = _rows_by_length(word_rows)
         short = [(row[2], (*row[:2], *row[3:])) for row in rows[0] + rows[1]]
-        scans = [planar_scan._scan_2d(short, separation._buckets(runs, d), interval, rounding, dev2)
-                 for d in range(2, depth + 1)]
+        scans = [planar_scan._scan_2d(short, word_rows.buckets(d), word_rows, interval,
+                                      rounding, dev2) for d in range(2, depth + 1)]
     else:
-        scans = [separation._scan_1d(separation._buckets(runs, d), kb, interval, rounding)
+        scans = [separation._scan_1d(word_rows.buckets(d), word_rows, interval, rounding)
                  for d in range(2, depth + 1)]
-
-    def word(key):
-        return separation._word(key, len(system), depth)
+    word = word_rows.word
 
     gap, words = [], []
     for d, (best, _, _) in enumerate(scans, start=2):
@@ -1250,9 +1276,9 @@ def _recorded_scans(monkeypatch, system, depth):
     scan, bucket_pairs = separation._scan_1d, separation._bucket_pairs
     calls = []
 
-    def recorded(buckets, kb, interval, rounding, seed, floor, fresh):
+    def recorded(buckets, word_rows, interval, rounding, seed, floor, fresh):
         calls.append([floor, 0])
-        return scan(buckets, kb, interval, rounding, seed, floor, fresh)
+        return scan(buckets, word_rows, interval, rounding, seed, floor, fresh)
 
     def counted(*args):
         for pair in bucket_pairs(*args):
