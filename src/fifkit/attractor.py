@@ -446,6 +446,8 @@ def validate(system: IfsSystem, tol: float = 1e-9, *,
     point; the report carries the worst discrepancy found.  strict=True
     turns the first failure into the matching typed exception.
     """
+    if not tol > 0:  # nan too
+        raise ValueError("tol must be positive")
     a, b = system.interval
     faults = system._contraction_faults
     contractive = not faults

@@ -31,7 +31,7 @@ from .errors import (
     ResolutionInsufficientError,
     StepTooLargeError,
 )
-from .scalars import Scalar, coerce, common_denominator, is_exact, to_float
+from .scalars import Scalar, _solve3, coerce, common_denominator, is_exact, to_float
 
 CURVE_KINDS = ("Parabola", "ExpLinear", "LogLinear", "PowerLinear", "XLogX")
 
@@ -401,27 +401,6 @@ class ParabolaFit:
     C: Scalar
     max_residual: Scalar
     is_line: bool
-
-
-def _solve3(mat, rhs):
-    # Cramer in ints: (d1, d2, d3, det), solution d_k/det; None when singular
-    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = mat
-    det = (a11 * (a22 * a33 - a23 * a32)
-           - a12 * (a21 * a33 - a23 * a31)
-           + a13 * (a21 * a32 - a22 * a31))
-    if det == 0:
-        return None
-    b1, b2, b3 = rhs
-    d1 = (b1 * (a22 * a33 - a23 * a32)
-          - a12 * (b2 * a33 - a23 * b3)
-          + a13 * (b2 * a32 - a22 * b3))
-    d2 = (a11 * (b2 * a33 - a23 * b3)
-          - b1 * (a21 * a33 - a23 * a31)
-          + a13 * (a21 * b3 - b2 * a31))
-    d3 = (a11 * (a22 * b3 - b2 * a32)
-          - a12 * (a21 * b3 - b2 * a31)
-          + b1 * (a21 * a32 - a22 * a31))
-    return d1, d2, d3, det
 
 
 def _fit_exact(xs, ys, den, tol, exact):

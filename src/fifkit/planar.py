@@ -4,7 +4,7 @@ A planar scan reads its word rows in one of the two formats of
 separation._Rows.  A system whose generators all keep one parabola
 y = Ax^2 + Bx + C (A != 0) scans the packed projected rows of the 1d
 scan: its composites' Q, R and S are functions of (P, H) (see
-invariant_parabola), formed only for the pairs dev2 measures.  Every
+invariant_quadratic), formed only for the pairs dev2 measures.  Every
 other system (a line or no invariant quadratic, and every float system)
 scans planar rows.  One _scan_2d serves both; only its same-bucket
 phase differs.
@@ -13,52 +13,47 @@ phase differs.
 import math
 from fractions import Fraction
 
-from .scalars import common_denominator
+from .scalars import _solve3, common_denominator
 from .separation import _COINCIDENCE_SAMPLE, _Window, _bucket_pairs
 
 
-def invariant_parabola(system):
-    """(A, B, C) of the parabola y = Ax^2 + Bx + C that every generator
+def invariant_quadratic(system):
+    """(A, B, C) of the one curve y = Ax^2 + Bx + C that every generator
     maps into itself, or None.
 
     S(x, y) = (px + h, qy + rx + s) maps the graph of
     phi(x) = Ax^2 + Bx + C into itself exactly when
     q phi(x) + rx + s = phi(px + h) as polynomials in x, that is when
     (q - p^2) A = 0, (q - p) B - 2ph A = -r and
-    (q - 1) C - h B - h^2 A = -s.  With A != 0 the first equation asks
-    q = p^2 of every map, which is checked first; the other 2m linear
-    equations are solved exactly, and the result is returned when they
-    have one solution and its A != 0.  None for a float system, a line
-    (A = 0), inconsistent equations or more than one solution.
+    (q - 1) C - h B - h^2 A = -s.  These 3m equations, times D^2 in the
+    ints of IfsSystem._scaled_maps, are solved by their normal equations
+    and the solution checked on each.  None for a float system,
+    inconsistent equations or more than one solution.  On strips that
+    cover [a, b] the arc is the attractor (Hutchinson 1981), so A = 0
+    says the attractor is a line segment.
 
-    Every composite G = S_u S_v inherits the identity: G(x, phi(x)) =
-    S_u(x', phi(x')) = (x'', phi(x'')) for every x, so
+    With A != 0 every composite G = S_u S_v inherits the identity:
+    G(x, phi(x)) = S_u(x', phi(x')) = (x'', phi(x'')) for every x, so
     Q phi(x) + Rx + S = phi(Px + H) as polynomials too, and comparing
-    coefficients with A != 0 gives Q = P^2, R = 2APH + BP(1 - P) and
+    coefficients gives Q = P^2, R = 2APH + BP(1 - P) and
     S = AH^2 + BH + C(1 - P^2).  Only these identities are used, not
     that the arc is the attractor, so no covering check is needed.
     """
-    if not system.exact or any(g.q != g.p * g.p for g in system.maps):
+    if not system.exact:
         return None
-    eqs = []
-    for g in system.maps:
-        p, q, r, h, s = g.p, g.q, g.r, g.h, g.s
-        eqs += [[-2 * p * h, q - p, 0, -r], [-h * h, -h, q - 1, -s]]
-    pivots = []
-    for col in range(3):  # Gauss-Jordan over Fractions
-        k = next((k for k, eq in enumerate(eqs) if eq[col]), None)
-        if k is None:
-            return None  # a free unknown: not one solution
-        pivot = eqs.pop(k)
-        for eq in eqs + pivots:
-            if eq[col]:
-                f = eq[col] / pivot[col]
-                eq[:] = [x - f * y for x, y in zip(eq, pivot)]
-        pivots.append(pivot)
-    if any(eq[3] for eq in eqs):
-        return None  # inconsistent: 0 = nonzero
-    A, B, C = (eq[3] / eq[col] for col, eq in enumerate(pivots))
-    return (A, B, C) if A else None
+    D, gens = system._scaled_maps
+    eqs = []  # (A, B, C coefficients, right-hand side) of each equation
+    for p, q, r, h, s in gens:
+        eqs += [(q * D - p * p, 0, 0, 0), (-2 * p * h, (q - p) * D, 0, -r * D),
+                (-h * h, -h * D, (q - D) * D, -s * D)]
+    solution = _solve3([[sum(e[i] * e[j] for e in eqs) for j in range(3)] for i in range(3)],
+                       [sum(e[i] * e[3] for e in eqs) for i in range(3)])
+    if solution is None:
+        return None  # a free unknown: not one solution
+    a, b, c, det = solution
+    if any(ea * a + eb * b + ec * c != e * det for ea, eb, ec, e in eqs):
+        return None  # inconsistent
+    return Fraction(a, det), Fraction(b, det), Fraction(c, det)
 
 
 def _packed_deviation(dev, curve, rows):

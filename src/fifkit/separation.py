@@ -71,8 +71,9 @@ _COINCIDENCE_SAMPLE = 16
 
 
 class CollinearAttractorWarning(UserWarning):
-    """The attractor looks like a straight line segment; the planar
-    verdict adds nothing over the projected one in that case."""
+    """The attractor is a straight line segment (planar.invariant_quadratic
+    finds A = 0, or a float system's attractor_ybox sample is collinear),
+    so the planar verdict adds nothing over the projected one."""
 
 
 @dataclass(frozen=True)
@@ -200,6 +201,11 @@ def attractor_ybox(system: IfsSystem):
     depth is the deepest in 3..8 whose sample fits 4096 points (3 when
     none does), and the sample comes from the sampler's cache.
     """
+    return _ybox_sample(system)[1]
+
+
+def _ybox_sample(system: IfsSystem):
+    # (sample, ybox) of attractor_ybox: the one sample a planar check reads
     m = len(system)
     depth = 3
     while (m ** (depth + 1)) * (m + 2) <= 4096 and depth < 8:
@@ -208,20 +214,16 @@ def attractor_ybox(system: IfsSystem):
     ys = sample.numerator_columns()[1]
     lo, hi = min(ys), max(ys)
     if sample.exact:
-        return Fraction(lo, sample.den), Fraction(hi, sample.den)
-    return lo, hi
+        return sample, (Fraction(lo, sample.den), Fraction(hi, sample.den))
+    return sample, (lo, hi)
 
 
-def _is_collinear(system: IfsSystem) -> bool:
-    # exact: cross products scaled by den^2, tolerance 0; float: relative
-    xs, ys = sample_attractor(system, 3).numerator_columns()
+def _is_collinear(sample) -> bool:
+    # a float sample on one line, to cross products relative 1e-12
+    xs, ys = sample.numerator_columns()
     x0, y0, x1, y1 = xs[0], ys[0], xs[-1], ys[-1]
-    tol = 0 if system.exact else 1e-12 * (x1 - x0) * (max(ys) - min(ys))
-    for x, y in zip(xs, ys):
-        cross = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)
-        if abs(cross) > tol:
-            return False
-    return True
+    tol = 1e-12 * (x1 - x0) * (max(ys) - min(ys))
+    return all(abs((x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)) <= tol for x, y in zip(xs, ys))
 
 
 class _Rows:
@@ -686,18 +688,18 @@ def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
     if math.isnan(tol):
         raise ValueError("tol must not be nan")
     system._invertible  # raises unless contractive with every q != 0
-    if _is_collinear(system):
+    # imported here, like neighbours in wsp_check_1d: only a 2d scan compiles it
+    from .planar import _packed_deviation, _planar_deviation, _scan_2d, invariant_quadratic
+    curve, (sample, ybox) = invariant_quadratic(system), _ybox_sample(system)
+    if curve and curve[0] == 0 or not system.exact and _is_collinear(sample):
         warnings.warn(
-            "attractor sample is collinear; planar verdict adds nothing",
+            "attractor is a line segment; planar verdict adds nothing",
             CollinearAttractorWarning,
         )
-    # imported here, like neighbours in wsp_check_1d: only a 2d scan compiles it
-    from .planar import _packed_deviation, _planar_deviation, _scan_2d, invariant_parabola
-    curve = invariant_parabola(system)
-    rows = _Rows(system, depth, budget, planar=curve is None)
+    rows = _Rows(system, depth, budget, planar=not (curve and curve[0]))
     rounding, interval = _rounding(system, depth, rows.scale), system.interval
-    dev2 = _planar_deviation(interval, attractor_ybox(system))
-    if curve is not None:  # Q, R and S follow from (P, H): packed projected rows
+    dev2 = _planar_deviation(interval, ybox)
+    if not rows.planar:  # Q, R and S follow from (P, H): packed projected rows
         dev2 = _packed_deviation(dev2, curve, rows)
     short = sorted(((P, row) for P, (_, ents) in rows.buckets(1).items() for row in ents),
                    key=lambda pair: rows.key(pair[1]))

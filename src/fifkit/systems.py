@@ -49,7 +49,7 @@ class IfsSystem:
                 warnings.warn(
                     "mixed exact/floating coefficients; demoting system to floats",
                     MixedScalarWarning,
-                    stacklevel=2,
+                    stacklevel=3,  # past dataclass's __init__, to its caller
                 )
             floats = []
             for where, c in named:

@@ -645,6 +645,20 @@ def random_quadratic_system(rng):
     return IfsSystem(tuple(maps), (Fraction(0), Fraction(1))), (A, B, C)
 
 
+def random_line_system(rng):
+    """(system, (0, B, C)): a random_two_map_system's strips with maps
+    chosen to keep the line y = Bx + C: a free q != 0,
+    r = -(q - p)B and s = hB - (q - 1)C.  About one system in four has
+    both end maps orientation-reversing, so its end anchors are inexact."""
+    B = Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3)))
+    C = Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 4)))
+    maps = []
+    for g in random_two_map_system(rng).maps:
+        p, h, q = g.p, g.h, rng.choice(_Q_POOL)
+        maps.append(Affine2(p, q, -(q - p) * B, h, h * B - (q - 1) * C))
+    return IfsSystem(tuple(maps), (Fraction(0), Fraction(1))), (0, B, C)
+
+
 def random_lattice_system(rng):
     """Exact system of finite type: two or three maps whose ratios are
     +-1/b^k (b in {2, 3}, one b per system, k in {1, 2}) and whose strips

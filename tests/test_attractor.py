@@ -395,6 +395,15 @@ def test_validate_flags_gaps_and_expansion():
         validate(expanding, strict=True)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+def test_validate_refuses_a_tol_that_is_not_positive(tol):
+    f = Fraction
+    gap = IfsSystem((Affine2(f(1, 2), f(1, 4), f(0), f(0), f(0)),), (f(0), f(1)))
+    for system in (gap, dyadic_parabola_system()):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            validate(system, tol)
+
+
 def test_validate_sweeps_exact_strips_in_exact_order():
     # strip 2 starts 10^-20 above strip 3 and ends first; both starts
     # round to the same float, so a float-keyed sweep meets strip 2 first

@@ -329,9 +329,11 @@ def test_orbit_bad_word_exits_1(sys_dir, capsys):
 
 def test_nan_tolerance_exits_1_at_every_command(sys_dir, capsys):
     # a nan tol or eps is refused rather than compared: orbit's bisection
-    # never ended on one, and wsp printed a verdict.  orbit runs in a
-    # process of its own, so that a hang fails at the timeout
-    mixed = sys_dir / "mixed.ifs"
+    # never ended on one, and wsp and validate (on a gap, where no branch
+    # is evaluated) printed a report.  orbit runs in a process of its
+    # own, so that a hang fails at the timeout
+    mixed, gap = sys_dir / "mixed.ifs", sys_dir / "gap.ifs"
+    gap.write_text("interval 0 1\nmap 1/2 1/4 0 0 0\n")
     src = str(Path(fifkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "fifkit", "orbit", str(mixed), "--gj", WITNESS_GJ,
@@ -340,7 +342,8 @@ def test_nan_tolerance_exits_1_at_every_command(sys_dir, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: eps must be positive\n")
     for args, message in ((["wsp", mixed, "--depth", 4], "tol must not be nan"),
                           (["eval", mixed, "--x", "1/3"], "tol must be positive"),
-                          (["validate", mixed], "tol must be positive")):
+                          (["validate", mixed], "tol must be positive"),
+                          (["validate", gap], "tol must be positive")):
         assert run(capsys, [*args, "--tol", "nan"]) == (1, "", f"error: {message}\n")
 
 

@@ -56,6 +56,7 @@ from conftest import (
     oracle_runs,
     oracle_word_rows,
     random_lattice_system,
+    random_line_system,
     random_quadratic_system,
     random_two_map_system,
 )
@@ -335,6 +336,36 @@ def test_collinear_warning_only_for_straight_attractors():
         wsp_check_2d(float_twin(line), 3, 1e-3)
 
 
+def test_line_systems_solve_to_their_line_and_warn():
+    # exact lines, a quarter of them with inexact end anchors, which a
+    # sample of the attractor cannot show to be collinear exactly
+    rng = random.Random(2701)
+    for _ in range(100):
+        system, curve = random_line_system(rng)
+        assert planar_scan.invariant_quadratic(system) == curve
+        with pytest.warns(CollinearAttractorWarning):
+            wsp_check_2d(system, 2, 1e-3)
+
+
+def test_planar_check_samples_the_attractor_once(monkeypatch):
+    # one sample serves the ybox and, for a float system, the line test
+    depths = []
+
+    def counted(system, depth, *args, **kwargs):
+        depths.append(depth)
+        return sample_attractor(system, depth, *args, **kwargs)
+
+    sample_attractor = separation.sample_attractor
+    monkeypatch.setattr(separation, "sample_attractor", counted)
+    for system in (mixed_ratio_parabola_system(), float_twin(four_piece_overlap_system())):
+        attractor_ybox(system)
+        ybox_depth, = depths
+        depths.clear()
+        wsp_check_2d(system, 3, 1e-3)
+        assert depths == [ybox_depth]
+        depths.clear()
+
+
 def test_transport_check_mixed_witnesses():
     system = mixed_ratio_parabola_system()
     for jw, iw in MIXED_WITNESS_WORDS[:2]:
@@ -435,7 +466,8 @@ def test_wsp_budget_error_states_memory():
     # float twins' rows hold their dyadic values, about 55 bits wider a level
     for system, depth in cases + tuple((float_twin(s), d) for s, d in cases):
         words = (len(system) ** (depth + 1) - 1) // (len(system) - 1)
-        planar_rows = planar_scan.invariant_parabola(system) is None
+        curve = planar_scan.invariant_quadratic(system)
+        planar_rows = curve is None or curve[0] == 0
         for check, planar in ((wsp_check_1d, False), (wsp_check_2d, planar_rows)):
             with pytest.raises(DepthTooLargeError) as info:
                 check(system, depth, 1e-3, budget=words - 1)
@@ -639,18 +671,18 @@ def test_invariant_parabola_solves_the_generators_equations():
     rng = random.Random(2121)
     for _ in range(40):
         system, curve = random_quadratic_system(rng)
-        assert planar_scan.invariant_parabola(system) == curve
-        assert planar_scan.invariant_parabola(float_twin(system)) is None
+        assert planar_scan.invariant_quadratic(system) == curve
+        assert planar_scan.invariant_quadratic(float_twin(system)) is None
     for make in (mixed_ratio_parabola_system, dyadic_parabola_system):
-        assert planar_scan.invariant_parabola(make()) == (1, 0, 0)
-        assert planar_scan.invariant_parabola(float_twin(make())) is None
+        assert planar_scan.invariant_quadratic(make()) == (1, 0, 0)
+        assert planar_scan.invariant_quadratic(float_twin(make())) is None
     conj = conjugate_system(mixed_ratio_parabola_system(), f(3), f(-1))
-    assert planar_scan.invariant_parabola(conj) == (f(1, 9), f(2, 9), f(1, 9))
+    assert planar_scan.invariant_quadratic(conj) == (f(1, 9), f(2, 9), f(1, 9))
     # no invariant quadratic, and the line y = x (A = 0)
     diagonal = IfsSystem(tuple(Affine2(f(1, 2), f(1, 2), f(0), f(k, 2), f(k, 2))
                                for k in range(2)), (f(0), f(1)))
-    for system in (four_piece_overlap_system(), diagonal):
-        assert planar_scan.invariant_parabola(system) is None
+    assert planar_scan.invariant_quadratic(four_piece_overlap_system()) is None
+    assert planar_scan.invariant_quadratic(diagonal) == (0, 1, 0)
 
 
 def test_packed_planar_verdicts_match_planar_rows(monkeypatch):
@@ -663,9 +695,9 @@ def test_packed_planar_verdicts_match_planar_rows(monkeypatch):
     cases += [(conjugate_system(system, lam, mu), 7) for system in bundled
               for lam, mu in ((f(3), f(-1)), (f(-2), f(1, 3)))]
     cases += [(random_quadratic_system(rng)[0], rng.randrange(2, 7)) for _ in range(40)]
-    assert all(planar_scan.invariant_parabola(system) for system, _ in cases)
+    assert all(planar_scan.invariant_quadratic(system)[0] for system, _ in cases)
     packed = [wsp_check_2d(system, depth, 1e-3) for system, depth in cases]
-    monkeypatch.setattr(planar_scan, "invariant_parabola", lambda system: None)
+    monkeypatch.setattr(planar_scan, "invariant_quadratic", lambda system: None)
     assert [wsp_check_2d(system, depth, 1e-3) for system, depth in cases] == packed
 
 
@@ -724,7 +756,7 @@ def test_flat_attractor_deviation_takes_the_width_as_height(rng):
     system = IfsSystem((Affine2(f(1, 2), f(1, 3), f(0), f(0), f(0)),
                         Affine2(f(2, 3), f(-1, 4), f(0), f(1, 3), f(0))), (f(0), f(1)))
     interval, ybox = system.interval, attractor_ybox(system)
-    assert ybox == (0, 0) and planar_scan.invariant_parabola(system) is None
+    assert ybox == (0, 0) and planar_scan.invariant_quadratic(system) == (0, 0, 0)
     dev = planar_scan._planar_deviation(interval, ybox)
     depth = 3
     word_rows = separation._Rows(system, depth, 10 ** 6, True)

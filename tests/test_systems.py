@@ -41,6 +41,12 @@ def test_mixed_scalars_demote_with_warning():
     assert isinstance(system.a, float)
 
 
+def test_mixed_scalar_warning_names_the_caller():
+    with pytest.warns(MixedScalarWarning) as record:
+        IfsSystem((Affine2(Fraction(1, 3), 0.5, 0, 0, 0),), (0, 1))
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_all_float_no_warning(recwarn):
     IfsSystem((Affine2(0.5, 0.5, 0.0, 0.0, 0.0),), (0.0, 1.0))
     # an integer converts to a float exactly, so literal ints are no mix
