@@ -173,10 +173,10 @@ class GraphSample:
     about 48 B, against about 125 B as a tuple of two ints.  A float
     sample keeps its (x, y) float pairs, over den = 1 with k = off = 0.
     Only this class reads that storage: every other reader takes
-    `numerator_columns()` (numerators over den, decoded on each call) or
-    `columns` (x and y as float lists, X / den correctly rounded,
-    decoded on first use).  `points` gives the scalars, decoded on first
-    use, and `len(sample)` counts the points without decoding them.
+    `numerator_columns()` (numerators over den, decoded on each call),
+    `numerator_pairs()` (the same, pair by pair), `columns` (x and y float
+    lists, X / den correctly rounded, decoded on first use), `points`
+    (the scalars, decoded on first use) or `len(sample)` (no decoding).
     """
 
     data: tuple[int, ...] | tuple[tuple[float, float], ...]
@@ -198,13 +198,19 @@ class GraphSample:
         k, off, mask = self.k, self.off, (1 << self.k) - 1
         return [z >> k for z in self.data], [(z & mask) - off for z in self.data]
 
+    def numerator_pairs(self):
+        """numerator_columns() as (X, Y) pairs, each decoded when reached."""
+        if not self.exact:
+            return iter(self.data)
+        k, off, mask = self.k, self.off, (1 << self.k) - 1
+        return ((z >> k, (z & mask) - off) for z in self.data)
+
     @cached_property
     def points(self) -> tuple[tuple[Scalar, Scalar], ...]:
         if not self.exact:
             return self.data
         den = self.den
-        return tuple((Fraction(x, den), Fraction(y, den))
-                     for x, y in zip(*self.numerator_columns()))
+        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in self.numerator_pairs())
 
     @cached_property
     def columns(self) -> tuple[list[float], list[float]]:
@@ -302,10 +308,10 @@ def _packed_image(gen, level, den, k, off, k2, off2):
 def _image_columns(system, sample, i):
     """x and y float columns of generator i's (0-based) image of a
     sample, point for point in the sample's order: `_image` of its
-    numerator columns, each coordinate over den * D."""
+    numerator pairs, each coordinate over den * D."""
     d, gens = system._scaled_maps
     dd = sample.den * d
-    xs, ys = zip(*_image(gens[i], zip(*sample.numerator_columns()), sample.den))
+    xs, ys = zip(*_image(gens[i], sample.numerator_pairs(), sample.den))
     return [x / dd for x in xs], [y / dd for y in ys]
 
 

@@ -153,17 +153,13 @@ def _cmd_wsp(args):
     out = []
     _header(out, "wsp", args.system_file, depth=args.depth, tol=repr(args.tol),
             budget=budget)
-    found = False
-    if args.mode in ("1d", "both"):
-        verdict = wsp_check_1d(system, args.depth, args.tol, budget=budget)
+    verdicts = [check(system, args.depth, args.tol, budget=budget)
+                for mode, check in (("1d", wsp_check_1d), ("2d", wsp_check_2d))
+                if args.mode in (mode, "both")]
+    for verdict in verdicts:
         _verdict_lines(out, verdict)
-        found = found or verdict.status == "WitnessFound"
-    if args.mode in ("2d", "both"):
-        verdict = wsp_check_2d(system, args.depth, args.tol, budget=budget)
-        _verdict_lines(out, verdict)
-        found = found or verdict.status == "WitnessFound"
     print("\n".join(out))
-    return 3 if found else 0
+    return 3 if any(v.status == "WitnessFound" for v in verdicts) else 0
 
 
 def _cmd_orbit(args):

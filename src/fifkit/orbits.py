@@ -31,7 +31,8 @@ from .errors import (
     ResolutionInsufficientError,
     StepTooLargeError,
 )
-from .scalars import Scalar, _solve3, coerce, common_denominator, is_exact, to_float
+from .scalars import (Scalar, _solve3, coerce, common_denominator, is_exact, require_finite,
+                      to_float)
 
 CURVE_KINDS = ("Parabola", "ExpLinear", "LogLinear", "PowerLinear", "XLogX")
 
@@ -70,6 +71,12 @@ class OrbitTrace:
     max_step: float | None = None
 
 
+def _require_finite(g: Affine2, origin, interval):
+    # no orbit or curve formula takes an inf or nan
+    names = ("p", "q", "r", "h", "s", "x0", "y0", "a", "b")
+    require_finite(zip(names, (g.p, g.q, g.r, g.h, g.s, *origin, *interval)))
+
+
 def _moving_projection(g: Affine2, interval, identity_message: str):
     """The projection of g, checked to have its fixed point outside [a, b].
 
@@ -91,22 +98,21 @@ def _max_graph_step(g: Affine2, sample: GraphSample) -> float:
 
     The displacement is the image of (x, y) under the map with
     coefficients (p-1, q-1, r, h, s).  For an exact map on an exact
-    sample it is formed on the sample's integer numerator columns over
-    D * den, D the coefficients' common denominator, with one division
-    per coordinate.  Otherwise the float coefficients act on the
-    sample's float columns over 1, which gives the same floats.
+    sample it is formed on the sample's integer numerator pairs, decoded
+    one at a time, over D * den, D the coefficients' common denominator,
+    with one division per coordinate.  Otherwise the float coefficients
+    act on the sample's float columns over 1, which gives the same floats.
     """
     coeffs = (g.p - 1, g.q - 1, g.r, g.h, g.s)
     if g.exact and sample.exact:
         (p, q, r, h, s), d = common_denominator(coeffs)
-        (xs, ys), den = sample.numerator_columns(), sample.den
+        pairs, den = sample.numerator_pairs(), sample.den
     else:
         (p, q, r, h, s), d = [to_float(c) for c in coeffs], 1
-        (xs, ys), den = sample.columns, 1
-    dd, hl, sl = d * den, h * den, s * den
+        pairs, den = zip(*sample.columns), 1
+    dd, hl, sl, hypot = d * den, h * den, s * den, math.hypot
     max_step = 0.0
-    hypot = math.hypot
-    for x, y in zip(xs, ys):
+    for x, y in pairs:
         step = hypot((p * x + hl) / dd, (q * y + r * x + sl) / dd)
         if step > max_step:
             max_step = step
@@ -117,8 +123,9 @@ def iterate_orbit(g: Affine2, origin, interval, max_points: int = 2_000_000) -> 
     """Iterate g from origin until the abscissa leaves [a, b].
 
     Requires the projected fixed point outside the interval so the
-    abscissae move strictly one way.
+    abscissae move strictly one way, and finite floats (ValueError).
     """
+    _require_finite(g, origin, interval)
     a, b = interval
     gp = _moving_projection(g, interval,
                             "projection is the identity; the orbit cannot move")
@@ -299,8 +306,9 @@ def classify_orbit_curve(g: Affine2, origin, interval) -> CurveModel:
     becomes u' = p u + h~, v' = q v + r u + s~ where h~ = h + (p-1)x0
     and s~ = s + (q-1)y0 + r x0.  Dispatch on (p = 1?, q = 1?, p = q?)
     is exact in rational mode; floating maps within 1e-9 of a boundary
-    are snapped onto it with a warning.
+    are snapped onto it with a warning.  An inf or nan raises ValueError.
     """
+    _require_finite(g, origin, interval)
     a, b = interval
     x0, y0 = (coerce(origin[0]), coerce(origin[1]))
     p, q, r = g.p, g.q, g.r
@@ -387,7 +395,7 @@ def verify_orbit_on_curve(trace: OrbitTrace, model: CurveModel) -> Scalar:
                 and all(is_exact(v) for v in model.coefficients.values())) else 0.0
     for (x, y) in trace.points:
         d = abs(y - model.evaluate(x))
-        if d > res:
+        if d > res or d != d:  # a nan is reported, not skipped
             res = d
     return res
 

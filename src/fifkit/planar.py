@@ -127,7 +127,7 @@ def _q_bound(lo_i, hi_i, lo_j, hi_j):
     return max(lo_i - hi_j, lo_j - hi_i, 0), max(-lo_j, hi_j)
 
 
-def _scan_2d(short, buckets, rows, interval, rounding, dev2, seed=None, floor=0, fresh=None):
+def _scan_2d(short, buckets, rows, dev2, seed=None, floor=0, fresh=None):
     """delta_2*(over the words in buckets) by pruning through the projected windows.
 
     Every candidate pair must satisfy projected deviation < current
@@ -142,10 +142,7 @@ def _scan_2d(short, buckets, rows, interval, rounding, dev2, seed=None, floor=0,
     _packed_deviation.  The seed phase and the cross-bucket walk read
     both, and each format has its own same-bucket phase.
     """
-    a, b = map(Fraction, interval)
-    mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
-    slack, t_h, t_qrs = rounding
-    key = rows.key
+    slack, key = rows.slack, rows.key
     best = None if seed is None else (seed, None, None)
     # best as bn/bd, 1/0 while there is none; floor as fn/fd
     bn, bd = (1, 0) if seed is None else seed.as_integer_ratio()
@@ -161,9 +158,9 @@ def _scan_2d(short, buckets, rows, interval, rounding, dev2, seed=None, floor=0,
                 bn, bd = dev.as_integer_ratio()
     same = [(p_val, entries) for p_val, (_, entries) in buckets.items() if p_val in fresh]
     if rows.planar:
-        best, coinc, coinc_count = _same_planar(same, dev2, best, width, t_h, t_qrs)
+        best, coinc, coinc_count = _same_planar(same, dev2, best, rows)
     else:
-        best, coinc, coinc_count = _same_packed(same, dev2, best, width, rows)
+        best, coinc, coinc_count = _same_packed(same, dev2, best, rows)
     if best is not None:
         bn, bd = best[0].as_integer_ratio()
 
@@ -185,7 +182,7 @@ def _scan_2d(short, buckets, rows, interval, rounding, dev2, seed=None, floor=0,
         n_q, den_q = _q_bound(*q_i, *q_j)
         if n_q * bd >= bn * den_q:
             continue
-        win = _Window(mid, width, p_i, p_j)
+        win = _Window(rows.mid, rows.width, p_i, p_j)
         cd, shift = win.cd, win.shift
         mul, lim = win.cap(bn, bd)
         jj, n_j = 0, len(hs_j)
@@ -205,12 +202,12 @@ def _scan_2d(short, buckets, rows, interval, rounding, dev2, seed=None, floor=0,
     return best, coinc, coinc_count
 
 
-def _same_planar(same, dev2, best, width, t_h, t_qrs):
+def _same_planar(same, dev2, best, rows):
     """(best, coincidences, count) of the same-bucket pairs of planar rows.
 
-    same lists (P, entries) per bucket; best is as in _scan_2d.
+    same lists (P, entries) per bucket of rows, a _Rows; best is as in _scan_2d.
     """
-    wn, wd = width
+    (wn, wd), t_h, t_qrs = rows.width, rows.t_h, rows.t_qrs
     bn, bd = (1, 0) if best is None else best[0].as_integer_ratio()
     coinc, coinc_count = [], 0
 
@@ -271,7 +268,7 @@ def _same_planar(same, dev2, best, width, t_h, t_qrs):
     return best, coinc, coinc_count
 
 
-def _same_packed(same, dev2, best, width, rows):
+def _same_packed(same, dev2, best, rows):
     """(best, coincidences, count) of the same-bucket pairs of packed rows.
 
     Packed rows come only from exact systems, whose rows of equal
@@ -282,8 +279,7 @@ def _same_packed(same, dev2, best, width, rows):
     _scan_1d: a gap above near (widened by rows, their _Rows) holds a dH
     whose projected deviation cannot beat best.
     """
-    wn, wd = width
-    kb, mask, widen = rows.kb, rows.mask, rows.widen
+    (wn, wd), kb, mask, widen = rows.width, rows.kb, rows.mask, rows.widen
     bn, bd = (1, 0) if best is None else best[0].as_integer_ratio()
     coinc, coinc_count = [], 0
     for p_val, entries in same:

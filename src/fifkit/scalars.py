@@ -45,6 +45,13 @@ def common_denominator(values) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
+def require_finite(named) -> None:
+    """ValueError at the first (name, value) holding a float inf or nan; Fractions pass."""
+    for where, c in named:
+        if isinstance(c, float) and not math.isfinite(c):
+            raise ValueError(f"{where} = {c} is not finite")
+
+
 def _solve3(mat, rhs):
     # Cramer in ints: (d1, d2, d3, det), solution d_k/det; None when singular
     (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = mat

@@ -14,7 +14,7 @@ exact system whose generators all keep one parabola scans projected
 rows, since (P, H) then fixes Q, R and S (see planar.py).
 Floats enter as their exact dyadic values (55 bits wider a level on the
 bundled systems) and run the same scan; rows within a proven radius for
-input rounding are coincidences (see _rounding), and deviations are
+input rounding are coincidences (see _Rows), and deviations are
 reported as floats.
 
 The scan never materializes the quadratic set of word pairs.  Words are
@@ -219,10 +219,10 @@ def _ybox_sample(system: IfsSystem):
 
 
 def _is_collinear(sample) -> bool:
-    # a float sample on one line, to cross products relative 1e-12
+    # a float sample on one line: cross products within 1e-12 (x1 - x0) max(y extent, max |y|)
     xs, ys = sample.numerator_columns()
     x0, y0, x1, y1 = xs[0], ys[0], xs[-1], ys[-1]
-    tol = 1e-12 * (x1 - x0) * (max(ys) - min(ys))
+    tol = 1e-12 * (x1 - x0) * max(max(ys) - min(ys), max(map(abs, ys)))
     return all(abs((x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)) <= tol for x, y in zip(xs, ys))
 
 
@@ -245,6 +245,17 @@ class _Rows:
     row; each run holds the rows of one length sorted by (H, key).
     label, the decimal string of the unscaled P, breaks ties between
     bucket pairs.  fresh[d] is the set of P with a run of length d.
+
+    The scans read the rest off it too: mid and width, (a + b)/2 and
+    b - a as integer ratios, and the radii of input rounding, 0 for an
+    exact system.  By Higham's Lemma 3.1 (Accuracy and Stability of
+    Numerical Algorithms, ch. 3) a float system's row, whose entries sum
+    products of at most depth inputs rounded by u = 2^-53, is within g A of
+    the intended one: g = depth u / (1 - depth u), A the row recurrence on
+    the generators' largest |coefficient| per column.  Rows of equal
+    intended composites are within 2 g A, rounded up in row units to t_h
+    (H) and t_qrs (Q, R, S); their P within gamma_2depth = 2 g / (1 - g)
+    relative, the slack.
     """
 
     # tracemalloc bytes per stored word row besides the digits of its ints,
@@ -271,6 +282,18 @@ class _Rows:
         nums, D = common_denominator([c for g in system.maps for c in astuple(g)])
         gens = [nums[k:k + 5] for k in range(0, len(nums), 5)]
         self.scale = scale = D ** depth
+        a, b = map(Fraction, system.interval)
+        self.mid, self.width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
+        self.slack, self.t_h, self.t_qrs = 0, 0, (0, 0, 0)
+        if not system.exact:  # the rounding radii, as in the class docstring
+            g = Fraction(depth, 2 ** 53 - depth)  # depth u / (1 - depth u), u = 2^-53
+            p, q, r, h, s = (Fraction(max(map(abs, col)), D) for col in zip(*gens))
+            H, P, Q, R, S, bound = 0, 1, 1, 0, 0, [0] * 4
+            for _ in range(depth):
+                H, P, Q, R, S = P * h + H, P * p, Q * q, Q * r + R * p, Q * s + R * h + S
+                bound = [max(c0, c) for c0, c in zip(bound, (H, Q, R, S))]
+            self.t_h, *t_qrs = (math.ceil(2 * g * c * scale) for c in bound)
+            self.slack, self.t_qrs = 2 * g / (1 - g), tuple(t_qrs)
         if total > budget:
             # every coefficient is about as wide as the scale, and the
             # rows of a run share one P
@@ -371,35 +394,6 @@ class _Rows:
         return (h << self.kb) + self.mask
 
 
-def _rounding(system: IfsSystem, depth: int, scale: int):
-    """(slack, T_H, [T_Q, T_R, T_S]): what input rounding can hide.
-
-    A float c~ = fl(c) = c (1 + d), |d| <= u = 2^-53, stands for a real
-    c.  A composite's coefficient is a sum of products of at most depth
-    inputs; by Higham's Lemma 3.1 (Accuracy and Stability of Numerical
-    Algorithms, ch. 3), with powers -1, each intended product is the
-    dyadic one times 1 + theta, |theta| <= g = depth u / (1 - depth u).
-    So a row is within g A of the intended one, A being the same sum over
-    |inputs|, at most the row recurrence of _Rows (a letter appended
-    on the right) on the generators' largest |coefficient| per column.
-    Rows of equal intended composites are within 2 g A, rounded up in row
-    units: the column's radius T.  Their P, single products, are within
-    g (|P_i| + |P_j|), so |P_i/P_j - 1| <= 2 g / (1 - g) = gamma_2depth,
-    the slack.  Exact systems have u = 0, so all are 0.
-    """
-    if system.exact:
-        return 0, 0, [0, 0, 0]
-    u = Fraction(1, 2 ** 53)
-    g = depth * u / (1 - depth * u)
-    p, q, r, h, s = (Fraction(max(map(abs, c))) for c in zip(*map(astuple, system.maps)))
-    H, P, Q, R, S, bound = 0, 1, 1, 0, 0, [0] * 4
-    for _ in range(depth):
-        H, P, Q, R, S = P * h + H, P * p, Q * q, Q * r + R * p, Q * s + R * h + S
-        bound = [max(b, c) for b, c in zip(bound, (H, Q, R, S))]
-    t_h, *t_qrs = (math.ceil(2 * g * b * scale) for b in bound)
-    return 2 * g / (1 - g), t_h, t_qrs
-
-
 def _bucket_pairs(buckets, slack=0):
     """Ordered cross-bucket pairs, cheapest |p - 1| first, built lazily.
 
@@ -492,10 +486,10 @@ class _Window:
         return -rows.widen(-lo) - 1, rows.widen(hi) + 1
 
 
-def _scan_1d(buckets, rows, interval, rounding, seed=None, floor=0, fresh=None):
+def _scan_1d(buckets, rows, seed=None, floor=0, fresh=None):
     """delta*(at this word set) with its minimizing pair and coincidences.
 
-    buckets hold packed rows of rows, a _Rows.  Returns
+    buckets hold packed rows of rows, a _Rows, which gives the interval and radii.  Returns
     (best, coincidence_pairs, count) with best = (dev, j_key, i_key) or
     None; the pairs are of word keys.  A seed, an upper bound on delta*,
     starts best as (seed, None, None), returned as is when no pair beats
@@ -506,10 +500,7 @@ def _scan_1d(buckets, rows, interval, rounding, seed=None, floor=0, fresh=None):
     the unseeded scan keeps: pruning only skips pairs that cannot beat
     best, and the first pair to reach the minimum is kept.
     """
-    a, b = map(Fraction, interval)
-    mid, width = ((a + b) / 2).as_integer_ratio(), (b - a).as_integer_ratio()
-    wn, wd = width
-    slack, t_h, _ = rounding
+    (wn, wd), slack, t_h = rows.width, rows.slack, rows.t_h
     kb, mask, widen = rows.kb, rows.mask, rows.widen
     best = None if seed is None else (seed, None, None)
     # best as bn/bd, 1/0 while there is none; floor as fn/fd
@@ -551,7 +542,7 @@ def _scan_1d(buckets, rows, interval, rounding, seed=None, floor=0, fresh=None):
             break
         if p_i not in fresh and p_j not in fresh:
             continue
-        win = _Window(mid, width, p_i, p_j)
+        win = _Window(rows.mid, rows.width, p_i, p_j)
         cd, shift = win.cd, win.shift
         mul, lim = win.cap(bn, bd)
         below, above = win.zone(mul, lim, rows)
@@ -658,7 +649,6 @@ def wsp_check_1d(system: IfsSystem, depth: int, tol: float,
         raise ValueError("tol must not be nan")
     system._invertible  # raises unless contractive with every q != 0
     rows = _Rows(system, depth, budget, planar=False)
-    rounding, interval = _rounding(system, depth, rows.scale), system.interval
     # imported here, not at the top, so that only a 1d scan compiles it.
     # Capped at the full-depth bucket count, an attempt that does not
     # close costs about what one pass over the buckets does
@@ -668,7 +658,7 @@ def wsp_check_1d(system: IfsSystem, depth: int, tol: float,
     except NotCertifiableError:
         graph = None
     return _verdict(system, rows, tol, "1d", lambda d, seed, floor, fresh: _scan_1d(
-        rows.buckets(d), rows, interval, rounding, seed, floor, fresh), graph)
+        rows.buckets(d), rows, seed, floor, fresh), graph)
 
 
 def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
@@ -697,14 +687,13 @@ def wsp_check_2d(system: IfsSystem, depth: int, tol: float,
             CollinearAttractorWarning,
         )
     rows = _Rows(system, depth, budget, planar=not (curve and curve[0]))
-    rounding, interval = _rounding(system, depth, rows.scale), system.interval
-    dev2 = _planar_deviation(interval, ybox)
+    dev2 = _planar_deviation(system.interval, ybox)
     if not rows.planar:  # Q, R and S follow from (P, H): packed projected rows
         dev2 = _packed_deviation(dev2, curve, rows)
     short = sorted(((P, row) for P, (_, ents) in rows.buckets(1).items() for row in ents),
                    key=lambda pair: rows.key(pair[1]))
     return _verdict(system, rows, tol, "2d", lambda d, seed, floor, fresh: _scan_2d(
-        short, rows.buckets(d), rows, interval, rounding, dev2, seed, floor, fresh))
+        short, rows.buckets(d), rows, dev2, seed, floor, fresh))
 
 
 def graph_transport_check(system: IfsSystem, element, x: Scalar,

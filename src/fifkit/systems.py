@@ -11,7 +11,6 @@ is the graph of a continuous function is decided by attractor.validate,
 which reads the contraction faults listed here.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,7 @@ from functools import cached_property
 
 from .affine import Affine1, Affine2, projection
 from .errors import IndexOutOfRangeError, NotContractiveError, SingularMapError
-from .scalars import Scalar, coerce, common_denominator, is_exact, to_float
+from .scalars import Scalar, coerce, common_denominator, is_exact, require_finite, to_float
 
 
 class MixedScalarWarning(UserWarning):
@@ -39,9 +38,7 @@ class IfsSystem:
         named = [("interval: a", a), ("interval: b", b)]
         named += [(f"map {k}: {n}", getattr(g, n))
                   for k, g in enumerate(maps, start=1) for n in "pqrhs"]
-        for where, c in named:
-            if isinstance(c, float) and not math.isfinite(c):
-                raise ValueError(f"{where} = {c} is not finite")
+        require_finite(named)
         if not a < b:
             raise ValueError("interval must satisfy a < b")
         if not all(is_exact(c) for _, c in named):

@@ -277,6 +277,13 @@ def _numerator_pairs(sample):
     return tuple(zip(*sample.numerator_columns()))
 
 
+def test_numerator_pairs_are_the_numerator_columns_zipped(cold_caches):
+    for system in (four_piece_overlap_system(), negative_interval_system(),
+                   float_twin(mixed_ratio_parabola_system())):
+        sample = sample_attractor(system, 4)
+        assert tuple(sample.numerator_pairs()) == _numerator_pairs(sample)
+
+
 def _sample_parts(sample):
     return repr((_numerator_pairs(sample), sample.den, sample.resolution))
 
@@ -745,8 +752,9 @@ def test_float_sample_keeps_its_floats(cold_caches):
 
 def test_only_graph_sample_reads_the_sample_storage():
     # a sample's stored points (data) and their packing (k, off) are read in
-    # attractor.py alone; every other module reads numerator_columns() or
-    # columns, so a change of storage stays inside GraphSample
+    # attractor.py alone; every other module reads numerator_columns(),
+    # numerator_pairs() or columns, so a change of storage stays inside
+    # GraphSample
     reads = []
     for path in sorted(Path(attractor.__file__).parent.glob("*.py")):
         if path.name != "attractor.py":

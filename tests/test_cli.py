@@ -366,6 +366,18 @@ def test_classify_precondition_exits_1(capsys):
     assert "fixed point" in err.lower()
 
 
+@pytest.mark.parametrize("option, value", [("--y0", "nan"), ("--p", "nan"), ("--b", "inf"),
+                                           ("--a", "-inf"), ("--s", "nan")])
+def test_classify_refuses_a_value_that_is_not_finite(capsys, option, value):
+    # at --y0 nan it once printed B: nan and residual: 0.0 and exited 0; at
+    # --p nan or --b inf it walked the orbit to its point budget
+    args = {"--p": "1.1", "--q": "1.2", "--r": "0.1", "--h": "0.05", "--s": "0.1",
+            "--x0": "0", "--y0": "0", "--a": "0", "--b": "1"}
+    args[option] = value
+    argv = ["classify", *(f"{flag}={v}" for flag, v in args.items())]
+    assert run(capsys, argv) == (1, "", f"error: {option[2:]} = {value} is not finite\n")
+
+
 def test_example_figure(tmp_path, capsys):
     out_svg = tmp_path / "fig.svg"
     code, out, _ = run(capsys, ["example-figure1", "--out", out_svg])

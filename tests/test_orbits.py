@@ -1,6 +1,8 @@
 import math
 import random
+import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -87,6 +89,35 @@ def test_iterate_budget():
     g = Affine2(F(1), F(1), F(0), F(1, 1000), F(0))
     with pytest.raises(DepthTooLargeError):
         iterate_orbit(g, (F(0), F(0)), UNIT, max_points=100)
+
+
+def test_non_finite_float_inputs_are_refused():
+    # a float coefficient, origin coordinate or interval end that is inf
+    # or nan has no orbit: both calls refuse it rather than walk it
+    g, origin, interval = Affine2(1.1, 1.2, 0.1, 0.05, 0.1), (0.0, 0.0), (0.0, 1.0)
+    nan, inf = math.nan, math.inf
+    cases = [(Affine2(nan, 1.2, 0.1, 0.05, 0.1), origin, interval, "p = nan"),
+             (Affine2(1.1, 1.2, 0.1, inf, 0.1), origin, interval, "h = inf"),
+             (g, (0.0, nan), interval, "y0 = nan"),
+             (g, (-inf, 0.0), interval, "x0 = -inf"),
+             (g, origin, (0.0, inf), "b = inf")]
+    for g_bad, origin_bad, interval_bad, message in cases:
+        for call in (classify_orbit_curve, iterate_orbit):
+            with pytest.raises(ValueError, match=f"^{message} is not finite$"):
+                call(g_bad, origin_bad, interval_bad)
+    # only floats are tested: a Fraction too large for a float is no fault
+    huge = Affine2(F(11, 10), F(6, 5), F(1, 10), F(1, 20), F(10 ** 400))
+    assert classify_orbit_curve(huge, (F(0), F(0)), UNIT).kind == "PowerLinear"
+    assert iterate_orbit(huge, (F(0), F(0)), UNIT).M > 0
+
+
+def test_verify_reports_a_nan_difference():
+    g = Affine2(1.1, 1.2, 0.1, 0.05, 0.1)
+    model = classify_orbit_curve(g, (0.0, 0.0), (0.0, 1.0))
+    trace = iterate_orbit(g, (0.0, 0.0), (0.0, 1.0))
+    assert verify_orbit_on_curve(trace, model) < 1e-12
+    bad = replace(model, kind="Parabola", coefficients={"A": math.nan, "B": 0.0})
+    assert math.isnan(verify_orbit_on_curve(trace, bad))
 
 
 # ---------- classification: pinned examples ----------
@@ -509,6 +540,21 @@ def test_max_graph_step_matches_the_fraction_formula(cold_caches):
             assert (orbits._max_graph_step(h, twin).hex()
                     == _fraction_graph_step(h, twin.points).hex())
     assert orbits._max_graph_step(witness, sample_attractor(mixed, 13)) == 0.03515709770028344
+
+
+def test_max_graph_step_decodes_one_point_at_a_time(cold_caches):
+    # the exact step reads numerator_pairs(): four-piece d7 (35,504 points)
+    # once peaked at 2.9 MB for its two decoded int columns
+    sample = sample_attractor(four_piece_overlap_system(), 7)
+    g = Affine2(F(1), F(1), F(1, 3), F(1, 7), F(1, 5))
+    want = orbits._max_graph_step(g, sample)
+    tracemalloc.start()
+    try:
+        assert orbits._max_graph_step(g, sample) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sample) == 35_504 and peak < 64_000
 
 
 def _same_fit(fit, want):

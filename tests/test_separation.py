@@ -347,6 +347,32 @@ def test_line_systems_solve_to_their_line_and_warn():
             wsp_check_2d(system, 2, 1e-3)
 
 
+def _warns_collinear(system):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", CollinearAttractorWarning)
+        wsp_check_2d(system, 2, 1e-3)
+    return any(w.category is CollinearAttractorWarning for w in caught)
+
+
+def test_float_lines_warn_as_their_exact_systems_do():
+    # a float system's line test takes the larger of the sample's y extent
+    # and max |y| as its scale: on a horizontal line y = C with inexact
+    # end anchors the extent is only the anchors' error.  These lines,
+    # both maps orientation-reversing, once warned only when exact
+    f = Fraction
+    horizontal = [IfsSystem((Affine2(f(-2, 3), q1, f(0), f(2, 3), c * (1 - q1)),
+                             Affine2(f(-1, 2), q2, f(0), f(1), c * (1 - q2))), (f(0), f(1)))
+                  for c in (f(-1, 2), f(1, 3))
+                  for q1, q2 in ((f(4, 5), f(3, 4)), (f(-4, 5), f(4, 5)), (f(3, 4), f(2, 3)))]
+    for system in horizontal:
+        assert _warns_collinear(system) and _warns_collinear(float_twin(system))
+    for seed in range(150):
+        system = random_line_system(random.Random(seed))[0]
+        assert _warns_collinear(float_twin(system)) == _warns_collinear(system)
+    for make in (four_piece_overlap_system, dyadic_parabola_system, mixed_ratio_parabola_system):
+        assert not _warns_collinear(float_twin(make()))
+
+
 def test_planar_check_samples_the_attractor_once(monkeypatch):
     # one sample serves the ybox and, for a float system, the line test
     depths = []
@@ -411,12 +437,12 @@ def _decoded(word_rows, P, rows):
             for H, row in zip(hs, rows)]
 
 
-def _packed_format(kb, scale=1):
+def _packed_format(kb, scale=1, interval=(0, 1)):
     """A projected _Rows whose keys take kb bits, for scans of made-up
-    rows at scale: a one-map system's, at depth kb - 1, with its scale
-    set to theirs."""
+    rows at scale over an exact interval: a one-map system's on it, at
+    depth kb - 1, with its scale set to theirs."""
     f = Fraction
-    one = IfsSystem((Affine2(f(1, 2), f(1, 2), f(0), f(0), f(0)),), (f(0), f(1)))
+    one = IfsSystem((Affine2(f(1, 2), f(1, 2), f(0), f(0), f(0)),), interval)
     word_rows = separation._Rows(one, kb - 1, 10, False)
     assert word_rows.kb == kb
     word_rows.scale = scale
@@ -568,9 +594,8 @@ def test_packed_rows_unpack_and_sort_as_h_then_key():
             assert max(abs(H) for H, _, _ in got).bit_length() > 200 > word_rows.kb
 
 
-def test_only_rows_takes_the_key_bits():
-    # the packed row format is decided by _Rows alone: every other
-    # function reads kb off a _Rows, so no parameter is named kb
+def _takers_outside_rows(names):
+    """Every function of the package outside _Rows with a parameter in names."""
     takers = []
     for path in sorted(Path(separation.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -578,8 +603,20 @@ def test_only_rows_takes_the_key_bits():
                   for node in ast.walk(cls)}
         takers += [f"{path.name}:{getattr(node, 'name', node.lineno)}" for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.Lambda)) and id(node) not in inside
-                   and "kb" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
-    assert takers == []
+                   and names & {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
+    return takers
+
+
+def test_only_rows_takes_the_key_bits():
+    # the packed row format is decided by _Rows alone: every other
+    # function reads kb off a _Rows, so no parameter is named kb
+    assert _takers_outside_rows({"kb"}) == []
+
+
+def test_only_rows_takes_the_rounding_radii():
+    # a verdict's input-rounding radii are computed once, by _Rows: every
+    # scan reads them off it, so no parameter carries them
+    assert _takers_outside_rows({"rounding", "t_h", "t_qrs"}) == []
 
 
 def test_window_zone_against_brute_force():
@@ -631,8 +668,7 @@ def test_scan_1d_matches_brute_force_on_random_rows():
 
         devs = [dev(j, i) for j in rows for i in rows if i != j]
         nonzero = [d for d in devs if d]
-        best, _, count = separation._scan_1d(buckets, _packed_format(kb), interval,
-                                             (0, 0, [0, 0, 0]))
+        best, _, count = separation._scan_1d(buckets, _packed_format(kb, interval=interval))
         assert count == (len(devs) - len(nonzero)) // 2
         if nonzero:
             assert best[0] == min(nonzero) == dev(*best[1:])
@@ -717,7 +753,7 @@ def test_same_packed_matches_same_planar_on_ties_and_bounds():
         y0 = f(rng.randrange(-4, 4))
         ybox = (y0, y0 + rng.choice((f(1, 2), 1, 8, 1000)))
         dev = planar_scan._planar_deviation((a, b), ybox)
-        word_rows = _packed_format(kb, scale)
+        word_rows = _packed_format(kb, scale, (a, b))
         packed_dev = planar_scan._packed_deviation(dev, curve, word_rows)
         # twin coefficients from Q = P^2, R = 2APH + BP(1 - P) and
         # S = AH^2 + BH + C(1 - P^2), all times one positive factor
@@ -742,11 +778,10 @@ def test_same_packed_matches_same_planar_on_ties_and_bounds():
             bound = f(h_v - h_u, abs(P)) / (b - a)
             tp = int(f(P, scale) * factor)
             seeds += [bound, bound + f(1, 10 ** 6), dev(tp, twin(P, h_u, k_u), tp, twin(P, h_v, k_v), 1, 0)]
-        width = (b - a).as_integer_ratio()
         for seed in seeds:
             best = None if seed is None else (seed, None, None)
-            assert (planar_scan._same_packed(packed, packed_dev, best, width, word_rows)
-                    == planar_scan._same_planar(planar, dev, best, width, 0, (0, 0, 0)))
+            assert (planar_scan._same_packed(packed, packed_dev, best, word_rows)
+                    == planar_scan._same_planar(planar, dev, best, word_rows))
 
 
 def test_flat_attractor_deviation_takes_the_width_as_height(rng):
@@ -1088,15 +1123,14 @@ def _scan_every_depth(system, depth, mode):
     an unseeded, unfloored scan at every depth 2..depth."""
     planar = mode == "2d"
     word_rows = separation._Rows(system, depth, separation.DEFAULT_WORD_BUDGET, planar)
-    rounding, interval = separation._rounding(system, depth, word_rows.scale), system.interval
     if planar:
-        dev2 = planar_scan._planar_deviation(interval, attractor_ybox(system))
+        dev2 = planar_scan._planar_deviation(system.interval, attractor_ybox(system))
         rows = _rows_by_length(word_rows)
         short = [(row[2], (*row[:2], *row[3:])) for row in rows[0] + rows[1]]
-        scans = [planar_scan._scan_2d(short, word_rows.buckets(d), word_rows, interval,
-                                      rounding, dev2) for d in range(2, depth + 1)]
+        scans = [planar_scan._scan_2d(short, word_rows.buckets(d), word_rows, dev2)
+                 for d in range(2, depth + 1)]
     else:
-        scans = [separation._scan_1d(word_rows.buckets(d), word_rows, interval, rounding)
+        scans = [separation._scan_1d(word_rows.buckets(d), word_rows)
                  for d in range(2, depth + 1)]
     word = word_rows.word
 
@@ -1308,9 +1342,9 @@ def _recorded_scans(monkeypatch, system, depth):
     scan, bucket_pairs = separation._scan_1d, separation._bucket_pairs
     calls = []
 
-    def recorded(buckets, word_rows, interval, rounding, seed, floor, fresh):
+    def recorded(buckets, word_rows, seed, floor, fresh):
         calls.append([floor, 0])
-        return scan(buckets, word_rows, interval, rounding, seed, floor, fresh)
+        return scan(buckets, word_rows, seed, floor, fresh)
 
     def counted(*args):
         for pair in bucket_pairs(*args):
