@@ -31,6 +31,7 @@ from .scalars import Scalar, common_denominator, to_float
 from .systems import IfsSystem
 
 _DEDUP_QUANTUM = 1e-12
+_CHUNK = 4096  # points decoded at a time by GraphSample.column_chunks
 
 
 def _select_branch(x, strips, slack, forced=None):
@@ -174,9 +175,11 @@ class GraphSample:
     sample keeps its (x, y) float pairs, over den = 1 with k = off = 0.
     Only this class reads that storage: every other reader takes
     `numerator_columns()` (numerators over den, decoded on each call),
-    `numerator_pairs()` (the same, pair by pair), `columns` (x and y float
-    lists, X / den correctly rounded, decoded on first use), `points`
-    (the scalars, decoded on first use) or `len(sample)` (no decoding).
+    `numerator_pairs()` (the same, pair by pair), `numerator_y_range()`,
+    `extent()`, `column_chunks()` (x and y float lists, X / den correctly
+    rounded, 4096 points at a time, decoded on each call), `columns`
+    (the same floats whole, kept after first use), `points` (the
+    scalars, decoded on first use) or `len(sample)` (no decoding).
     """
 
     data: tuple[int, ...] | tuple[tuple[float, float], ...]
@@ -205,6 +208,34 @@ class GraphSample:
         k, off, mask = self.k, self.off, (1 << self.k) - 1
         return ((z >> k, (z & mask) - off) for z in self.data)
 
+    def numerator_y_range(self) -> tuple:
+        """(min Y, max Y), the least and the greatest y numerator over den."""
+        if not self.exact:
+            return min(y for _, y in self.data), max(y for _, y in self.data)
+        mask, off = (1 << self.k) - 1, self.off
+        return min(map(mask.__and__, self.data)) - off, max(map(mask.__and__, self.data)) - off
+
+    def extent(self) -> tuple[float, float, float, float]:
+        """(min x, max x, min y, max y) as `columns` holds them; the points
+        are sorted, so x comes from the first and the last."""
+        ylo, yhi = self.numerator_y_range()
+        first, last = self.data[0], self.data[-1]
+        if not self.exact:
+            return first[0], last[0], ylo, yhi
+        k, den = self.k, self.den
+        return (first >> k) / den, (last >> k) / den, ylo / den, yhi / den
+
+    def column_chunks(self):
+        """`columns` as (xs, ys) float lists of up to _CHUNK points each,
+        in order, each decoded when reached."""
+        data, k, off, mask, den = self.data, self.k, self.off, (1 << self.k) - 1, self.den
+        for i in range(0, len(data), _CHUNK):
+            part = data[i:i + _CHUNK]
+            if self.exact:
+                yield [(z >> k) / den for z in part], [((z & mask) - off) / den for z in part]
+            else:
+                yield [x for x, _ in part], [y for _, y in part]
+
     @cached_property
     def points(self) -> tuple[tuple[Scalar, Scalar], ...]:
         if not self.exact:
@@ -214,10 +245,11 @@ class GraphSample:
 
     @cached_property
     def columns(self) -> tuple[list[float], list[float]]:
-        if not self.exact:
-            return self.numerator_columns()
-        k, off, mask, den = self.k, self.off, (1 << self.k) - 1, self.den
-        return [(z >> k) / den for z in self.data], [((z & mask) - off) / den for z in self.data]
+        xs, ys = [], []
+        for cx, cy in self.column_chunks():
+            xs += cx
+            ys += cy
+        return xs, ys
 
 
 def anchor_points(system: IfsSystem):
@@ -298,11 +330,12 @@ def _next_shift(gens, level, den, k, off):
 def _packed_image(gen, level, den, k, off, k2, off2):
     """`_image` on packed points, packed anew with (k2, off2): the image
     (X' << k2) + (Y' + off2) of z is X (pD 2^k2 + rD) + qD (Y + off) + c,
-    with X = z >> k, Y + off = z & mask and c the constant rest."""
+    with X = z >> k, Y + off = z & mask and c the constant rest.  As
+    z & mask = z - (X << k), that is X (pD 2^k2 + rD - qD 2^k) + qD z + c."""
     p, q, r, h, s = gen
-    mul, mask = (p << k2) + r, (1 << k) - 1
+    mul = (p << k2) + r - (q << k)
     add = (h * den << k2) + s * den + off2 - q * off
-    return ((z >> k) * mul + q * (z & mask) + add for z in level)
+    return [(z >> k) * mul + q * z + add for z in level]
 
 
 def _image_columns(system, sample, i):
@@ -333,14 +366,19 @@ def _levels(system, level, den, k, off, levels):
     """
     d, gens = system._scaled_maps
     for _ in range(levels):
+        images = []
         if system.exact:
             k2, off2 = _next_shift(gens, level, den, k, off)
-            images = sorted(itertools.chain.from_iterable(
-                _packed_image(gen, level, den, k, off, k2, off2) for gen in gens))
-            level = images[:1] + [b for a, b in zip(images, images[1:]) if a != b]
+            for gen in gens:
+                images += _packed_image(gen, level, den, k, off, k2, off2)
+            images.sort()
+            level = images[:1] + [b for a, b in zip(images, itertools.islice(images, 1, None))
+                                  if a != b]
             k, off = k2, off2
         else:
-            images = sorted(itertools.chain.from_iterable(_image(gen, level, den) for gen in gens))
+            for gen in gens:
+                images += _image(gen, level, den)
+            images.sort()
             seen = {}
             for pt in images:
                 seen.setdefault((round(pt[0] / _DEDUP_QUANTUM), round(pt[1] / _DEDUP_QUANTUM)), pt)

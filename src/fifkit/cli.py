@@ -13,6 +13,7 @@ verdict, not an error).
 import argparse
 import hashlib
 import os
+import re
 import sys
 
 from . import __version__
@@ -23,10 +24,16 @@ from .orbits import classify_orbit_curve, epsilon_net, iterate_orbit, verify_orb
 from .scalars import format_scalar, is_exact, parse_scalar, to_float
 from .separation import DEFAULT_WORD_BUDGET, FamilyElement, wsp_check_1d, wsp_check_2d
 from .specfile import parse_ifs_file
-from .svg import graph_svg, overlap_svg
+from .svg import _graph_parts, overlap_svg
 from .systems import four_piece_overlap_system, strip
 
 _BUDGET_ENV = "FIFKIT_WORD_BUDGET"
+
+# argparse reads an argument that starts with "-" as an option unless it
+# looks like a negative number, and by default only "-2" and "-.5" do.  No
+# fifkit option starts like this, so "-1/2", "-1e-3", "-inf" and "-nan"
+# stay values, to be parsed (and refused) by the command
+_NEGATIVE_SCALAR = re.compile(r"^-(\.?\d|inf|nan).*$", re.IGNORECASE | re.DOTALL)
 
 
 def _word_budget() -> int:
@@ -102,16 +109,31 @@ def _cmd_validate(args):
     return 0 if report.valid else 1
 
 
+def _csv_rows(fh, chunks):
+    """Write each (xs, ys) float chunk to fh as CSV lines, then yield it."""
+    for xs, ys in chunks:
+        for x, y in zip(xs, ys):
+            fh.write(f"{x!r},{y!r}\n")
+        yield xs, ys
+
+
 def _cmd_render(args):
     system = parse_ifs_file(args.system_file)
     sample = sample_attractor(system, args.depth, max_points=args.max_points)
+    # one pass over the sample's float chunks writes the CSV and formats the
+    # SVG polyline; the SVG file is opened only once the CSV file is closed,
+    # so --out and --svg may name one file, which then holds the SVG
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("x,y\n")
-        for x, y in zip(*sample.columns):
-            fh.write(f"{x!r},{y!r}\n")
+        chunks = _csv_rows(fh, sample.column_chunks())
+        if args.svg:
+            svg_parts = _graph_parts(sample, system.interval, chunks)
+        else:
+            for _ in chunks:
+                pass
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(graph_svg(sample, system.interval))
+            fh.writelines(svg_parts)
     out = []
     _header(out, "render", args.system_file, depth=args.depth)
     out.append(f"points: {len(sample)}")
@@ -273,6 +295,7 @@ def _build_parser(names=_COMMANDS):
     for name in names:
         help_text, func, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_SCALAR
         for flag, keywords in arguments:
             p.add_argument(flag, **keywords)
         p.set_defaults(func=func)

@@ -211,8 +211,7 @@ def _ybox_sample(system: IfsSystem):
     while (m ** (depth + 1)) * (m + 2) <= 4096 and depth < 8:
         depth += 1
     sample = sample_attractor(system, depth)
-    ys = sample.numerator_columns()[1]
-    lo, hi = min(ys), max(ys)
+    lo, hi = sample.numerator_y_range()
     if sample.exact:
         return sample, (Fraction(lo, sample.den), Fraction(hi, sample.den))
     return sample, (lo, hi)

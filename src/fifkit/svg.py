@@ -6,6 +6,7 @@ across environments.  Marker circles carry data-x / data-y attributes
 with the full-precision coordinates so figures stay machine-checkable.
 """
 
+from .attractor import _CHUNK
 from .scalars import to_float
 
 _W, _H = 800.0, 500.0
@@ -56,26 +57,33 @@ class _Frame:
         return _H - _MARGIN - t * (_H - 2 * _MARGIN)
 
 
-def _polyline(frame, xs, ys, css):
-    """The parts of a polyline element, to be joined with the document's.
+def _polyline(frame, chunks, css):
+    """The parts of a polyline element through the points of chunks, an
+    iterable of (xs, ys) float lists, one part per chunk; to be joined
+    with the document's.
 
     _Frame.px/py and _fmt inlined: the same float operations, and at
     three decimals "-0.000" can only be a whole coordinate, so it is
-    replaced chunk by chunk.  Chunks of 4096 points keep a string per
-    point from being held all at once.
+    replaced chunk by chunk.  Chunks of a few thousand points keep a
+    string per point from being held all at once.
     """
     xlo, dx, wx = frame.xlo, frame.xhi - frame.xlo, _W - 2 * _MARGIN
     ylo, dy, hy, top = frame.ylo, frame.yhi - frame.ylo, _H - 2 * _MARGIN, _H - _MARGIN
     parts = [f'  <polyline class="{css}" points="']
-    for k in range(0, len(xs), 4096):
-        if k:
+    for xs, ys in chunks:
+        if len(parts) > 1:
             parts.append(" ")
         parts.append(" ".join([
             f"{_MARGIN + (x - xlo) / dx * wx:.3f},{top - (y - ylo) / dy * hy:.3f}"
-            for x, y in zip(xs[k:k + 4096], ys[k:k + 4096])
+            for x, y in zip(xs, ys)
         ]).replace("-0.000", "0.000"))
     parts.append('"/>\n')
     return parts
+
+
+def _chunked(xs, ys):
+    # float columns as _polyline's chunks, _CHUNK points each
+    return ((xs[i:i + _CHUNK], ys[i:i + _CHUNK]) for i in range(0, len(xs), _CHUNK))
 
 
 def _axes(frame, xlo, xhi, ylo, yhi):
@@ -111,16 +119,22 @@ def _markers(frame, marked):
     return "".join(out)
 
 
+def _graph_parts(sample, interval, chunks, marked=()):
+    """graph_svg's document as a list of parts, its polyline drawn from
+    chunks, the sample's `column_chunks()` or an iterable yielding them;
+    the frame comes from the sample's extent, so no chunk is read first."""
+    xlo, xhi, ylo, yhi = sample.extent()
+    frame = _Frame(xlo, xhi, ylo, yhi)
+    parts = [_OPEN, _axes(frame, to_float(interval[0]), to_float(interval[1]), ylo, yhi)]
+    parts += _polyline(frame, chunks, "curve")
+    parts += [_markers(frame, marked), "</svg>\n"]
+    return parts
+
+
 def graph_svg(sample, interval, marked=()) -> str:
     """Polyline of a GraphSample's float columns with axes and optional
     marked points."""
-    xs, ys = sample.columns
-    frame = _Frame(min(xs), max(xs), min(ys), max(ys))
-    parts = [_OPEN, _axes(frame, to_float(interval[0]), to_float(interval[1]),
-                          min(ys), max(ys))]
-    parts += _polyline(frame, xs, ys, "curve")
-    parts += [_markers(frame, marked), "</svg>\n"]
-    return "".join(parts)
+    return "".join(_graph_parts(sample, interval, sample.column_chunks(), marked))
 
 
 def overlap_svg(sample, interval, sub_a, sub_b, strip_x, marked=()) -> str:
@@ -130,8 +144,8 @@ def overlap_svg(sample, interval, sub_a, sub_b, strip_x, marked=()) -> str:
     sub_b are (xs, ys) float columns (the images of the sample under two
     chosen maps); strip_x = (lo, hi) is shaded over the full height.
     """
-    xs, ys = sample.columns
-    frame = _Frame(min(xs), max(xs), min(ys), max(ys))
+    xlo, xhi, ylo, yhi = sample.extent()
+    frame = _Frame(xlo, xhi, ylo, yhi)
     lo, hi = (to_float(strip_x[0]), to_float(strip_x[1]))
     x0, x1 = frame.px(lo), frame.px(hi)
     ytop, ybot = frame.py(frame.yhi), frame.py(frame.ylo)
@@ -139,10 +153,10 @@ def overlap_svg(sample, interval, sub_a, sub_b, strip_x, marked=()) -> str:
         _OPEN,
         f'  <rect class="overlap" x="{_fmt(x0)}" y="{_fmt(ytop)}" '
         f'width="{_fmt(x1 - x0)}" height="{_fmt(ybot - ytop)}"/>\n',
-        _axes(frame, to_float(interval[0]), to_float(interval[1]), min(ys), max(ys)),
+        _axes(frame, to_float(interval[0]), to_float(interval[1]), ylo, yhi),
     ]
-    parts += _polyline(frame, xs, ys, "curve")
-    parts += _polyline(frame, *sub_a, "piece-a")
-    parts += _polyline(frame, *sub_b, "piece-b")
+    parts += _polyline(frame, sample.column_chunks(), "curve")
+    parts += _polyline(frame, _chunked(*sub_a), "piece-a")
+    parts += _polyline(frame, _chunked(*sub_b), "piece-b")
     parts += [_markers(frame, marked), "</svg>\n"]
     return "".join(parts)

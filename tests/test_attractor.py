@@ -750,6 +750,38 @@ def test_float_sample_keeps_its_floats(cold_caches):
     assert sample.columns == ([x for x, _ in sample.points], [y for _, y in sample.points])
 
 
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_column_chunks_are_the_floats_of_its_points(n, exact):
+    # random points of both signs over mixed denominators, one of them
+    # beyond a float's 53 bits, so that X / den must round once
+    rng = random.Random(n)
+    xdens, ydens = (3, 7, 1000, 2 ** 60 + 1), (1, 9, 2 ** 61 - 1)
+    pts = sorted((Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.choice(xdens)),
+                  Fraction(rng.randrange(-10 ** 9, 10 ** 9), rng.choice(ydens)))
+                 for _ in range(n))
+    if exact:
+        level, den, k, off = attractor._packed(pts)
+        sample = attractor.GraphSample(tuple(level), den, 1, 0, 0.0, True, k, off)
+    else:
+        sample = attractor.GraphSample(tuple(sorted({(float(x), float(y)) for x, y in pts})),
+                                       1, 1, 0.0, 0.0, False)
+    want_x = [float(x) for x, _ in sample.points]
+    want_y = [float(y) for _, y in sample.points]
+    chunks = list(sample.column_chunks())
+    assert [len(xs) for xs, _ in chunks] == [len(ys) for _, ys in chunks]
+    assert [len(xs) for xs, _ in chunks] == [min(4096, len(sample) - i)
+                                             for i in range(0, len(sample), 4096)]
+    xs = [v for part, _ in chunks for v in part]
+    ys = [v for _, part in chunks for v in part]
+    assert [v.hex() for v in xs] == [v.hex() for v in want_x]
+    assert [v.hex() for v in ys] == [v.hex() for v in want_y]
+    assert sample.columns == (xs, ys)
+    assert sample.extent() == (min(want_x), max(want_x), min(want_y), max(want_y))
+    nys = sample.numerator_columns()[1]
+    assert sample.numerator_y_range() == (min(nys), max(nys))
+
+
 def test_only_graph_sample_reads_the_sample_storage():
     # a sample's stored points (data) and their packing (k, off) are read in
     # attractor.py alone; every other module reads numerator_columns(),

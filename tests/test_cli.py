@@ -1,19 +1,24 @@
 import argparse
+import gc
 import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fifkit
-from fifkit import emit_ifs_text, four_piece_overlap_system, parse_ifs_text, write_ifs_file
+from fifkit import (emit_ifs_text, four_piece_overlap_system, parse_ifs_file, parse_ifs_text,
+                    sample_attractor, write_ifs_file)
 from fifkit import cli
+from fifkit import svg as svgmod
 from fifkit.cli import main
 
 from conftest import NOT_CONTRACTIVE, float_twin, not_contractive_system
+from test_svg import per_point_polyline
 
 DYADIC = "interval 0 1\nmap 1/2 1/4 0 0 0\nmap 1/2 1/4 1/2 1/2 1/4\n"
 MIXED = "interval 0 1\nmap 1/2 1/4 0 0 0\nmap 2/3 4/9 4/9 1/3 1/9\n"
@@ -146,6 +151,75 @@ def test_render_budget_exits_2(sys_dir, capsys):
                                 "--max-points", "1000"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("floating", [False, True], ids=["exact", "float"])
+def test_render_streams_the_per_point_forms(sys_dir, capsys, cold_caches, floating):
+    # the CSV and the SVG as they were built from the whole float columns,
+    # the polyline point by point; the render itself never builds columns
+    system = four_piece_overlap_system()
+    system = float_twin(system) if floating else system
+    spec = sys_dir / "render.ifs"
+    spec.write_text(emit_ifs_text(system))
+    csv, svg = sys_dir / "render.csv", sys_dir / "render.svg"
+    code, _, _ = run(capsys, ["render", spec, "--depth", 7, "--out", csv, "--svg", svg])
+    assert code == 0
+    sample = sample_attractor(parse_ifs_file(spec), 7)  # the render's, from the cache
+    assert "columns" not in vars(sample)
+    xs, ys = sample.columns
+    assert csv.read_text() == "x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys))
+    frame = svgmod._Frame(min(xs), max(xs), min(ys), max(ys))
+    a, b = (float(v) for v in system.interval)
+    assert svg.read_text() == (svgmod._OPEN + svgmod._axes(frame, a, b, min(ys), max(ys))
+                               + per_point_polyline(frame, xs, ys, "curve") + "</svg>\n")
+
+
+def test_render_memory_peak_over_a_cached_sample(sys_dir, capsys, cold_caches):
+    # the render once held the sample's float columns (2.3 MB, kept after
+    # it) and a joined copy of the SVG beside its parts: a 3.6 MB peak
+    spec = sys_dir / "four.ifs"
+    argv = ["render", spec, "--depth", 7, "--out", sys_dir / "four.csv",
+            "--svg", sys_dir / "four.svg"]
+    assert run(capsys, argv[:3] + [3, *argv[4:]])[0] == 0  # imports what the render needs
+    sample_attractor(parse_ifs_file(spec), 7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main([str(a) for a in argv])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 1.5e6
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--p", "1", "--q", "1", "--r", "1", "--h", "1/2", "--s", "1/4",
+     "--x0", "0", "--y0", "0", "--a", "-1/2", "--b", "3"],
+    ["classify", "--p", "1", "--q", "1", "--r", "1", "--h", "1/2", "--s", "1/4",
+     "--x0", "0", "--y0", "0", "--a", "-inf", "--b", "3"],
+    ["classify", "--p", "1", "--q", "1", "--r", "1", "--h", "1/2", "--s", "1/4",
+     "--x0", "0", "--y0", "-nan", "--a", "0", "--b", "3"],
+    ["eval", "NEG", "--x", "-1/2"],
+    ["eval", "NEG", "--x", "-1e-3"],
+    ["eval", "NEG", "--x", "-Infinity"],
+    ["eval", "NEG", "--x", "-.75", "--tol", "-1e-3"],
+    ["example-figure1", "--param", "-1/5", "--out", "FIG"],
+], ids=lambda argv: " ".join([argv[0], *(a for a in argv if a[:1] == "-" != a[1:2])]))
+def test_negative_scalar_as_its_own_argument(tmp_path, capsys, argv):
+    # argparse once read -1/2, -1e-3, -inf and -nan as options and exited 2
+    # with "expected one argument"; each value now reaches the command, as
+    # the --option=value form always did
+    (tmp_path / "neg.ifs").write_text("interval -1 0\nmap 1/2 1/4 0 -1/2 0\nmap 1/2 1/4 0 0 0\n")
+    names = {"NEG": str(tmp_path / "neg.ifs"), "FIG": str(tmp_path / "fig.svg")}
+    argv = [names.get(a, a) for a in argv]
+    joined, rest = [], iter(argv)
+    for a in rest:
+        joined.append(f"{a}={next(rest)}" if a.startswith("--") else a)
+    got = run(capsys, argv)
+    assert got == run(capsys, joined)
+    assert got[0] in (0, 1) and "expected one argument" not in got[2]
 
 
 def test_wsp_no_witness_exit_0(sys_dir, capsys):

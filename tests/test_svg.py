@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fifkit.svg import _H, _MARGIN, _W, _fmt, _Frame, _polyline
+from fifkit.svg import _H, _MARGIN, _W, _chunked, _fmt, _Frame, _polyline
 
 
 def per_point_polyline(frame, xs, ys, css):
@@ -49,8 +49,14 @@ def test_polyline_matches_per_point_form(bounds):
         ys.append(rng.uniform(frame.ylo - 1.0, frame.yhi + 1.0))
     xs += [x_at(frame, px) for px in pixels]
     ys += [y_at(frame, px) for px in pixels]
-    got = "".join(_polyline(frame, xs, ys, "curve"))
-    assert got == per_point_polyline(frame, xs, ys, "curve")
+    want = per_point_polyline(frame, xs, ys, "curve")
+    got = "".join(_polyline(frame, _chunked(xs, ys), "curve"))
+    assert got == want
+    # chunk bounds do not show: one chunk, a first chunk of one point, and
+    # a chunk of more than 4096 points
+    for cuts in ((0, len(xs)), (0, 1, 17, len(xs)), (0, 5000, len(xs))):
+        chunks = [(xs[u:v], ys[u:v]) for u, v in zip(cuts, cuts[1:])]
+        assert "".join(_polyline(frame, chunks, "curve")) == want
     # the cases above reach both a negative zero and a negative pixel
     raw = [f"{frame.px(x):.3f}" for x in xs] + [f"{frame.py(y):.3f}" for y in ys]
     assert "-0.000" in raw and "-10.000" in raw
