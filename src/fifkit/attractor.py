@@ -258,6 +258,8 @@ def anchor_points(system: IfsSystem):
     Returns (points, worst_error), the endpoints evaluated within 1e-12.
     In an exact system the endpoint evaluations terminate on projected
     fixed points for every bundled example, making the anchors exact.
+    A float endpoint within 1e-12 of a fixed point in both coordinates
+    but in another dedup cell is that point off by rounding, and dropped.
     Raises NotContractiveError for a system that is not contractive.
     """
     system._contractive  # raises unless contractive
@@ -267,10 +269,17 @@ def anchor_points(system: IfsSystem):
         xstar = g.h / (1 - g.p)
         ystar = (g.r * xstar + g.s) / (1 - g.q)
         pts.append((xstar, ystar))
+
+    def cell(u, v):  # the levels' dedup key
+        return round(u / _DEDUP_QUANTUM), round(v / _DEDUP_QUANTUM)
+
+    fixed = pts[:]
     for x in system.interval:
         y, err = _evaluate(system, x, 1e-12)
         worst = max(worst, err)
-        pts.append((x, y))
+        if system.exact or not any(abs(x - u) <= _DEDUP_QUANTUM and abs(y - v) <= _DEDUP_QUANTUM
+                                   and cell(x, y) != cell(u, v) for u, v in fixed):
+            pts.append((x, y))
     return pts, worst
 
 

@@ -11,6 +11,7 @@ phase differs.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .scalars import _solve3, common_denominator
@@ -91,29 +92,35 @@ def _planar_deviation(interval, ybox):
     r = (Ri Pj - Rj Pi)/(Pj Qj), h = (Hi - Hj)/Pj and
     s = ((Si - Sj) Pj - Rj (Hi - Hj))/(Pj Qj).  Every term is compared
     to bn/bd by cross-multiplication, cheapest first, on the box corners
-    brought to a common denominator M (float corners convert exactly);
-    the corner products are formed only for pairs that pass the others.
+    brought to a common denominator M (float corners convert exactly).
+    n_y = max |beta x + gamma + alpha y| over the corners: two x corners
+    differ by beta w, so n_y >= |beta| w / 2 (tested early), and n_y is
+    the center's value plus the half spreads, an even sum (it is
+    2 (beta x1 + gamma + alpha y1) mod 2): 2 n_y =
+    |beta (x0 + x1) + 2 gamma + alpha (y0 + y1)| + |beta| w + |alpha| (y1 - y0).
     """
     (x0, x1, y0, y1), M = common_denominator((*interval, *ybox))
-    w = x1 - x0
-    hh = (y1 - y0) or w
+    w, sx, sy, hy = x1 - x0, x0 + x1, y0 + y1, y1 - y0
+    hh, M2 = hy or w, 2 * M
 
     def dev(Pj, rj, Pi, ri, bn, bd):
         Hj, _, Qj, Rj, Sj = rj
         Hi, _, Qi, Ri, Si = ri
-        d_p, d_q, d_h = Pi - Pj, Qi - Qj, Hi - Hj
+        d_p, d_q = Pi - Pj, Qi - Qj
         n_p, n_q, den_p, den_q = abs(d_p), abs(d_q), abs(Pj), abs(Qj)
         if n_p * bd >= bn * den_p or n_q * bd >= bn * den_q:
             return None
+        beta, den_y = Ri * Pj - Rj * Pi, den_p * den_q * hh
+        if abs(beta) * w * bd >= 2 * bn * den_y:
+            return None
+        d_h = Hi - Hj
         e = d_h * M
         n_x, den_x = max(abs(d_p * x0 + e), abs(d_p * x1 + e)), den_p * w
         if n_x * bd >= bn * den_x:
             return None
-        alpha, beta = d_q * Pj, Ri * Pj - Rj * Pi
-        gamma = ((Si - Sj) * Pj - Rj * d_h) * M
-        u0, u1, v0, v1 = beta * x0 + gamma, beta * x1 + gamma, alpha * y0, alpha * y1
-        n_y = max(abs(u0 + v0), abs(u0 + v1), abs(u1 + v0), abs(u1 + v1))
-        den_y = den_p * den_q * hh
+        alpha = d_q * Pj
+        n_y = (abs(beta * sx + ((Si - Sj) * Pj - Rj * d_h) * M2 + alpha * sy)
+               + abs(beta) * w + abs(alpha) * hy) // 2
         if n_y * bd >= bn * den_y or not (n_p or n_q or n_x or n_y):
             return None
         return max(Fraction(n_p, den_p), Fraction(n_q, den_q),
@@ -125,6 +132,16 @@ def _planar_deviation(interval, ybox):
 def _q_bound(lo_i, hi_i, lo_j, hi_j):
     """(n, d): |Q_i - Q_j| d >= n |Q_j| for all Q_i in [lo_i, hi_i] and Q_j in [lo_j, hi_j]."""
     return max(lo_i - hi_j, lo_j - hi_i, 0), max(-lo_j, hi_j)
+
+
+def _band(cd, shift, mul, lim):
+    """(o_lo, o_jj, o_hi), cd > 0: E = (H_i - H_j) cd + shift has |E| mul < lim
+    iff H_i + o_lo <= H_j < H_i + o_hi (any H_j if mul = 0), E <= 0 iff H_j >= H_i + o_jj."""
+    o_jj = -(-shift // cd)
+    if not mul:
+        return -math.inf, o_jj, math.inf
+    a, b = cd * mul, shift * mul
+    return (b - lim) // a + 1, o_jj, -((-lim - b) // a)
 
 
 def _scan_2d(short, buckets, rows, dev2, seed=None, floor=0, fresh=None):
@@ -140,7 +157,11 @@ def _scan_2d(short, buckets, rows, dev2, seed=None, floor=0, fresh=None):
     fresh set also skips the generators against the empty word).  The
     rows are those of rows, a _Rows: planar, or packed with dev2 a
     _packed_deviation.  The seed phase and the cross-bucket walk read
-    both, and each format has its own same-bucket phase.
+    both, and each format has its own same-bucket phase.  The walk
+    bisects the H_j list for each H_i's band [lo, top) and split jj
+    (_band), measures down from jj, then up, each way stopping where a
+    lowered best ends the band, and skips an empty band to the first H_i
+    that can reach H_j[lo].
     """
     slack, key = rows.slack, rows.key
     best = None if seed is None else (seed, None, None)
@@ -166,8 +187,7 @@ def _scan_2d(short, buckets, rows, dev2, seed=None, floor=0, fresh=None):
 
     # cross-bucket pairs, pruned by |p - 1|, by Q ranges that keep every
     # |q - 1| at or above best, then by the projected window: every pair
-    # with displacement below best must be measured, so walk the whole
-    # band of shifted H_j values around each H_i
+    # with displacement below best must be measured
     pulled = {}  # P: (H list, min Q, max Q) of a pulled bucket
     for num, den, (p_i, ents_i), (p_j, ents_j) in _bucket_pairs(buckets, slack):
         if num * bd >= bn * den or bn * fd <= fn * bd:
@@ -185,11 +205,21 @@ def _scan_2d(short, buckets, rows, dev2, seed=None, floor=0, fresh=None):
         win = _Window(rows.mid, rows.width, p_i, p_j)
         cd, shift = win.cd, win.shift
         mul, lim = win.cap(bn, bd)
-        jj, n_j = 0, len(hs_j)
-        for ri, hi in zip(ents_i, hs_i):
-            while jj < n_j and (hi - hs_j[jj]) * cd + shift > 0:
-                jj += 1
-            for band in (range(jj - 1, -1, -1), range(jj, n_j)):
+        o_lo, o_jj, o_hi = _band(cd, shift, mul, lim)
+        lo = top = ii = 0
+        n_i, n_j = len(hs_i), len(hs_j)
+        while ii < n_i:
+            hi = hs_i[ii]
+            lo = bisect_left(hs_j, hi + o_lo, lo)
+            if lo == n_j:
+                break
+            top = bisect_left(hs_j, hi + o_hi, max(lo, top))
+            if lo >= top:
+                ii = bisect_right(hs_i, hs_j[lo] - o_hi, ii + 1)
+                continue
+            ri, ii = ents_i[ii], ii + 1
+            jj = bisect_left(hs_j, hi + o_jj, lo, top)
+            for band in (range(jj - 1, lo - 1, -1), range(jj, top)):
                 for idx in band:
                     if abs((hi - hs_j[idx]) * cd + shift) * mul >= lim:
                         break
@@ -199,6 +229,8 @@ def _scan_2d(short, buckets, rows, dev2, seed=None, floor=0, fresh=None):
                         best = (dev, key(rj), key(ri))
                         bn, bd = dev.as_integer_ratio()
                         mul, lim = win.cap(bn, bd)
+                        o_lo, o_jj, o_hi = _band(cd, shift, mul, lim)
+                        lo = top = 0
     return best, coinc, coinc_count
 
 

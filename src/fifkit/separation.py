@@ -406,8 +406,9 @@ def _bucket_pairs(buckets, slack=0):
     Pairs are keyed on (floor(|p - 1| 2^k), label_i, label_j), with 2^k
     above every product of two |P|: distinct values of |p - 1| get
     distinct keys and equal values equal ones, so pairs come out by
-    exact |p - 1|, then labels.  Raises RoundingAmbiguityError when the
-    first pair has |p - 1| <= slack.
+    exact |p - 1|, then labels; heap entries are flat, and a pair is
+    built when yielded.  Raises RoundingAmbiguityError when the first
+    pair has |p - 1| <= slack.
     """
     import heapq  # here, not at the top: it adds 33 KB to every import
 
@@ -415,23 +416,24 @@ def _bucket_pairs(buckets, slack=0):
     k = 2 * max(abs(p).bit_length() for p, _ in order) + 1
 
     def walk(i, j, step):
-        p_i, (label_i, ents_i) = order[i]
-        p_j, (label_j, ents_j) = order[j]
-        num, den = abs(p_i - p_j), abs(p_j)
-        return ((num << k) // den, label_i, label_j,
-                (num, den, (p_i, ents_i), (p_j, ents_j)), i, j, step)
+        (p_i, (label_i, _)), (p_j, (label_j, _)) = order[i], order[j]
+        return (abs(p_i - p_j) << k) // abs(p_j), label_i, label_j, i, j, step
+
+    def pair(i, j):
+        (p_i, (_, ents_i)), (p_j, (_, ents_j)) = order[i], order[j]
+        return abs(p_i - p_j), abs(p_j), (p_i, ents_i), (p_j, ents_j)
 
     heap = [walk(j + step, j, step) for j in range(len(order))
             for step in (-1, 1) if 0 <= j + step < len(order)]
     heapq.heapify(heap)
     if heap:
-        num, den = heap[0][3][:2]
+        num, den = pair(*heap[0][3:5])[:2]
         if Fraction(num, den) <= slack:
             raise RoundingAmbiguityError(f"|p - 1| = {num / den:.3g} is within input "
                                          f"rounding ({float(slack):.3g}) of a coincidence")
     while heap:
-        *_, pair, i, j, step = heap[0]
-        yield pair
+        _, _, _, i, j, step = heap[0]
+        yield pair(i, j)
         if 0 <= i + step < len(order):
             heapq.heapreplace(heap, walk(i + step, j, step))
         else:

@@ -890,3 +890,22 @@ def test_float_sample_bytes_pinned(cold_caches, make, depth, digest):
     attractor._SAMPLES.clear()
     sample_attractor(system, 3)
     assert _sample_digest(sample_attractor(system, depth)) == digest
+
+
+def test_float_end_anchor_on_a_fixed_point_is_kept_once(cold_caches):
+    # the float twin's end anchor (1.0, -3.7499999999991513) is map 2's
+    # fixed point (0.9999999999999999, -3.75) off by rounding, on another
+    # 1e-12 key, so the depth-1 sample held that graph point twice
+    exact = random_overlapping_system(random.Random(7))
+    twin = float_twin(exact)
+    assert len(sample_attractor(exact, 1)) == 6
+    assert len(sample_attractor(twin, 1)) == 6
+    fixed = anchor_points(twin)[0][:len(twin)]
+    assert len(anchor_points(twin)[0]) == len(twin) + 1
+    assert (0.9999999999999999, -3.75) in fixed
+    # the bundled twins' ends share their fixed points' keys: all anchors
+    # stay, and so do their samples' bytes (test_float_sample_bytes_pinned)
+    for make in (four_piece_overlap_system, mixed_ratio_parabola_system,
+                 dyadic_parabola_system):
+        system = float_twin(make())
+        assert len(anchor_points(system)[0]) == len(system) + 2

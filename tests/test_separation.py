@@ -1,4 +1,5 @@
 import ast
+import bisect
 import itertools
 import math
 import random
@@ -57,6 +58,7 @@ from conftest import (
     oracle_word_rows,
     random_lattice_system,
     random_line_system,
+    random_overlapping_system,
     random_quadratic_system,
     random_two_map_system,
 )
@@ -1283,6 +1285,190 @@ def test_q_range_prune_with_q_of_both_signs_in_a_bucket():
         warnings.simplefilter("ignore", CollinearAttractorWarning)
         for m, oracle_depth in ((2, 4), (2, 4), (2, 4), (2, 4), (3, 4), (3, 3)):
             _check_every_depth(_shared_p_system(rng, m), "2d", 8 - m, oracle_depth)
+
+
+def _linear_band_scan_2d(short, buckets, word_rows, dev2, seed=None, floor=0, fresh=None, *,
+                         seen):
+    """planar._scan_2d with its cross-bucket band walked linearly: a pointer
+    to each H_i's first E <= 0, then walks down and up that stop at the
+    first H_j outside the window.  seen counts the measured cross-bucket
+    pairs whose H_j ties a neighbour and those with shift < 0."""
+    key = word_rows.key
+    best = None if seed is None else (seed, None, None)
+    bn, bd = (1, 0) if seed is None else seed.as_integer_ratio()
+    fn, fd = floor.as_integer_ratio()
+    if fresh is None:
+        fresh = buckets
+        for (pj, rj), (pi, ri) in [pair for gen in short[1:]
+                                   for pair in ((short[0], gen), (gen, short[0]))]:
+            dev = dev2(pj, rj, pi, ri, bn, bd)
+            if dev is not None:
+                best = (dev, key(rj), key(ri))
+                bn, bd = dev.as_integer_ratio()
+    same = [(p_val, entries) for p_val, (_, entries) in buckets.items() if p_val in fresh]
+    same_phase = planar_scan._same_planar if word_rows.planar else planar_scan._same_packed
+    best, coinc, coinc_count = same_phase(same, dev2, best, word_rows)
+    if best is not None:
+        bn, bd = best[0].as_integer_ratio()
+    pulled = {}
+    for num, den, (p_i, ents_i), (p_j, ents_j) in separation._bucket_pairs(buckets, word_rows.slack):
+        if num * bd >= bn * den or bn * fd <= fn * bd:
+            break
+        if p_i not in fresh and p_j not in fresh:
+            continue
+        for p_val, ents in ((p_i, ents_i), (p_j, ents_j)):
+            if p_val not in pulled:
+                pulled[p_val] = word_rows.pull(p_val, ents)
+        hs_i, *q_i = pulled[p_i]
+        hs_j, *q_j = pulled[p_j]
+        n_q, den_q = planar_scan._q_bound(*q_i, *q_j)
+        if n_q * bd >= bn * den_q:
+            continue
+        win = separation._Window(word_rows.mid, word_rows.width, p_i, p_j)
+        cd, shift = win.cd, win.shift
+        mul, lim = win.cap(bn, bd)
+        jj, n_j = 0, len(hs_j)
+        for ri, hi in zip(ents_i, hs_i):
+            while jj < n_j and (hi - hs_j[jj]) * cd + shift > 0:
+                jj += 1
+            for band in (range(jj - 1, -1, -1), range(jj, n_j)):
+                for idx in band:
+                    if abs((hi - hs_j[idx]) * cd + shift) * mul >= lim:
+                        break
+                    seen["ties"] += hs_j[idx] in hs_j[max(idx - 1, 0):idx] + hs_j[idx + 1:idx + 2]
+                    seen["negative"] += shift < 0
+                    rj = ents_j[idx]
+                    dev = dev2(p_j, rj, p_i, ri, bn, bd)
+                    if dev is not None:
+                        best = (dev, key(rj), key(ri))
+                        bn, bd = dev.as_integer_ratio()
+                        mul, lim = win.cap(bn, bd)
+    return best, coinc, coinc_count
+
+
+def _dev2_calls(monkeypatch, system, depth, scan, deviation):
+    """(verdict, the arguments of every dev2 call) of wsp_check_2d with scan
+    as _scan_2d and dev2 from deviation, a _planar_deviation."""
+    calls = []
+
+    def recording(interval, ybox):
+        dev = deviation(interval, ybox)
+
+        def recorded(*args):
+            calls.append(args)
+            return dev(*args)
+        return recorded
+
+    monkeypatch.setattr(planar_scan, "_planar_deviation", recording)
+    monkeypatch.setattr(planar_scan, "_scan_2d", scan)
+    return wsp_check_2d(system, depth, 1e-3), calls
+
+
+def test_scan_2d_hands_dev2_the_linear_band_pairs(monkeypatch):
+    # the bisected band measures the pairs of the linear walk, in its
+    # order and against the same bests: planar rows of four-piece and its
+    # float twin, random overlapping systems, and packed rows of random
+    # quadratic ones.  Four-piece's coincidences give equal H in bands
+    scan, deviation = planar_scan._scan_2d, planar_scan._planar_deviation
+    seen = {"ties": 0, "negative": 0}
+
+    def linear(*args):
+        return _linear_band_scan_2d(*args, seen=seen)
+
+    cases = [(four_piece_overlap_system(), 5), (four_piece_overlap_system(), 6),
+             (float_twin(four_piece_overlap_system()), 4)]
+    cases += [(random_overlapping_system(random.Random(seed)), 7) for seed in range(20)]
+    cases += [(random_quadratic_system(random.Random(seed))[0], 7) for seed in range(5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CollinearAttractorWarning)
+        for system, depth in cases:
+            got = _dev2_calls(monkeypatch, system, depth, scan, deviation)
+            assert got == _dev2_calls(monkeypatch, system, depth, linear, deviation)
+    assert seen["ties"] > 100 and seen["negative"] > 100
+    # made-up planar rows of small H on [0, 1], seeded, so that band ends
+    # fall on H values: an offset off by one drops or adds a pair
+    f = Fraction
+    word_rows = separation._Rows(IfsSystem((Affine2(f(1, 2), f(1, 2), f(0), f(0), f(0)),),
+                                           (f(0), f(1))), 1, 10, True)
+    rng = random.Random(3232)
+    for _ in range(300):
+        buckets = {}
+        for P in rng.sample((1, 2, 3, 4, -2, 5, -6, 8), rng.randrange(2, 6)):
+            buckets[P] = (str(P), sorted(
+                (rng.randrange(-12, 13), key, rng.choice((1, 2, 3, -1, 4)),
+                 rng.randrange(-3, 4), rng.randrange(-3, 4))
+                for key in rng.sample(range(1000), rng.randrange(1, 12))))
+        dev = deviation((0, 1), (f(rng.randrange(-2, 2)), f(rng.randrange(2, 5))))
+        seed = rng.choice((f(1), f(3, 2), f(4), f(20)))
+        runs = []
+        for walk in (scan, linear):
+            calls = []
+
+            def recorded(*args):
+                calls.append(args)
+                return dev(*args)
+            runs.append((walk([], buckets, word_rows, recorded, seed, 0, set(buckets)), calls))
+        assert runs[0] == runs[1]
+
+
+def test_band_offsets_against_brute_force():
+    # [H_i + o_lo, H_i + o_hi) bisected out of a sorted H_j list with ties
+    # is exactly the window |E| mul < lim, and H_i + o_jj the first E <= 0,
+    # for shifts of both signs and empty, edge-on and whole bands
+    rng = random.Random(3030)
+    edges = [0, 0]
+    for _ in range(4000):
+        cd, shift = rng.randrange(1, 7), rng.randrange(-40, 41)
+        mul = rng.choice((0, rng.randrange(1, 9)))
+        lim = rng.randrange(1, 120) if mul == 0 else rng.randrange(-20, 120)
+        hs = sorted(rng.randrange(-15, 16) for _ in range(rng.randrange(12)))
+        h = rng.randrange(-15, 16)
+        o_lo, o_jj, o_hi = planar_scan._band(cd, shift, mul, lim)
+        es = [(h - h_j) * cd + shift for h_j in hs]
+        inside = [idx for idx, e in enumerate(es) if abs(e) * mul < lim]
+        assert list(range(bisect.bisect_left(hs, h + o_lo), bisect.bisect_left(hs, h + o_hi))) == inside
+        assert bisect.bisect_left(hs, h + o_jj) == next(
+            (idx for idx, e in enumerate(es) if e <= 0), len(hs))
+        if mul and inside:
+            edges[0] += h + o_lo - 1 in hs
+            edges[1] += h + o_hi in hs
+    assert min(edges) > 50
+
+
+def test_planar_deviation_against_deviation_2d():
+    # dev on random row pairs of random exact systems is deviation_2d of
+    # their family element when that is nonzero and below best, else
+    # None.  The bests include 1/0, the deviation itself and the shear
+    # bound |beta| w / (2 |Pj Qj| hh) and twice it, which pin the bound
+    # and the box-center form of the vertical term
+    rng = random.Random(3131)
+    below_twice = vertical = 0
+    systems = [four_piece_overlap_system()]
+    systems += [make(random.Random(seed)) for seed in range(8)
+                for make in (random_overlapping_system, random_two_map_system)]
+    for system in systems:
+        interval, ybox = system.interval, attractor_ybox(system)
+        a, b = interval
+        hh = (ybox[1] - ybox[0]) or b - a
+        dev = planar_scan._planar_deviation(interval, ybox)
+        word_rows = separation._Rows(system, 3, 10 ** 6, True)
+        rows = [row for level in _rows_by_length(word_rows) for row in level]
+        for _ in range(60):
+            rj, ri = rng.choice(rows), rng.choice(rows)
+            g = FamilyElement.from_words(system, word_rows.word(rj[1]), word_rows.word(ri[1])).map2
+            want = deviation_2d(g, interval, ybox)
+            (_, _, Pj, Qj, Rj, _), (_, _, Pi, _, Ri, _) = rj, ri
+            shear = Fraction(abs(Ri * Pj - Rj * Pi), 2 * abs(Pj * Qj)) * (b - a) / hh
+            bests = [None, want, want + Fraction(1, 10 ** 9), shear, 2 * shear,
+                     (want + 2 * shear) / 2, want * Fraction(rng.randrange(1, 40), 20)]
+            for best in bests:
+                bn, bd = (1, 0) if best is None else best.as_integer_ratio()
+                expect = want if want and (best is None or want < best) else None
+                assert dev(Pj, (*rj[:2], *rj[3:]), Pi, (*ri[:2], *ri[3:]), bn, bd) == expect
+            below_twice += 0 < want < 2 * shear
+            vertical += g.q != 1 and ybox[0] != ybox[1] and want == max(
+                abs((g.q - 1) * y + g.r * x + g.s) for x in interval for y in ybox) / hh
+    assert below_twice > 5 and vertical > 20
 
 
 # ---------- the all-depth floor from the neighbour-map closure ----------
